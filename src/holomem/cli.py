@@ -234,7 +234,7 @@ def scenario_to_config(sc: Scenario) -> dict:
 # End-to-end runner
 # ---------------------------------------------------------------------------
 
-def run_simulate(sc: Scenario, workers: int = 1) -> dict:
+def run_simulate(sc: Scenario) -> dict:
     """Reproduce the full experiment: input state, storage channel, and both
     analytic and count-statistics (tomography) tracks per storage time."""
     rho_in = channel.input_state(sc.source)
@@ -259,33 +259,10 @@ def run_simulate(sc: Scenario, workers: int = 1) -> dict:
         "visibility_threshold_time_s": channel.visibility_threshold_time(sc.channel, v0),
         "storage": [],
     }
-    statistical = {"input": None, "storage": []}
     seeds: dict[str, int] = {}
-
-    def stat_track(label: str, rho_true: np.ndarray, coinc_prob: float) -> dict:
-        seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
-        seeds[f"counts/{label}"] = seed_counts
-        counts = measure.sample_counts(rho_true, list(ts.settings), sc.n_trials,
-                                       min(coinc_prob, 1.0), seed_counts)
-        result = tomo.mle_reconstruct(counts, ts)
-        if not result.converged:
-            raise NonConvergenceError(f"tomography failed to converge for {label}")
-        track = {
-            "mle_fidelity_vs_bell": qstate.fidelity(result.rho_hat, bell),
-            "mle_fidelity_vs_true": qstate.fidelity(result.rho_hat, rho_true),
-            "mle_iterations": result.iterations,
-            "total_counts": int(sum(r.counts for r in counts)),
-        }
-        if sc.n_mc_sets >= 2:
-            seed_mc = child_seed(sc.master_seed, f"mc/{label}", 0)
-            seeds[f"mc/{label}"] = seed_mc
-            mc = tomo.monte_carlo_fidelity(counts, ts, bell, sc.n_mc_sets,
-                                           seed_mc, workers=workers)
-            track["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
-                           "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
-        return track
-
-    statistical["input"] = stat_track("input", rho_in, sc.input_coinc_prob)
+    # (label, true state, coincidence probability) in report order: the
+    # input, then one track per storage time.
+    tracks = [("input", rho_in, sc.input_coinc_prob)]
 
     for t in sc.storage_times_s:
         rho_out, coinc_prob, frac = channel.store_retrieve(rho_in, t, sc.channel)
@@ -300,8 +277,37 @@ def run_simulate(sc: Scenario, workers: int = 1) -> dict:
             "mean_visibility": measure.mean_visibility(rho_out) if frac > 0 else 0.0,
             "visibility_model": channel.visibility_decay(sc.channel, v0, t),
         })
-        statistical["storage"].append(
-            {"t_s": t, **stat_track(f"t={t!r}", rho_out, coinc_prob)})
+        tracks.append((f"t={t!r}", rho_out, coinc_prob))
+
+    count_sets = []
+    for label, rho_true, coinc_prob in tracks:
+        seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
+        seeds[f"counts/{label}"] = seed_counts
+        count_sets.append(measure.sample_counts(rho_true, list(ts.settings), sc.n_trials,
+                                                min(coinc_prob, 1.0), seed_counts))
+    results = tomo.mle_reconstruct_many(count_sets, ts)
+    for (label, _, _), result in zip(tracks, results):
+        if not result.converged:
+            raise NonConvergenceError(f"tomography failed to converge for {label}")
+
+    stat_tracks = []
+    for (label, rho_true, _), counts, result in zip(tracks, count_sets, results):
+        track = {
+            "mle_fidelity_vs_bell": qstate.fidelity(result.rho_hat, bell),
+            "mle_fidelity_vs_true": qstate.fidelity(result.rho_hat, rho_true),
+            "mle_iterations": result.iterations,
+            "total_counts": int(sum(r.counts for r in counts)),
+        }
+        if sc.n_mc_sets >= 2:
+            seed_mc = child_seed(sc.master_seed, f"mc/{label}", 0)
+            seeds[f"mc/{label}"] = seed_mc
+            mc = tomo.monte_carlo_fidelity(counts, ts, bell, sc.n_mc_sets, seed_mc)
+            track["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
+                           "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
+        stat_tracks.append(track)
+    statistical = {"input": stat_tracks[0],
+                   "storage": [{"t_s": t, **track}
+                               for t, track in zip(sc.storage_times_s, stat_tracks[1:])]}
 
     return {
         "version": __version__,
@@ -323,8 +329,24 @@ def run_simulate(sc: Scenario, workers: int = 1) -> dict:
     }
 
 
+def _finite(obj):
+    """Copy of a JSON payload with each non-finite float replaced by its
+    string form ("inf", "-inf" or "nan"), so the output is strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json_text(report)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +373,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg["master_seed"] = args.seed
     sc = load_scenario(cfg)
-    report = run_simulate(sc, workers=args.workers)
+    report = run_simulate(sc)
     _write_out(report_to_json(report), args.out)
     return EXIT_OK
 
@@ -438,8 +460,8 @@ def _fit_result_json(res: fitkit.FitResult) -> str:
         "converged": res.converged,
     }
     if res.t_star_s is not None:
-        payload["t_star_s"] = res.t_star_s if math.isfinite(res.t_star_s) else "inf"
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload["t_star_s"] = res.t_star_s
+    return _json_text(payload)
 
 
 def _cmd_fit(args) -> int:
@@ -475,14 +497,12 @@ def _cmd_tomo(args) -> int:
     }
     if args.mc_sets >= 2:
         mc = tomo.monte_carlo_fidelity(counts, ts, target, args.mc_sets,
-                                       args.seed if args.seed is not None else 0,
-                                       workers=args.workers)
+                                       args.seed if args.seed is not None else 0)
         payload["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
                          "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
+    _write_out(_json_text(payload), args.out)
     if not result.converged:
-        _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
         raise NonConvergenceError("tomography MLE hit the iteration cap")
-    _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -501,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full end-to-end reproduction")
     common(p)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("capacity", help="Fresnel-number mode capacity")
@@ -541,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="36", choices=["16", "36"])
     p.add_argument("--target", default="bell", help="bell | density-matrix JSON path")
     p.add_argument("--mc-sets", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_tomo)
 
     return parser

@@ -1,8 +1,8 @@
-"""Deterministic seed derivation for parallel Monte Carlo work.
+"""Deterministic seed derivation for Monte Carlo work.
 
 Child seeds are derived as the first 8 bytes (big-endian) of
-SHA-256("{master}:{label}:{index}"), so concurrent tasks get independent,
-reproducible streams regardless of worker count.
+SHA-256("{master}:{label}:{index}"), so each task gets an independent,
+reproducible stream regardless of the order in which tasks run.
 """
 
 from __future__ import annotations

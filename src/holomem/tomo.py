@@ -2,21 +2,36 @@
 physical maximum-likelihood reconstruction, and Monte Carlo uncertainty.
 
 The MLE maximizes the Poissonian log-likelihood
-sum_k (n_k ln mu_k - mu_k) with mu_k = N_k Tr(rho Pi_k) over physical
-states parameterized as rho = T^dag T / Tr(T^dag T) with triangular T
-(16 real parameters).  The common exposure is profiled out analytically, so
-the objective reduces to f = -sum n_k ln c_k + n_tot ln(sum c_k) with
-c_k = d_k Tr(T^dag T Pi_k), which is invariant under rescaling of T.
+sum_k (n_k ln mu_k - mu_k) with mu_k = N_k Tr(rho Pi_k) over density
+matrices.  The common exposure is profiled out analytically, so the
+objective reduces to f = -sum n_k ln c_k + n_tot ln(sum c_k) with
+c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
+
+It is minimized by accelerated projected gradient (Shang, Zhang & Ng,
+PRA 95, 062336 (2017)) on a (B, 4, 4) stack of states: B count sets are
+solved at once with batched matrix products and eigendecompositions.
+Each step moves along -grad f from a momentum point and projects onto the
+unit-trace positive matrices (an eigendecomposition plus a projection of
+the eigenvalues onto the simplex).  Every set keeps its own step size,
+found by backtracking on the curvature along the step, and its own
+momentum, which restarts when a step would raise f or runs against the
+gradient.  So the recorded f never rises, and each set's iterates depend
+only on its own counts and durations (up to rounding in the batched
+products).
+
+Stopping rule: f is invariant under rescaling of rho, so Tr(rho G) = 0 for
+the gradient G = grad f / n_tot at any state, and rho is optimal exactly
+when G is positive semidefinite.  A set stops once the smallest eigenvalue
+of G is at least -gtol.  By convexity of the unprofiled likelihood,
+(f - f_min) / n_tot is then at most gtol * C / C_opt with C = sum_k c_k, a
+ratio near 1 (exactly 1 for the 36-setting scheme at equal durations).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qstate
 from .measure import AnalyzerSetting, CountRecord, setting_from_labels
@@ -24,6 +39,7 @@ from .seeding import child_seed
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
 SINGLE_QUBIT_LABELS_16 = ("H", "V", "+", "R")
+_HV_GROUP = ("HH", "HV", "VH", "VV")
 
 
 class TomographyError(ValueError):
@@ -32,21 +48,26 @@ class TomographyError(ValueError):
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """A measurement scheme: its name and ordered analyzer settings."""
+    """A measurement scheme: its name and ordered analyzer settings.
+
+    `make_settings` also fills in, read-only, the (K, 4, 4) joint projector
+    stack and the linear-inversion map: the state is
+    inversion_offset + sum_k q_k inversion[k] for normalized probabilities q.
+    """
 
     scheme: str
     settings: tuple[AnalyzerSetting, ...]
+    projectors: np.ndarray = field(compare=False, repr=False)
+    inversion: np.ndarray = field(compare=False, repr=False)
+    inversion_offset: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass
 class MleOptions:
     max_iter: int = 10_000
-    # Converged when the likelihood improves by less than ftol_abs for
-    # ftol_window successive iterations, or the gradient norm drops
-    # below gtol.
-    ftol_abs: float = 1e-10
-    ftol_window: int = 5
-    gtol: float = 1e-8
+    # Converged when the smallest eigenvalue of the normalized gradient is
+    # at least -gtol (see the module docstring).
+    gtol: float = 1e-9
 
 
 @dataclass
@@ -56,7 +77,8 @@ class TomographyResult:
     converged: bool
     iterations: int
     # Objective value (negative profiled log-likelihood) at the start and
-    # after each accepted iteration; nonincreasing for a monotone ascent.
+    # after each accepted step; nonincreasing (a change within the rounding
+    # of the projection is recorded as none).
     objective_history: list[float] = field(repr=False, default_factory=list)
 
 
@@ -71,6 +93,19 @@ class McSummary:
     n_nonconverged: int = 0
 
 
+# Two-qubit Pauli-product basis, B_0 = I (Tr(B_m B_n) = 4 delta_mn).
+_PAULIS = [np.eye(2, dtype=complex),
+           np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]], dtype=complex),
+           np.array([[1, 0], [0, -1]], dtype=complex)]
+_PAULI_BASIS = np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def make_settings(scheme: int | str) -> TomographySettings:
     """Build the 36-setting (all pairs of H,V,+,-,R,L) or 16-setting
     (all pairs of H,V,+,R) scheme.  Both are informationally complete."""
@@ -82,26 +117,30 @@ def make_settings(scheme: int | str) -> TomographySettings:
     else:
         raise TomographyError(f"scheme must be 16 or 36, got {scheme!r}")
     settings = tuple(setting_from_labels(a, b) for a in labels for b in labels)
-    ts = TomographySettings(scheme=key, settings=settings)
+    pis = np.stack([s.joint_projector for s in settings])
+    # Design: p_k = sum_m c_m Tr(B_m Pi_k), with c_0 = 1/4 fixed by trace;
+    # least squares over the other 15 coefficients.
+    design = np.real(np.einsum("mij,kji->km", _PAULI_BASIS, pis))
+    pinv = np.linalg.pinv(design[:, 1:])
+    inversion = np.einsum("mk,mij->kij", pinv, _PAULI_BASIS[1:])
+    offset = 0.25 * (_PAULI_BASIS[0] - np.einsum("k,kij->ij", design[:, 0], inversion))
+    ts = TomographySettings(scheme=key, settings=settings, projectors=_read_only(pis),
+                            inversion=_read_only(inversion),
+                            inversion_offset=_read_only(offset))
     if design_rank(ts) != 16:
         raise TomographyError(f"scheme {key} is not informationally complete")
     return ts
 
 
-def _projector_stack(ts: TomographySettings) -> np.ndarray:
-    return np.stack([s.joint_projector for s in ts.settings])
-
-
 def design_rank(ts: TomographySettings) -> int:
     """Rank of the projector design (Gram) matrix; 16 means complete."""
-    flat = _projector_stack(ts).reshape(len(ts.settings), 16)
+    flat = ts.projectors.reshape(len(ts.settings), 16)
     return int(np.linalg.matrix_rank(flat, tol=1e-10))
 
 
 def forward_probabilities(rho: np.ndarray, ts: TomographySettings) -> np.ndarray:
     """Born-rule probabilities for every setting of the scheme."""
-    pis = _projector_stack(ts)
-    return np.real(np.einsum("kij,ji->k", pis, np.asarray(rho, dtype=complex)))
+    return np.real(np.einsum("kij,ji->k", ts.projectors, np.asarray(rho, dtype=complex)))
 
 
 def exact_counts(rho: np.ndarray, ts: TomographySettings,
@@ -120,189 +159,268 @@ def _check_alignment(counts: list[CountRecord], ts: TomographySettings) -> None:
         if rec.setting_label != s.label:
             raise TomographyError(
                 f"count record {rec.setting_label!r} does not match setting {s.label!r}")
-    if sum(r.counts for r in counts) <= 0:
+
+
+def _as_arrays(count_sets: list[list[CountRecord]],
+               ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
+    """(B, K) counts and durations of aligned count sets."""
+    for counts in count_sets:
+        _check_alignment(counts, ts)
+    n = np.array([[float(r.counts) for r in counts] for counts in count_sets])
+    dur = np.array([[r.duration_s for r in counts] for counts in count_sets])
+    return n.reshape(-1, len(ts.settings)), dur.reshape(-1, len(ts.settings))
+
+
+def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
+                           ts: TomographySettings) -> np.ndarray:
+    """Linear inversion of (B, K) counts and durations to (B, 4, 4) states."""
+    if np.any(n.sum(axis=1) <= 0):
         raise TomographyError("total counts must be positive")
-
-
-def _exposure_rate(counts: list[CountRecord], ts: TomographySettings) -> float:
-    """Coincidences per second of exposure, estimated from the complete
-    H/V basis group (HH, HV, VH, VV), whose probabilities sum to 1."""
-    idx = [i for i, s in enumerate(ts.settings) if s.label in ("HH", "HV", "VH", "VV")]
-    if len(idx) != 4:
+    # Coincidences per second of exposure, estimated from the complete H/V
+    # basis group, whose four probabilities sum to 1: at a common duration
+    # d the group total is lambda0 * d.  Unequal durations within the group
+    # are averaged.
+    hv = [i for i, s in enumerate(ts.settings) if s.label in _HV_GROUP]
+    if len(hv) != 4:
         raise TomographyError(
             f"scheme {ts.scheme} lacks the full H/V group needed for exposure estimation")
-    total = sum(counts[i].counts for i in idx)
-    if total <= 0:
+    hv_total = n[:, hv].sum(axis=1)
+    if np.any(hv_total <= 0):
         raise TomographyError("no counts in the H/V group; cannot estimate exposure")
-    # The four H/V probabilities sum to 1, so at a common per-setting
-    # duration d the group total is lambda0 * d.  Unequal durations within
-    # the group are averaged.
-    mean_dur = sum(counts[i].duration_s for i in idx) / 4.0
-    return total / mean_dur
-
-
-# Two-qubit Pauli-product basis, B_0 = I (Tr(B_m B_n) = 4 delta_mn).
-_PAULIS = [np.eye(2, dtype=complex),
-           np.array([[0, 1], [1, 0]], dtype=complex),
-           np.array([[0, -1j], [1j, 0]], dtype=complex),
-           np.array([[1, 0], [0, -1]], dtype=complex)]
-_PAULI_BASIS = np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+    rate = hv_total / dur[:, hv].mean(axis=1)
+    probs = n / (rate[:, None] * dur)
+    return ts.inversion_offset + np.einsum("bk,kij->bij", probs, ts.inversion)
 
 
 def linear_inversion(counts: list[CountRecord], ts: TomographySettings) -> np.ndarray:
     """Least-squares state estimate: Hermitian, unit trace, possibly
     non-positive.  Exact on noiseless probabilities."""
-    _check_alignment(counts, ts)
-    pis = _projector_stack(ts)
-    # Design: p_k = sum_m c_m Tr(B_m Pi_k), with c_0 = 1/4 fixed by trace.
-    design = np.real(np.einsum("mij,kji->km", _PAULI_BASIS, pis))
-    if np.linalg.matrix_rank(design, tol=1e-10) < 16:
-        raise TomographyError(f"scheme {ts.scheme} design is rank deficient")
-    rate = _exposure_rate(counts, ts)
-    probs = np.array([r.counts / (rate * r.duration_s) for r in counts])
-    rhs = probs - design[:, 0] * 0.25
-    coeffs, *_ = np.linalg.lstsq(design[:, 1:], rhs, rcond=None)
-    rho = 0.25 * _PAULI_BASIS[0] + np.einsum("m,mij->ij", coeffs, _PAULI_BASIS[1:])
-    return rho
+    return _linear_inversion_many(*_as_arrays([counts], ts), ts)[0]
 
 
 # ---------------------------------------------------------------------------
-# MLE over the triangular parameterization
+# Batched MLE: accelerated projected gradient over density matrices
 # ---------------------------------------------------------------------------
 
-# Free entries of the upper-triangular factor T (rho = T^dag T / Tr).
-_OFFDIAG_IDX = [(i, j) for i in range(4) for j in range(4) if i < j]
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _params_to_t(theta: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = theta[:4]
-    for n, (i, j) in enumerate(_OFFDIAG_IDX):
-        t[i, j] = theta[4 + 2 * n] + 1j * theta[5 + 2 * n]
-    return t
+def _from_eig(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _t_to_params(t: np.ndarray) -> np.ndarray:
-    theta = np.zeros(16)
-    theta[:4] = np.real(np.diag(t))
-    for n, (i, j) in enumerate(_OFFDIAG_IDX):
-        theta[4 + 2 * n] = t[i, j].real
-        theta[5 + 2 * n] = t[i, j].imag
-    return theta
+def _project_density(h: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest density matrices to a (B, 4, 4) Hermitian stack:
+    the eigenvalues are projected onto the probability simplex."""
+    vals, vecs = np.linalg.eigh(h)
+    desc = vals[:, ::-1]
+    ranks = np.arange(1, vals.shape[1] + 1)
+    excess = (np.cumsum(desc, axis=1) - 1.0) / ranks
+    support = np.sum(desc > excess, axis=1)
+    shift = excess[np.arange(len(vals)), support - 1]
+    return _from_eig(np.maximum(vals - shift[:, None], 0.0), vecs)
 
 
-def _initial_params(counts: list[CountRecord], ts: TomographySettings) -> np.ndarray:
-    rho0 = linear_inversion(counts, ts)
-    rho0 = (rho0 + rho0.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(rho0)
-    vals = np.clip(vals, 1e-6, None)
-    rho0 = (vecs * vals) @ vecs.conj().T
-    rho0 /= np.real(np.trace(rho0))
-    t = np.linalg.cholesky(rho0 + 1e-12 * np.eye(4)).conj().T
-    return _t_to_params(t)
+def _start_states(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
+    """Linear inversion with its eigenvalues clamped at 1e-6, unit trace."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(_linear_inversion_many(n, dur, ts)))
+    rho = _from_eig(np.clip(vals, 1e-6, None), vecs)
+    return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+
+
+class _Problem:
+    """Normalized profiled objective f / n_tot for a batch of count sets."""
+
+    def __init__(self, n: np.ndarray, dur: np.ndarray, ts: TomographySettings):
+        k = len(ts.settings)
+        self.n_tot = n.sum(axis=1)
+        self.nu = n / self.n_tot[:, None]
+        self.observed = n > 0
+        self.d = dur / dur.mean(axis=1, keepdims=True)
+        self.pis = ts.projectors.reshape(k, 16)
+        # c_k = d_k Re sum_ij rho_ij conj(Pi_k)_ij for Hermitian rho, Pi_k.
+        self.pis_h = self.pis.conj().T
+
+    def rates(self, rho: np.ndarray, rows) -> np.ndarray:
+        """c_k for the given rows (linear in rho, so also used for steps)."""
+        return self.d[rows] * np.real(rho.reshape(len(rho), 16) @ self.pis_h)
+
+    def value(self, c: np.ndarray, rows) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            logs = np.where(self.observed[rows], np.log(np.clip(c, 0.0, None)), 0.0)
+        return np.log(c.sum(axis=1)) - np.sum(self.nu[rows] * logs, axis=1)
+
+    def gradient(self, c: np.ndarray, rows) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(self.observed[rows], self.nu[rows] / c, 0.0)
+        w = self.d[rows] * (1.0 / c.sum(axis=1, keepdims=True) - ratio)
+        return (w @ self.pis).reshape(-1, 4, 4)
+
+    def change(self, c: np.ndarray, dc: np.ndarray, rows) -> np.ndarray:
+        """f(rho + step) - f(rho) from c(rho) and c(step), accurate for small
+        steps where a difference of two objective values would cancel."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(self.observed[rows], np.log1p(dc / c), 0.0)
+            total = np.log1p(dc.sum(axis=1) / c.sum(axis=1))
+        out = total - np.sum(self.nu[rows] * rel, axis=1)
+        return np.where(np.isnan(out), np.inf, out)
+
+
+# Step halvings after which an extrapolated point is abandoned for x.
+_MAX_HALVINGS = 40
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a b) for stacks of Hermitian matrices."""
+    return np.real(np.einsum("bij,bji->b", a, b))
+
+
+def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
+              opts: MleOptions) -> list[TomographyResult]:
+    """Solve the (B, K) count sets at once; see the module docstring."""
+    x = _start_states(n, dur, ts)
+    prob = _Problem(n, dur, ts)
+    b = len(n)
+    everyone = np.arange(b)
+    x_prev = x.copy()
+    c_x = prob.rates(x, everyone)
+    g_x = prob.gradient(c_x, everyone)
+    f = prob.value(c_x, everyone)
+    history = [[float(v)] for v in f * prob.n_tot]
+    theta = np.ones(b)
+    step = np.ones(b)
+    iterations = np.zeros(b, dtype=int)
+    converged = np.linalg.eigvalsh(g_x)[:, 0] >= -opts.gtol
+    active = ~converged & (opts.max_iter > 0)
+
+    while active.any():
+        rows = np.flatnonzero(active)
+        th = theta[rows]
+        th_next = (1.0 + np.sqrt(1.0 + 4.0 * th * th)) / 2.0
+        beta = ((th - 1.0) / th_next)[:, None, None]
+        y = x[rows] + beta * (x[rows] - x_prev[rows])
+        c_y = prob.rates(y, rows)
+        # A plain step starts from x itself.  An extrapolated point outside
+        # the likelihood's domain restarts the momentum, giving a plain step.
+        outside = np.any(prob.observed[rows] & (c_y <= 0.0), axis=1)
+        th_next[outside] = 1.0
+        plain = outside | (th == 1.0)
+        y[plain], c_y[plain] = x[rows[plain]], c_x[rows[plain]]
+        g_y = prob.gradient(c_y, rows)
+        g_y[plain] = g_x[rows[plain]]
+
+        # Backtracking: halve each set's step t until the curvature along
+        # the step is at most 1/t.  The test compares gradients, which stay
+        # accurate near the optimum where differences of f are rounding.
+        z, c_z, g_z = np.empty_like(y), np.empty_like(c_y), np.empty_like(g_y)
+        pending = np.arange(len(rows))
+        halvings = np.zeros(len(rows), dtype=int)
+        while len(pending):
+            at = rows[pending]
+            t = step[at]
+            z_try = _project_density(y[pending] - t[:, None, None] * g_y[pending])
+            c_try = prob.rates(z_try, at)
+            g_try = prob.gradient(c_try, at)
+            delta = z_try - y[pending]
+            curvature = _inner(g_try - g_y[pending], delta)
+            ok = np.isfinite(curvature) & (curvature <= np.sum(np.abs(delta) ** 2, axis=(1, 2)) / t)
+            done = pending[ok]
+            z[done], c_z[done], g_z[done] = z_try[ok], c_try[ok], g_try[ok]
+            pending = pending[~ok]
+            step[rows[pending]] *= 0.5
+            halvings[pending] += 1
+            # The projection of an extrapolated point can leave the domain
+            # for every step size; such a set takes a plain step, once.
+            stuck = pending[halvings[pending] == _MAX_HALVINGS]
+            y[stuck], c_y[stuck], g_y[stuck] = x[rows[stuck]], c_x[rows[stuck]], g_x[rows[stuck]]
+            plain[stuck], th_next[stuck] = True, 1.0
+            step[rows[stuck]] *= 2.0 ** _MAX_HALVINGS
+
+        # A plain step passing the test cannot raise f beyond the rounding
+        # of the projection (eps times the gradient), which exceeds the true
+        # change near an optimum on the boundary; it is kept and recorded as
+        # no change.  A momentum step that raises f is dropped, and the next
+        # step is plain.
+        gain = prob.change(c_x[rows], prob.rates(z - x[rows], rows), rows)
+        slack = 16.0 * np.finfo(float).eps * np.linalg.norm(g_y, axis=(1, 2))
+        better = gain <= np.where(plain, slack, 0.0)
+        moved = rows[better]
+        x_prev[rows] = x[rows]
+        x[moved], c_x[moved], g_x[moved] = z[better], c_z[better], g_z[better]
+        f[moved] += np.minimum(gain[better], 0.0)
+        for r in moved:
+            history[r].append(float(f[r] * prob.n_tot[r]))
+        # Gradient restart (O'Donoghue & Candes): momentum that points
+        # against the projected gradient step is dropped as well.
+        uphill = _inner(y - z, z - x_prev[rows]) > 0.0
+        theta[rows] = np.where(better & ~uphill, th_next, 1.0)
+        step[rows] *= np.where(better, 2.0, 0.5)
+        iterations[rows] += 1
+
+        converged[moved] = np.linalg.eigvalsh(g_x[moved])[:, 0] >= -opts.gtol
+        active[rows] = ~converged[rows] & (iterations[rows] < opts.max_iter)
+
+    results = []
+    for r in everyone:
+        rho_hat = _hermitian_part(x[r])
+        qstate.check_density_matrix(rho_hat, atol=qstate.CHANNEL_ATOL)
+        # Report the actual Poissonian log-likelihood at the profiled exposure.
+        c = np.clip(c_x[r], 1e-300, None)
+        mu = prob.n_tot[r] * c / c.sum()
+        log_l = float(np.dot(n[r], np.log(mu)) - mu.sum())
+        results.append(TomographyResult(rho_hat=rho_hat, log_likelihood=log_l,
+                                        converged=bool(converged[r]),
+                                        iterations=int(iterations[r]),
+                                        objective_history=history[r]))
+    return results
+
+
+def mle_reconstruct_many(count_sets: list[list[CountRecord]], ts: TomographySettings,
+                         opts: MleOptions | None = None) -> list[TomographyResult]:
+    """Poissonian maximum-likelihood reconstruction of several count sets.
+
+    All sets are solved together by accelerated projected gradient from
+    their clamped linear-inversion starts (see the module docstring).  A
+    set's result does not depend, beyond rounding, on which other sets share
+    the call.  A result is flagged converged=False only if max_iter was hit
+    before the optimality test passed.
+    """
+    return _mle_many(*_as_arrays(count_sets, ts), ts, opts or MleOptions())
 
 
 def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings,
                     opts: MleOptions | None = None) -> TomographyResult:
-    """Poissonian maximum-likelihood state reconstruction.
+    """Poissonian maximum-likelihood state reconstruction of one count set.
 
-    Runs a quasi-Newton ascent (L-BFGS-B on the 16 triangular parameters,
-    analytic gradient) from the clamped linear-inversion start.  Returns the
-    result flagged converged=False if the iteration cap is hit first.
+    Accelerated projected gradient over density matrices from the clamped
+    linear-inversion start; it stops when the smallest eigenvalue of the
+    normalized gradient is at least -opts.gtol, which certifies optimality
+    to that tolerance.  The result is flagged converged=False only if
+    opts.max_iter iterations are reached first.
     """
-    opts = opts or MleOptions()
-    _check_alignment(counts, ts)
-    pis = _projector_stack(ts)
-    n = np.array([float(r.counts) for r in counts])
-    d = np.array([r.duration_s for r in counts])
-    d = d / d.mean()
-    n_tot = n.sum()
-
-    def objective(theta: np.ndarray):
-        t = _params_to_t(theta)
-        a = t.conj().T @ t
-        c = np.real(np.einsum("kij,ji->k", pis, a)) * d
-        c = np.clip(c, 1e-300, None)
-        c_sum = c.sum()
-        f = -np.dot(n, np.log(c)) + n_tot * math.log(c_sum)
-        weights = (n_tot / c_sum - n / c) * d
-        m = np.einsum("k,kij->ij", weights, pis)
-        tm = t @ m
-        grad = np.zeros(16)
-        grad[:4] = 2.0 * np.real(np.diag(tm))
-        for idx, (i, j) in enumerate(_OFFDIAG_IDX):
-            grad[4 + 2 * idx] = 2.0 * tm[i, j].real
-            grad[5 + 2 * idx] = 2.0 * tm[i, j].imag
-        return f, grad
-
-    def callback(theta):
-        history.append(objective(theta)[0])
-
-    theta0 = _initial_params(counts, ts)
-    history: list[float] = [objective(theta0)[0]]
-    res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                   callback=callback,
-                   options={"maxiter": opts.max_iter, "ftol": 1e-15,
-                            "gtol": 1e-12, "maxcor": 30})
-
-    grad_norm = float(np.linalg.norm(res.jac))
-    window = opts.ftol_window
-    flat_tail = (len(history) > window and
-                 all(history[-k - 1] - history[-k] < opts.ftol_abs
-                     for k in range(1, window + 1)))
-    converged = bool(res.nit < opts.max_iter and
-                     (grad_norm < opts.gtol or flat_tail or res.success))
-
-    t = _params_to_t(res.x)
-    a = t.conj().T @ t
-    rho_hat = a / np.real(np.trace(a))
-    rho_hat = (rho_hat + rho_hat.conj().T) / 2.0
-    qstate.check_density_matrix(rho_hat, atol=qstate.CHANNEL_ATOL)
-
-    # Report the actual Poissonian log-likelihood at the profiled exposure.
-    c = np.clip(np.real(np.einsum("kij,ji->k", pis, rho_hat)) * d, 1e-300, None)
-    lam = n_tot / c.sum()
-    mu = lam * c
-    log_l = float(np.dot(n, np.log(mu)) - mu.sum())
-    return TomographyResult(rho_hat=rho_hat, log_likelihood=log_l,
-                            converged=converged, iterations=int(res.nit),
-                            objective_history=history)
+    return mle_reconstruct_many([counts], ts, opts)[0]
 
 
 def monte_carlo_fidelity(counts: list[CountRecord], ts: TomographySettings,
-                         target: np.ndarray, n_sets: int, seed: int,
-                         workers: int = 1) -> McSummary:
+                         target: np.ndarray, n_sets: int, seed: int) -> McSummary:
     """Poissonian-resampling uncertainty on the fidelity versus `target`.
 
-    Each set resamples counts_k ~ Poisson(n_k), reruns the MLE, and records
-    fidelity(rho_hat, target).  Sets draw independent child seeds from the
-    master seed and are reduced in index order, so the summary is identical
-    for any worker count.
+    Set i resamples counts_k ~ Poisson(n_k) from its own child seed of the
+    master seed; all sets are then reconstructed in one batched MLE and
+    fidelity(rho_hat, target) is recorded in index order.
     """
     if n_sets < 2:
         raise TomographyError(f"n_sets must be >= 2, got {n_sets}")
-    _check_alignment(counts, ts)
-    base = np.array([r.counts for r in counts], dtype=float)
-
-    def one_set(index: int) -> tuple[float, bool]:
-        rng = np.random.default_rng(child_seed(seed, "mc-tomo", index))
-        resampled = [CountRecord(setting_label=r.setting_label,
-                                 counts=int(k), duration_s=r.duration_s)
-                     for r, k in zip(counts, rng.poisson(base))]
-        result = mle_reconstruct(resampled, ts)
-        return qstate.fidelity(result.rho_hat, target), result.converged
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_set, range(n_sets)))
-    else:
-        outcomes = [one_set(i) for i in range(n_sets)]
-
-    samples = [f for f, _ in outcomes]
-    n_bad = sum(1 for _, ok in outcomes if not ok)
+    n, dur = _as_arrays([counts], ts)
+    resampled = np.array([
+        np.random.default_rng(child_seed(seed, "mc-tomo", i)).poisson(n[0])
+        for i in range(n_sets)], dtype=float)
+    results = _mle_many(resampled, np.repeat(dur, n_sets, axis=0), ts, MleOptions())
+    samples = [qstate.fidelity(r.rho_hat, target) for r in results]
     arr = np.array(samples)
     return McSummary(n_sets=n_sets,
                      fidelity_mean=float(arr.mean()),
                      fidelity_std=float(arr.std(ddof=1)),
                      samples=samples,
-                     n_nonconverged=n_bad)
+                     n_nonconverged=sum(1 for r in results if not r.converged))

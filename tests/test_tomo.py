@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from holomem import measure, qstate, tomo
+from holomem import channel, cli, measure, qstate, tomo
+from holomem.seeding import child_seed
 from conftest import random_density_matrix
 
 
@@ -137,6 +139,31 @@ class TestMle:
         with pytest.raises(tomo.TomographyError):
             tomo.mle_reconstruct(counts, TS36)
 
+    @pytest.mark.parametrize("ts", [TS36, TS16], ids=["36", "16"])
+    def test_low_count_pure_states_converge(self, ts, rng):
+        # Optima on the boundary of the state space, where the change of f
+        # per step falls below the rounding of the projection.
+        count_sets = []
+        while len(count_sets) < 40:
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            probs = tomo.forward_probabilities(np.outer(v, v.conj()) / np.vdot(v, v).real, ts)
+            counts = [measure.CountRecord(s.label, int(k))
+                      for s, k in zip(ts.settings, rng.poisson(30 * np.clip(probs, 0.0, None)))]
+            if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
+                count_sets.append(counts)
+        for result in tomo.mle_reconstruct_many(count_sets, ts, tomo.MleOptions(max_iter=2000)):
+            assert result.converged
+            qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
+
+    def test_only_the_iteration_cap_flags_nonconvergence(self):
+        counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
+                                       5000, 0.5, seed=9)
+        capped = tomo.mle_reconstruct(counts, TS36, tomo.MleOptions(max_iter=2))
+        assert not capped.converged and capped.iterations == 2
+        qstate.check_density_matrix(capped.rho_hat, atol=qstate.CHANNEL_ATOL)
+        full = tomo.mle_reconstruct(counts, TS36)
+        assert full.converged and full.iterations > 2
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
@@ -149,14 +176,19 @@ class TestMonteCarlo:
         assert a.samples == b.samples
         assert a.fidelity_mean == b.fidelity_mean
 
-    def test_workers_do_not_change_results(self):
+    def test_batch_composition_does_not_change_results(self):
+        # A set's estimate depends on its own counts only, not on which
+        # other sets share the batched solve (rows are not bit-exact).
+        bell = qstate.bell_phi_plus()
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        serial = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
-                                           n_sets=12, seed=21, workers=1)
-        threaded = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
-                                             n_sets=12, seed=21, workers=4)
-        assert serial.samples == threaded.samples
+        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, n_sets=12, seed=21)
+        sets = resampled_sets(counts, seed=21, n_sets=12)
+        alone = [qstate.fidelity(tomo.mle_reconstruct(s, TS36).rho_hat, bell) for s in sets]
+        odd = [qstate.fidelity(r.rho_hat, bell)
+               for r in tomo.mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
+        np.testing.assert_allclose(alone, mc.samples, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(odd, mc.samples[1::2], rtol=0, atol=1e-6)
 
     def test_spread_shrinks_with_exposure(self):
         rho = qstate.werner(0.85)
@@ -184,3 +216,108 @@ class TestMonteCarlo:
         with pytest.raises(tomo.TomographyError):
             tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
                                       n_sets=1, seed=0)
+
+
+def resampled_sets(counts, seed, n_sets):
+    """The Poisson resamples monte_carlo_fidelity draws, as count records."""
+    base = np.array([r.counts for r in counts], dtype=float)
+    sets = []
+    for i in range(n_sets):
+        rng = np.random.default_rng(child_seed(seed, "mc-tomo", i))
+        sets.append([measure.CountRecord(r.setting_label, int(k), r.duration_s)
+                     for r, k in zip(counts, rng.poisson(base))])
+    return sets
+
+
+def profiled_objective(rho, counts, ts):
+    """Negative profiled log-likelihood f = -sum n ln c + n_tot ln sum c."""
+    n = np.array([float(r.counts) for r in counts])
+    d = np.array([r.duration_s for r in counts])
+    c = np.clip(tomo.forward_probabilities(rho, ts) * d / d.mean(), 1e-300, None)
+    return float(-np.dot(n, np.log(c)) + n.sum() * np.log(c.sum()))
+
+
+_OFFDIAG_IDX = [(i, j) for i in range(4) for j in range(4) if i < j]
+
+
+def reference_mle(counts, ts):
+    """Per-set reference solver: L-BFGS-B on the 16 real parameters of an
+    upper-triangular T (rho = T^dag T / Tr), analytic gradient, from the
+    linear-inversion start with eigenvalues clamped at 1e-6."""
+    pis = ts.projectors
+    n = np.array([float(r.counts) for r in counts])
+    d = np.array([r.duration_s for r in counts])
+    d = d / d.mean()
+    n_tot = n.sum()
+
+    def to_t(theta):
+        t = np.zeros((4, 4), dtype=complex)
+        t[np.diag_indices(4)] = theta[:4]
+        for m, (i, j) in enumerate(_OFFDIAG_IDX):
+            t[i, j] = theta[4 + 2 * m] + 1j * theta[5 + 2 * m]
+        return t
+
+    def objective(theta):
+        t = to_t(theta)
+        c = np.clip(np.real(np.einsum("kij,ji->k", pis, t.conj().T @ t)) * d, 1e-300, None)
+        f = -np.dot(n, np.log(c)) + n_tot * np.log(c.sum())
+        tm = t @ np.einsum("k,kij->ij", (n_tot / c.sum() - n / c) * d, pis)
+        grad = np.zeros(16)
+        grad[:4] = 2.0 * np.real(np.diag(tm))
+        for m, (i, j) in enumerate(_OFFDIAG_IDX):
+            grad[4 + 2 * m] = 2.0 * tm[i, j].real
+            grad[5 + 2 * m] = 2.0 * tm[i, j].imag
+        return f, grad
+
+    rho0 = tomo.linear_inversion(counts, ts)
+    vals, vecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
+    rho0 = (vecs * np.clip(vals, 1e-6, None)) @ vecs.conj().T
+    rho0 /= np.real(np.trace(rho0))
+    t0 = np.linalg.cholesky(rho0 + 1e-12 * np.eye(4)).conj().T
+    theta0 = np.concatenate([np.real(np.diag(t0))]
+                            + [[t0[i, j].real, t0[i, j].imag] for i, j in _OFFDIAG_IDX])
+    res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": 10_000, "ftol": 1e-15, "gtol": 1e-12, "maxcor": 30})
+    a = to_t(res.x).conj().T @ to_t(res.x)
+    return a / np.real(np.trace(a))
+
+
+class TestReferenceAgreement:
+    """The batched solver against the per-set L-BFGS-B reference."""
+
+    def check_sets(self, count_sets, ts, target):
+        fidelities = []
+        for counts, result in zip(count_sets, tomo.mle_reconstruct_many(count_sets, ts)):
+            assert result.converged
+            ref = reference_mle(counts, ts)
+            f_ref = profiled_objective(ref, counts, ts)
+            assert profiled_objective(result.rho_hat, counts, ts) <= f_ref + 1e-9 * abs(f_ref)
+            fid_ref = qstate.fidelity(ref, target)
+            assert qstate.fidelity(result.rho_hat, target) == pytest.approx(fid_ref, abs=1e-5)
+            fidelities.append(fid_ref)
+        return np.array(fidelities)
+
+    def test_bundled_one_microsecond_track(self):
+        sc = cli.load_scenario(cli.default_config())
+        rho_in = channel.input_state(sc.source)
+        rho_out, coinc_prob, _ = channel.store_retrieve(rho_in, 1e-6, sc.channel)
+        counts = measure.sample_counts(
+            rho_out, list(TS36.settings), sc.n_trials, min(coinc_prob, 1.0),
+            child_seed(sc.master_seed, "counts/t=1e-06", 0))
+        seed_mc = child_seed(sc.master_seed, "mc/t=1e-06", 0)
+        bell = qstate.bell_phi_plus()
+        ref = self.check_sets(resampled_sets(counts, seed_mc, 20), TS36, bell)
+        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, 20, seed_mc)
+        assert mc.fidelity_mean == pytest.approx(ref.mean(), abs=1e-5)
+        assert mc.fidelity_std == pytest.approx(ref.std(ddof=1), abs=1e-5)
+
+    def test_sixteen_settings_unequal_durations(self):
+        rho = channel.input_state(channel.experiment_source_params())
+        probs = tomo.forward_probabilities(rho, TS16)
+        durations = [1.0 + 0.5 * (i % 3) for i in range(len(TS16.settings))]
+        count_sets = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            count_sets.append([measure.CountRecord(s.label, int(rng.poisson(4000 * p * d)), d)
+                               for s, p, d in zip(TS16.settings, probs, durations)])
+        self.check_sets(count_sets, TS16, rho)
