@@ -18,11 +18,6 @@ import numpy as np
 
 from . import qstate
 
-# Which polarization component feeds which spin-wave register; metadata
-# only, since crosstalk between registers is negligible here.
-REGISTER_MAP = {"H1": 1, "H2": 2, "V2": 3, "V1": 4}
-
-
 class ChannelError(ValueError):
     """Invalid channel or source parameters."""
 
@@ -57,7 +52,6 @@ class ChannelParams:
     eta0: float
     tau_s: float
     bg_coinc: float
-    trials_per_second: float = 33.0
 
     def __post_init__(self):
         if not 0.0 <= self.eta0 <= 1.0:
@@ -66,6 +60,8 @@ class ChannelParams:
             raise ChannelError(f"lifetime must be positive, got {self.tau_s}")
         if self.bg_coinc < 0.0:
             raise ChannelError(f"background must be >= 0, got {self.bg_coinc}")
+        if self.eta0 == 0.0 and self.bg_coinc == 0.0:
+            raise ChannelError("zero coincidence probability: eta0 and background both zero")
 
 
 def experiment_source_params() -> SourceParams:
@@ -118,7 +114,9 @@ def store_retrieve(rho: np.ndarray, t_s: float,
     c_bg = p.bg_coinc
     total = c_signal + c_bg
     if total == 0.0:
-        raise ChannelError("zero coincidence probability: eta0 and background both zero")
+        # eta0 > 0 here, but eta(t)^2 underflows to zero beyond about 370 tau.
+        raise ChannelError(f"zero coincidence probability at t = {t_s}: "
+                           "the signal has decayed to zero and the background is zero")
     frac = c_signal / total
     rho_out = frac * np.asarray(rho, dtype=complex) + (1.0 - frac) * np.eye(4) / 4.0
     qstate.check_density_matrix(rho_out, atol=qstate.CHANNEL_ATOL)
@@ -149,17 +147,12 @@ def visibility_decay_coeffs(p: ChannelParams, v0: float) -> tuple[float, float]:
 def visibility_threshold_time(p: ChannelParams, v0: float,
                               threshold: float = 1.0 / math.sqrt(2.0)) -> float:
     """Time at which V(t) crosses the given threshold; +inf if it never does."""
-    a, b = visibility_decay_coeffs(p, v0)
     if visibility_decay(p, v0, 0.0) <= threshold:
         return 0.0
+    a, b = visibility_decay_coeffs(p, v0)
     if b <= 0.0:
         return math.inf  # no decay: never crosses
     return p.tau_s / 2.0 * math.log((1.0 / threshold - a) / b)
-
-
-def process_fidelity(rho_in: np.ndarray, rho_out: np.ndarray) -> float:
-    """Uhlmann fidelity between channel input and output states."""
-    return qstate.fidelity(rho_in, rho_out)
 
 
 def calibrated_channel_params(source: SourceParams | None = None,
@@ -180,5 +173,4 @@ def calibrated_channel_params(source: SourceParams | None = None,
             f"fidelity target {fidelity_target} unreachable from input fidelity {f_in:.4f}")
     eta_cal = eta0 * math.exp(-t_cal_s / tau_s)
     bg = eta_cal ** 2 * (1.0 / frac - 1.0)
-    return ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg,
-                         trials_per_second=source.pair_rate_hz)
+    return ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg)

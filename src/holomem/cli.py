@@ -1,9 +1,13 @@
 """Scenario runner and command-line interface.
 
 Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz, _k)
-to rule out microsecond/second and Hz/rad-s mixups.  Reports are JSON with
-top-level keys config, analytic, statistical, seeds, version; regenerating
-a report from its own embedded config and master seed is byte-identical.
+to rule out microsecond/second and Hz/rad-s mixups.  One table, SCHEMA,
+defines the format: load_scenario walks it to build the model objects and
+the validated config tree (config units, defaults filled in), and rejects
+unknown keys and bad values with their field path.  Reports are JSON with
+top-level keys config, analytic, statistical, seeds, version, provenance.
+The report embeds the validated tree itself, so regenerating a report from
+its own embedded config is byte-identical.
 
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
@@ -11,12 +15,14 @@ Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import copy
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -50,6 +56,169 @@ class NonConvergenceError(RuntimeError):
 # Scenario config
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()
+CALIBRATED = "calibrated"
+
+
+def _float(val, path: str) -> float:
+    # Numeric strings count: YAML 1.1 reads 1e-6 and 7.0e6 as strings.
+    if isinstance(val, (int, str)) and not isinstance(val, bool):
+        try:
+            val = float(val)
+        except (ValueError, OverflowError):
+            pass
+    if not isinstance(val, float) or not math.isfinite(val):
+        raise ConfigError(path, f"expected a finite number, got {val!r}")
+    return val
+
+
+def _int(val, path: str) -> int:
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    num = _float(val, path)
+    if not num.is_integer():
+        raise ConfigError(path, f"expected an integer, got {val!r}")
+    return int(num)
+
+
+def _floats(length: int | None = None):
+    """Kind of a nonempty list of floats, of the given length if any."""
+    def kind(val, path: str) -> list[float]:
+        if not isinstance(val, (list, tuple)) or not val or length not in (None, len(val)):
+            want = "a nonempty list" if length is None else f"{length} values"
+            raise ConfigError(path, f"expected {want}, got {val!r}")
+        return [_float(v, f"{path}[{i}]") for i, v in enumerate(val)]
+    return kind
+
+
+def _or_calibrated(val, path: str):
+    return val if val == CALIBRATED else _float(val, path)
+
+
+def _rad_per_s(hz: float) -> float:
+    return 2.0 * math.pi * hz
+
+
+def _channel_params(source, eta0, tau_s, bg_coinc) -> channel.ChannelParams:
+    if bg_coinc == CALIBRATED:
+        return channel.calibrated_channel_params(source=source, eta0=eta0, tau_s=tau_s)
+    return channel.ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg_coinc)
+
+
+def _check(rule, value, path: str) -> None:
+    if rule is not None and not rule[0](value):
+        raise ConfigError(path, f"{rule[1]}, got {value!r}")
+
+
+MC_SETS_RULE = (lambda n: n == 0 or n >= 2, "must be 0 or at least 2")
+
+
+class Field(NamedTuple):
+    """One config key.  `kind` maps the raw value to config units, `convert`
+    maps that to the constructor argument `arg` (the key if None), and
+    `check` is an optional (predicate, message) on the config value."""
+
+    key: str
+    kind: Callable[[object, str], object]
+    default: object = REQUIRED
+    arg: str | None = None
+    convert: Callable[[object], object] = lambda value: value
+    check: tuple | None = None
+    # The config tree records the constructed value, so that "calibrated"
+    # is written as the float it resolves to.
+    resolve: bool = False
+
+
+class Section(NamedTuple):
+    """A mapping of Fields that `build` turns into one model object; the
+    objects of the earlier sections named in `needs` are passed too."""
+
+    key: str
+    build: Callable[..., object]
+    fields: tuple[Field, ...]
+    needs: tuple[str, ...] = ()
+
+
+# `simulate --seed` overrides this field.
+SEED = Field("master_seed", _int)
+
+# The config format.  Fields at the top level are Scenario arguments, and
+# each Section builds the Scenario argument of its key.
+SCHEMA = (
+    SEED,
+    Field("tomo_scheme", _int, 36, convert=str,
+          check=(lambda n: n in (16, 36), "must be 16 or 36")),
+    Field("n_trials", _int, check=(lambda n: n > 0, "must be positive")),
+    Field("n_mc_sets", _int, 0, check=MC_SETS_RULE),
+    Field("input_coinc_prob", _float, 0.04,
+          check=(lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
+    Field("storage_times_s", _floats(), convert=tuple,
+          check=(lambda ts: min(ts) >= 0.0, "storage times must be >= 0")),
+    Section("geometry", registers.MemoryGeometry, (
+        Field("wavelength_m", _float),
+        Field("control_waist_m", _float),
+        Field("signal_waist_m", _float),
+        Field("cloud_length_m", _float),
+        Field("cloud_sigma_m", _floats(3), convert=tuple),
+        Field("atom_count", _int),
+        Field("temperature_k", _float),
+        Field("signal_angles_deg", _floats(), arg="signal_angles_rad",
+              convert=lambda degrees: tuple(map(math.radians, degrees))),
+    )),
+    Section("eit", eitline.EitParams, (
+        Field("od", _float),
+        Field("rabi_hz", _float, arg="rabi_rad_per_s", convert=_rad_per_s),
+        Field("gamma_e_hz", _float, 5.75e6, arg="gamma_e_rad_per_s", convert=_rad_per_s),
+        Field("gamma_gs_hz", _or_calibrated, CALIBRATED, arg="gamma_gs_rad_per_s",
+              convert=lambda hz: (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if hz == CALIBRATED
+                                  else _rad_per_s(hz))),
+    )),
+    Section("source", channel.SourceParams, (
+        Field("ratio_hv", _float),
+        Field("ratio_pm", _float),
+        Field("pair_rate_hz", _float),
+    )),
+    Section("channel", _channel_params, (
+        Field("eta0", _float),
+        Field("tau_s", _float),
+        Field("bg_coinc", _or_calibrated, CALIBRATED, resolve=True),
+    ), needs=("source",)),
+)
+
+
+def _parse(rows, raw, path: str) -> tuple[dict, dict]:
+    """Validate one mapping against its rows.  Returns the constructor
+    arguments and the config tree (config units, defaults filled in)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<root>", "missing or not a mapping")
+    prefix = f"{path}." if path else ""
+    known = {row.key for row in rows}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    args, tree = {}, {}
+    for row in rows:
+        where = prefix + row.key
+        if isinstance(row, Section):
+            kwargs, tree[row.key] = _parse(row.fields, raw.get(row.key), where)
+            try:
+                args[row.key] = obj = row.build(**kwargs, **{n: args[n] for n in row.needs})
+            except ValueError as exc:
+                raise ConfigError(where, str(exc)) from None
+            tree[row.key].update((f.key, getattr(obj, f.arg or f.key))
+                                 for f in row.fields if f.resolve)
+            continue
+        if row.key in raw:
+            value = row.kind(raw[row.key], where)
+        elif row.default is REQUIRED:
+            raise ConfigError(where, "missing required field")
+        else:
+            value = row.default
+        _check(row.check, value, where)
+        args[row.arg or row.key], tree[row.key] = row.convert(value), value
+    return args, tree
+
+
 @dataclass(frozen=True)
 class Scenario:
     geometry: registers.MemoryGeometry
@@ -63,123 +232,16 @@ class Scenario:
     master_seed: int
     # Detected coincidence probability per trial for the input (no-storage)
     # measurement; ~1.3/s observed at a 33/s production rate.
-    input_coinc_prob: float = 0.04
-
-
-def _require(cfg: dict, path: str, key: str, kind):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    val = cfg[key]
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {val!r}") from None
-
-
-def _build(path, ctor, **kwargs):
-    try:
-        return ctor(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    input_coinc_prob: float
+    # The validated config tree this Scenario was loaded from.
+    config: dict
 
 
 def load_scenario(cfg: dict) -> Scenario:
-    """Validate a parsed config tree into a Scenario.
-
-    Angles are degrees in the config and radians internally; Rabi and decay
-    frequencies are plain Hz in the config and rad/s internally.  The
-    channel background and EIT ground-state decoherence accept the string
-    "calibrated" to use the shipped calibration.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-
-    g = cfg.get("geometry")
-    if not isinstance(g, dict):
-        raise ConfigError("geometry", "missing or not a mapping")
-    sigma = g.get("cloud_sigma_m")
-    if not isinstance(sigma, (list, tuple)) or len(sigma) != 3:
-        raise ConfigError("geometry.cloud_sigma_m", f"expected 3 values, got {sigma!r}")
-    angles = g.get("signal_angles_deg")
-    if not isinstance(angles, (list, tuple)) or not angles:
-        raise ConfigError("geometry.signal_angles_deg", "expected a nonempty list")
-    geometry = _build(
-        "geometry", registers.MemoryGeometry,
-        wavelength_m=_require(g, "geometry", "wavelength_m", float),
-        control_waist_m=_require(g, "geometry", "control_waist_m", float),
-        signal_waist_m=_require(g, "geometry", "signal_waist_m", float),
-        cloud_length_m=_require(g, "geometry", "cloud_length_m", float),
-        cloud_sigma_m=tuple(float(s) for s in sigma),
-        atom_count=_require(g, "geometry", "atom_count", int),
-        temperature_k=_require(g, "geometry", "temperature_k", float),
-        signal_angles_rad=tuple(math.radians(float(a)) for a in angles),
-    )
-
-    e = cfg.get("eit")
-    if not isinstance(e, dict):
-        raise ConfigError("eit", "missing or not a mapping")
-    gamma_gs = e.get("gamma_gs_hz", "calibrated")
-    gamma_gs_rad = (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if gamma_gs == "calibrated"
-                    else 2.0 * math.pi * float(gamma_gs))
-    eit = _build(
-        "eit", eitline.EitParams,
-        od=_require(e, "eit", "od", float),
-        rabi_rad_per_s=2.0 * math.pi * _require(e, "eit", "rabi_hz", float),
-        gamma_e_rad_per_s=2.0 * math.pi * float(e.get("gamma_e_hz", 5.75e6)),
-        gamma_gs_rad_per_s=gamma_gs_rad,
-    )
-
-    s = cfg.get("source")
-    if not isinstance(s, dict):
-        raise ConfigError("source", "missing or not a mapping")
-    source = _build(
-        "source", channel.SourceParams,
-        ratio_hv=_require(s, "source", "ratio_hv", float),
-        ratio_pm=_require(s, "source", "ratio_pm", float),
-        pair_rate_hz=_require(s, "source", "pair_rate_hz", float),
-    )
-
-    c = cfg.get("channel")
-    if not isinstance(c, dict):
-        raise ConfigError("channel", "missing or not a mapping")
-    eta0 = _require(c, "channel", "eta0", float)
-    tau_s = _require(c, "channel", "tau_s", float)
-    bg = c.get("bg_coinc", "calibrated")
-    if bg == "calibrated":
-        chan = _build("channel", channel.calibrated_channel_params,
-                      source=source, eta0=eta0, tau_s=tau_s)
-    else:
-        chan = _build("channel", channel.ChannelParams,
-                      eta0=eta0, tau_s=tau_s, bg_coinc=float(bg),
-                      trials_per_second=float(c.get("trials_per_second", source.pair_rate_hz)))
-
-    times = cfg.get("storage_times_s")
-    if not isinstance(times, (list, tuple)) or not times:
-        raise ConfigError("storage_times_s", "expected a nonempty list")
-    if any(float(t) < 0.0 for t in times):
-        raise ConfigError("storage_times_s", "storage times must be >= 0")
-
-    scheme = str(cfg.get("tomo_scheme", 36))
-    if scheme not in ("16", "36"):
-        raise ConfigError("tomo_scheme", f"must be 16 or 36, got {scheme!r}")
-
-    n_trials = _require(cfg, "<root>", "n_trials", int)
-    if n_trials <= 0:
-        raise ConfigError("n_trials", "must be positive")
-    n_mc = int(cfg.get("n_mc_sets", 0))
-    if n_mc < 0:
-        raise ConfigError("n_mc_sets", "must be >= 0")
-    input_cp = float(cfg.get("input_coinc_prob", 0.04))
-    if not 0.0 < input_cp <= 1.0:
-        raise ConfigError("input_coinc_prob", "must lie in (0, 1]")
-
-    return Scenario(
-        geometry=geometry, eit=eit, source=source, channel=chan,
-        storage_times_s=tuple(float(t) for t in times),
-        tomo_scheme=scheme, n_trials=n_trials, n_mc_sets=n_mc,
-        master_seed=_require(cfg, "<root>", "master_seed", int),
-        input_coinc_prob=input_cp,
-    )
+    """Validate a parsed config tree into a Scenario by walking SCHEMA.  A
+    missing, unknown or invalid key raises ConfigError with its path."""
+    args, tree = _parse(SCHEMA, cfg, "")
+    return Scenario(config=tree, **args)
 
 
 def default_config() -> dict:
@@ -188,46 +250,8 @@ def default_config() -> dict:
 
 
 def scenario_to_config(sc: Scenario) -> dict:
-    """Serialize a Scenario back to the config tree (a parse fixed point)."""
-    return {
-        "master_seed": sc.master_seed,
-        "tomo_scheme": int(sc.tomo_scheme),
-        "n_trials": sc.n_trials,
-        "n_mc_sets": sc.n_mc_sets,
-        "input_coinc_prob": sc.input_coinc_prob,
-        "storage_times_s": list(sc.storage_times_s),
-        "geometry": {
-            "wavelength_m": sc.geometry.wavelength_m,
-            "control_waist_m": sc.geometry.control_waist_m,
-            "signal_waist_m": sc.geometry.signal_waist_m,
-            "cloud_length_m": sc.geometry.cloud_length_m,
-            "cloud_sigma_m": list(sc.geometry.cloud_sigma_m),
-            "atom_count": sc.geometry.atom_count,
-            "temperature_k": sc.geometry.temperature_k,
-            "signal_angles_deg": [math.degrees(a) for a in sc.geometry.signal_angles_rad],
-        },
-        "eit": {
-            "od": sc.eit.od,
-            "rabi_hz": sc.eit.rabi_rad_per_s / (2.0 * math.pi),
-            "gamma_e_hz": sc.eit.gamma_e_rad_per_s / (2.0 * math.pi),
-            # The shipped calibration is stored in rad/s; the Hz round trip
-            # is not bit-exact, so keep the symbolic form when it applies.
-            "gamma_gs_hz": ("calibrated"
-                            if sc.eit.gamma_gs_rad_per_s == eitline.DEFAULT_GAMMA_GS_RAD_PER_S
-                            else sc.eit.gamma_gs_rad_per_s / (2.0 * math.pi)),
-        },
-        "source": {
-            "ratio_hv": sc.source.ratio_hv,
-            "ratio_pm": sc.source.ratio_pm,
-            "pair_rate_hz": sc.source.pair_rate_hz,
-        },
-        "channel": {
-            "eta0": sc.channel.eta0,
-            "tau_s": sc.channel.tau_s,
-            "bg_coinc": sc.channel.bg_coinc,
-            "trials_per_second": sc.channel.trials_per_second,
-        },
-    }
+    """The validated config tree of a Scenario (a parse fixed point)."""
+    return copy.deepcopy(sc.config)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +297,7 @@ def run_simulate(sc: Scenario) -> dict:
             "signal_fraction": frac,
             "chsh_s": measure.chsh_s(rho_out),
             "fidelity_vs_bell": qstate.fidelity(bell, rho_out),
-            "process_fidelity": channel.process_fidelity(rho_in, rho_out),
+            "process_fidelity": qstate.fidelity(rho_in, rho_out),
             "mean_visibility": measure.mean_visibility(rho_out) if frac > 0 else 0.0,
             "visibility_model": channel.visibility_decay(sc.channel, v0, t),
         })
@@ -370,8 +394,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
+    if args.seed is not None and isinstance(cfg, dict):
+        cfg = {**cfg, SEED.key: args.seed}
     sc = load_scenario(cfg)
     report = run_simulate(sc)
     _write_out(report_to_json(report), args.out)
@@ -479,6 +503,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    _check(MC_SETS_RULE, args.mc_sets, "--mc-sets")
     with open(args.counts) as fh:
         counts = measure.counts_from_csv(fh.read())
     ts = tomo.make_settings(args.scheme)
@@ -495,7 +520,7 @@ def _cmd_tomo(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
     }
-    if args.mc_sets >= 2:
+    if args.mc_sets:
         mc = tomo.monte_carlo_fidelity(counts, ts, target, args.mc_sets,
                                        args.seed if args.seed is not None else 0)
         payload["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,

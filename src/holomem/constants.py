@@ -1,7 +1,6 @@
 """Physical constants used by the geometry and line-shape modules (SI)."""
 
 BOLTZMANN_J_PER_K = 1.380649e-23
-SPEED_OF_LIGHT_M_PER_S = 299792458.0
 RB87_MASS_KG = 1.44316060e-25
 
 # Natural linewidth of the Rb-87 D1 line (FWHM), rad/s.

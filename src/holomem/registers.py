@@ -81,26 +81,6 @@ class SpinWaveMode:
         return float(np.linalg.norm(self.q))
 
 
-def experiment_geometry() -> MemoryGeometry:
-    """Default geometry matching the reported experimental parameters.
-
-    795 nm light, 850/450 um control/signal waist diameters, 2 mm cloud,
-    ~1e8 atoms at ~140 uK, signal angles (-1, -0.6, 0.6, 1) degrees.
-    Transverse cloud rms defaults to 0.5 mm; longitudinal rms is L/2.
-    """
-    length = 2e-3
-    return MemoryGeometry(
-        wavelength_m=795e-9,
-        control_waist_m=850e-6,
-        signal_waist_m=450e-6,
-        cloud_length_m=length,
-        cloud_sigma_m=(0.5e-3, 0.5e-3, length / 2.0),
-        atom_count=int(1e8),
-        temperature_k=140e-6,
-        signal_angles_rad=tuple(math.radians(d) for d in (-1.0, -0.6, 0.6, 1.0)),
-    )
-
-
 def spin_wave_vectors(g: MemoryGeometry) -> list[SpinWaveMode]:
     """Spin-wave wave vectors q_i = k_signal,i - k_control, one per angle."""
     k = 2.0 * math.pi / g.wavelength_m

@@ -79,7 +79,7 @@ def test_criterion_6_storage_behavior():
     rho_in = channel.input_state(channel.experiment_source_params())
     rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
     f = qstate.fidelity(qstate.bell_phi_plus(), rho_out)
-    f_proc = channel.process_fidelity(rho_in, rho_out)
+    f_proc = qstate.fidelity(rho_in, rho_out)
     s = measure.chsh_s(rho_out)
     t_star = channel.visibility_threshold_time(p, measure.mean_visibility(rho_in))
     assert 0.79 <= f <= 0.83

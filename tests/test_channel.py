@@ -98,23 +98,29 @@ class TestStoreRetrieve:
         with pytest.raises(channel.ChannelError):
             channel.store_retrieve(qstate.bell_phi_plus(), -1.0, p)
 
+    def test_rejects_signal_underflow_without_background(self):
+        # eta(t)^2 underflows to zero beyond about 370 lifetimes.
+        p = channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=0.0)
+        with pytest.raises(channel.ChannelError):
+            channel.store_retrieve(qstate.bell_phi_plus(), 400 * p.tau_s, p)
+
 
 class TestProcessFidelity:
     def test_identical_states(self, rng):
         rho = random_density_matrix(rng)
-        assert channel.process_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+        assert qstate.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_background_free_channel_is_exact(self, rng):
         p = channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=0.0)
         rho = random_density_matrix(rng)
         rho_out, _, _ = channel.store_retrieve(rho, 2e-6, p)
-        assert channel.process_fidelity(rho, rho_out) == pytest.approx(1.0, abs=1e-10)
+        assert qstate.fidelity(rho, rho_out) == pytest.approx(1.0, abs=1e-10)
 
     def test_calibrated_pipeline_matches_report(self):
         p = channel.calibrated_channel_params()
         rho_in = channel.input_state(channel.experiment_source_params())
         rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
-        assert 0.96 <= channel.process_fidelity(rho_in, rho_out) <= 1.0
+        assert 0.96 <= qstate.fidelity(rho_in, rho_out) <= 1.0
 
 
 class TestVisibilityDecay:
@@ -147,6 +153,10 @@ class TestVisibilityDecay:
         p = channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=0.0)
         assert channel.visibility_threshold_time(p, 0.9) == math.inf
 
+    def test_background_only_crosses_at_once(self):
+        p = channel.ChannelParams(eta0=0.0, tau_s=2.8e-6, bg_coinc=0.001)
+        assert channel.visibility_threshold_time(p, 0.9) == 0.0
+
     def test_v0_validation(self):
         p = channel.calibrated_channel_params()
         with pytest.raises(channel.ChannelError):
@@ -169,3 +179,5 @@ class TestParams:
             channel.ChannelParams(eta0=0.15, tau_s=0.0, bg_coinc=0.0)
         with pytest.raises(channel.ChannelError):
             channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=-0.1)
+        with pytest.raises(channel.ChannelError):
+            channel.ChannelParams(eta0=0.0, tau_s=2.8e-6, bg_coinc=0.0)

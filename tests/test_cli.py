@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, tomo
 
@@ -42,6 +44,9 @@ class TestConfig:
         (lambda c: c.__setitem__("n_trials", 0), "n_trials"),
         (lambda c: c["eit"].__setitem__("rabi_hz", "fast"), "eit.rabi_hz"),
         (lambda c: c["channel"].__setitem__("eta0", 2.0), "channel"),
+        pytest.param(lambda c: c["channel"].__setitem__("eta0", 0.0), "channel",
+                     id="eta0-zero-calibrated-background"),
+        (lambda c: c.__setitem__("n_mc_sets", 1), "n_mc_sets"),
     ])
     def test_validation_names_the_field(self, mutate, path):
         cfg = copy.deepcopy(cli.default_config())
@@ -54,6 +59,119 @@ class TestConfig:
         sc = cli.load_scenario(cli.default_config())
         assert sc.eit.rabi_rad_per_s == pytest.approx(2 * math.pi * 7e6)
         assert max(sc.geometry.signal_angles_rad) == pytest.approx(math.radians(1.0))
+
+
+def schema_fields():
+    """(path, Field) for every config key, read from the schema table."""
+    for row in cli.SCHEMA:
+        if isinstance(row, cli.Section):
+            for field in row.fields:
+                yield (row.key, field.key), field
+        else:
+            yield (row.key,), row
+
+
+SCHEMA_FIELDS = list(schema_fields())
+
+
+def mapping_of(cfg: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        cfg = cfg[key]
+    return cfg
+
+
+@pytest.mark.parametrize("path,field", SCHEMA_FIELDS,
+                         ids=[".".join(path) for path, _ in SCHEMA_FIELDS])
+class TestSchema:
+    def rejected_at(self, cfg) -> str:
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_scenario(cfg)
+        return err.value.path
+
+    def test_missing_key(self, path, field):
+        cfg = cli.default_config()
+        del mapping_of(cfg, path)[path[-1]]
+        if field.default is cli.REQUIRED:
+            assert self.rejected_at(cfg) == ".".join(path)
+        else:
+            explicit = copy.deepcopy(cfg)
+            mapping_of(explicit, path)[path[-1]] = field.default
+            assert cli.load_scenario(cfg) == cli.load_scenario(explicit)
+
+    def test_unknown_sibling(self, path, field):
+        cfg = cli.default_config()
+        mapping_of(cfg, path)[path[-1] + "x"] = mapping_of(cfg, path)[path[-1]]
+        assert self.rejected_at(cfg) == ".".join(path) + "x"
+
+    def test_bool(self, path, field):
+        cfg = cli.default_config()
+        mapping_of(cfg, path)[path[-1]] = True
+        assert self.rejected_at(cfg) == ".".join(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "inf"])
+    def test_non_finite(self, path, field, bad):
+        cfg = cli.default_config()
+        where = ".".join(path)
+        value = mapping_of(cfg, path)[path[-1]]
+        if isinstance(value, list):
+            bad, where = [bad] * len(value), where + "[0]"
+        mapping_of(cfg, path)[path[-1]] = bad
+        assert self.rejected_at(cfg) == where
+
+
+DEFAULT_CONFIG = cli.default_config()
+
+
+def numeric(values):
+    """A float strategy that also yields each value as a numeric string."""
+    return st.one_of(values, values.map(repr))
+
+
+@st.composite
+def valid_configs(draw):
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    pos = lambda lo, hi: numeric(st.floats(lo, hi))
+    cfg.update(
+        master_seed=draw(st.integers(0, 2 ** 63)),
+        tomo_scheme=draw(st.sampled_from([16, 36, "16", 36.0])),
+        n_trials=draw(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 6).map(float)),
+        n_mc_sets=draw(st.sampled_from([0, 2]) | st.integers(2, 500)),
+        input_coinc_prob=draw(pos(1e-6, 1.0)),
+        storage_times_s=draw(st.lists(pos(0.0, 1e-5), min_size=1, max_size=4)),
+    )
+    cfg["geometry"].update(
+        wavelength_m=draw(pos(1e-7, 2e-6)),
+        cloud_sigma_m=draw(st.lists(pos(1e-5, 1e-2), min_size=3, max_size=3)),
+        atom_count=draw(st.integers(1, 10 ** 9)),
+        # Three decimals, as written by hand; most do not survive a
+        # radians -> degrees round trip.
+        signal_angles_deg=draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=5,
+                                        unique=True).map(lambda ms: [m / 1000 for m in ms])),
+    )
+    cfg["eit"].update(
+        od=draw(pos(0.1, 50.0)),
+        rabi_hz=draw(pos(0.0, 2e7)),
+        gamma_gs_hz=draw(st.just("calibrated") | pos(0.0, 2e6)),
+    )
+    cfg["source"].update(ratio_hv=draw(pos(8.0, 20.0)), ratio_pm=draw(pos(20.0, 40.0)))
+    cfg["channel"].update(
+        eta0=draw(pos(0.01, 1.0)),
+        tau_s=draw(pos(1e-7, 1e-5)),
+        bg_coinc=draw(st.just("calibrated") | pos(0.0, 0.1)),
+    )
+    for path, field in SCHEMA_FIELDS:
+        if field.default is not cli.REQUIRED and draw(st.booleans()):
+            del mapping_of(cfg, path)[path[-1]]
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(valid_configs())
+def test_config_round_trip_is_fixed_point(cfg):
+    sc = cli.load_scenario(cfg)
+    tree = cli.scenario_to_config(sc)
+    assert cli.load_scenario(tree) == sc
+    assert cli.scenario_to_config(cli.load_scenario(tree)) == tree
 
 
 def _reject_constant(name):
@@ -101,6 +219,24 @@ class TestSimulateReport:
         sc = cli.load_scenario(report["config"])
         again = cli.run_simulate(sc)
         assert cli.report_to_json(again) == cli.report_to_json(report)
+
+    def test_report_regenerates_with_unrepresentable_angles(self):
+        # 1.753 degrees comes back as 1.7530000000000001 from radians.
+        cfg = small_config()
+        cfg.update(n_mc_sets=0, storage_times_s=[0.0])
+        cfg["geometry"]["signal_angles_deg"] = [0.279, 1.43, 1.753, 1.777]
+        report = cli.run_simulate(cli.load_scenario(cfg))
+        assert report["config"]["geometry"]["signal_angles_deg"] == [0.279, 1.43, 1.753, 1.777]
+        again = cli.run_simulate(cli.load_scenario(report["config"]))
+        assert cli.report_to_json(again) == cli.report_to_json(report)
+
+    def test_background_only_channel_crosses_at_once(self):
+        # eta0 = 0 is valid with an explicit background: V(t) = 0 throughout.
+        cfg = small_config()
+        cfg.update(n_mc_sets=0, storage_times_s=[0.0])
+        cfg["channel"].update(eta0=0.0, bg_coinc=0.001)
+        report = cli.run_simulate(cli.load_scenario(cfg))
+        assert report["analytic"]["visibility_threshold_time_s"] == 0.0
 
     def test_background_free_channel_is_exact(self):
         cfg = small_config()
@@ -212,6 +348,9 @@ class TestCommands:
         assert payload["fidelity_vs_target"] == pytest.approx(
             qstate.fidelity(rho, qstate.bell_phi_plus()), abs=0.03)
         assert payload["mc"]["n_sets"] == 4
+        for bad in ("1", "-2"):
+            argv = ["tomo", "--counts", str(path), "--mc-sets", bad]
+            assert cli.main(argv) == cli.EXIT_VALIDATION
         qstate.check_density_matrix(qstate.density_from_json(payload["rho_hat"]),
                                     atol=qstate.CHANNEL_ATOL)
 
@@ -222,3 +361,10 @@ class TestCommands:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["capacity", "--config", "/nonexistent.yaml"]) == cli.EXIT_VALIDATION
+
+    def test_config_not_a_mapping(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        argv = ["simulate", "--config", str(path), "--seed", "3"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "<root>: missing or not a mapping" in capsys.readouterr().err
