@@ -411,8 +411,8 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_eit(args) -> int:
     gamma_gs = (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if args.gamma_gs_hz is None
-                else 2.0 * math.pi * args.gamma_gs_hz)
-    p = eitline.EitParams(od=args.od, rabi_rad_per_s=2.0 * math.pi * args.rabi_hz,
+                else _rad_per_s(args.gamma_gs_hz))
+    p = eitline.EitParams(od=args.od, rabi_rad_per_s=_rad_per_s(args.rabi_hz),
                           gamma_gs_rad_per_s=gamma_gs)
     span = args.span_hz * 2.0 * math.pi
     deltas = np.linspace(-span, span, args.points)

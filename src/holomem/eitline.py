@@ -5,7 +5,9 @@ The probe susceptibility uses the standard three-level form with complex
 response  chi(delta) ~ (gamma_gs - i delta) / D(delta),
 D = (Gamma/2 - i delta)(gamma_gs - i delta) + Omega^2/4.  The absorption
 exponent is normalized so that with the control off (Omega = 0) the
-on-resonance transmission is exp(-OD).
+on-resonance transmission is exp(-OD).  With u = delta^2, A = Gamma gamma_gs/2
++ Omega^2/4 and B = Gamma/2 + gamma_gs, the absorption per OD is the rational
+Re r(u) = (Gamma/2)(gamma_gs A + (B - gamma_gs) u) / ((A - u)^2 + B^2 u).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .constants import GAMMA_D1_RAD_PER_S
 
@@ -76,36 +77,43 @@ def phase(p: EitParams, delta_rad_per_s):
 
 
 def group_delay(p: EitParams) -> float:
-    """Slow-light delay d(phase)/d(delta) at delta = 0, by central
-    differences with step Omega/1000.  Ideal limit: OD * Gamma / Omega^2."""
+    """Slow-light delay d(phase)/d(delta) at delta = 0, in closed form:
+    OD (Gamma/4)(A - gamma_gs B) / A^2 with A - gamma_gs B = Omega^2/4 -
+    gamma_gs^2.  Ideal limit (gamma_gs = 0): OD * Gamma / Omega^2."""
     if p.rabi_rad_per_s <= 0.0:
         raise EitError("group delay requires a nonzero control Rabi frequency")
-    h = p.rabi_rad_per_s / 1000.0
-    return (phase(p, h) - phase(p, -h)) / (2.0 * h)
+    g, k, w = p.gamma_gs_rad_per_s, p.gamma_e_rad_per_s / 2.0, p.rabi_rad_per_s ** 2 / 4.0
+    return p.od * k / 2.0 * (w - g * g) / (k * g + w) ** 2
 
 
 def transparency_fwhm(p: EitParams) -> float:
     """FWHM (Hz) of the transparency peak above the absorption floor.
 
-    The floor is the transmission minimum of the flanking absorption dips;
-    the width is measured where T drops to floor + (T(0) - floor)/2.
+    In closed form, with g = gamma_gs: dips flank line centre iff N(0) > 0,
+    N(u) = -(B-g)u^2 - 2gA u + (B-g)A^2 - gA(B^2-2A) ~ dRe r/du, and the floor is
+    T at the positive root of N.  T falls to T_h = (T(0) + floor)/2 at the least
+    root u of c((A-u)^2 + B^2 u) = (Gamma/2)(gA + (B-g)u), where c = -ln(T_h)/OD.
     """
     if p.rabi_rad_per_s <= 0.0:
         raise EitError("no transparency window without a control field")
+    g, k = p.gamma_gs_rad_per_s, p.gamma_e_rad_per_s / 2.0  # k = Gamma/2 = B - g
+    a, b = k * g + p.rabi_rad_per_s ** 2 / 4.0, k + g
+    n0 = k * a ** 2 - g * a * (b ** 2 - 2.0 * a)
+    if not n0 > 0.0:
+        raise EitError("no absorption dips flank the line centre: no transparency window")
+    # Positive root of k u^2 + 2gA u - n0 = 0, in cancellation-free form.
+    u_floor = n0 / (g * a + math.sqrt((g * a) ** 2 + k * n0))
     t0 = transmission(p, 0.0)
-    # Dips sit near delta = +/- Omega/2; scan well beyond them.
-    span = 3.0 * (p.rabi_rad_per_s + p.gamma_e_rad_per_s)
-    grid = np.linspace(0.0, span, 20001)
-    tvals = transmission(p, grid)
-    floor = float(tvals.min())
-    half = floor + 0.5 * (t0 - floor)
-    below = np.nonzero(tvals < half)[0]
-    if below.size == 0:
-        raise EitError("no half-maximum crossing found; widen the scan")
-    i = below[0]
-    delta_half = brentq(lambda d: transmission(p, d) - half, grid[i - 1], grid[i],
-                        xtol=1e-3)
-    return 2.0 * delta_half / (2.0 * math.pi)
+    floor = transmission(p, math.sqrt(u_floor))
+    c = -math.log(floor + 0.5 * (t0 - floor)) / p.od
+    # Smallest root of c u^2 + q1 u + q0 = 0, with q0 > 0 and q1 < 0.
+    q1 = c * (b ** 2 - 2.0 * a) - k * k
+    q0 = c * a ** 2 - k * g * a
+    disc = q1 * q1 - 4.0 * c * q0
+    if not (q0 > 0.0 and disc >= 0.0):
+        raise EitError("absorption dips too shallow to resolve a half-maximum crossing")
+    u_half = 2.0 * q0 / (-q1 + math.sqrt(disc))
+    return 2.0 * math.sqrt(u_half) / (2.0 * math.pi)
 
 
 def calibrate_gamma_gs(target_fwhm_hz: float = 2.2e6,
@@ -114,6 +122,7 @@ def calibrate_gamma_gs(target_fwhm_hz: float = 2.2e6,
                        gamma_e_rad_per_s: float = GAMMA_D1_RAD_PER_S) -> float:
     """One-dimensional search for the ground-state decoherence that
     reproduces the measured transparency window.  Returns gamma_gs (rad/s)."""
+    from scipy.optimize import minimize_scalar
 
     def mismatch(log_gamma: float) -> float:
         p = EitParams(od=od, rabi_rad_per_s=rabi_rad_per_s,

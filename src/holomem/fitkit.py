@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 MAX_ITERATIONS = 1000
 
@@ -59,6 +58,8 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
 
 
 def _solve(residual, x0, names):
+    # Imported here so that only fitting pays scipy's import cost.
+    from scipy.optimize import least_squares
     res = least_squares(residual, x0, method="trf",
                         ftol=1e-12, xtol=1e-12, gtol=1e-12,
                         max_nfev=MAX_ITERATIONS * (len(x0) + 1))

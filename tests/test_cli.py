@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +371,53 @@ class TestCommands:
         argv = ["simulate", "--config", str(path), "--seed", "3"]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert "<root>: missing or not a mapping" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter, so modules the test session already loaded do
+# not count.  argv[1] is the directory holding the holomem package.
+_SIMULATE_NO_SCIPY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import holomem.cli as cli
+import yaml
+cfg = cli.default_config()
+cfg["n_mc_sets"] = 0
+with open(sys.argv[2], "w") as fh:
+    yaml.safe_dump(cfg, fh)
+rc = cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+_FIT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import holomem.cli as cli
+rc = cli.main(["fit", "--kind", "exp", "--out", sys.argv[2]])
+print(rc, "scipy.optimize" in sys.modules)
+"""
+
+
+class TestImports:
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def _run(self, code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, self.SRC, *map(str, args)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split(maxsplit=1)
+
+    def test_simulate_never_imports_scipy(self, tmp_path):
+        out = tmp_path / "report.json"
+        rc, loaded = self._run(_SIMULATE_NO_SCIPY, tmp_path / "cfg.yaml", out)
+        assert int(rc) == cli.EXIT_OK
+        assert loaded.strip() == "[]"
+        assert json.loads(out.read_text())["analytic"]["eit_fwhm_hz"] > 0.0
+
+    def test_fit_still_loads_scipy_and_works(self, tmp_path):
+        out = tmp_path / "fit.json"
+        rc, loaded = self._run(_FIT, out)
+        assert int(rc) == cli.EXIT_OK
+        assert loaded.strip() == "True"
+        payload = json.loads(out.read_text())
+        assert payload["converged"]
+        assert payload["params"]["tau"] == pytest.approx(2.8e-6, rel=0.1)
