@@ -303,31 +303,28 @@ def run_simulate(sc: Scenario) -> dict:
         })
         tracks.append((f"t={t!r}", rho_out, coinc_prob))
 
-    count_sets = []
+    count_sets, mc_seeds = [], []
     for label, rho_true, coinc_prob in tracks:
-        seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
-        seeds[f"counts/{label}"] = seed_counts
+        seeds[f"counts/{label}"] = seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
         count_sets.append(measure.sample_counts(rho_true, list(ts.settings), sc.n_trials,
                                                 min(coinc_prob, 1.0), seed_counts))
-    results = tomo.mle_reconstruct_many(count_sets, ts)
-    for (label, _, _), result in zip(tracks, results):
-        if not result.converged:
-            raise NonConvergenceError(f"tomography failed to converge for {label}")
+        mc_seeds.append(child_seed(sc.master_seed, f"mc/{label}", 0))
+        if sc.n_mc_sets:
+            seeds[f"mc/{label}"] = mc_seeds[-1]
+    results, mcs = tomo.reconstruct_with_mc(count_sets, ts, bell, sc.n_mc_sets, mc_seeds)
 
     stat_tracks = []
-    for (label, rho_true, _), counts, result in zip(tracks, count_sets, results):
+    for i, ((label, rho_true, _), counts, result) in enumerate(zip(tracks, count_sets, results)):
+        if not result.converged:
+            raise NonConvergenceError(f"tomography failed to converge for {label}")
         track = {
             "mle_fidelity_vs_bell": qstate.fidelity(result.rho_hat, bell),
             "mle_fidelity_vs_true": qstate.fidelity(result.rho_hat, rho_true),
             "mle_iterations": result.iterations,
             "total_counts": int(sum(r.counts for r in counts)),
         }
-        if sc.n_mc_sets >= 2:
-            seed_mc = child_seed(sc.master_seed, f"mc/{label}", 0)
-            seeds[f"mc/{label}"] = seed_mc
-            mc = tomo.monte_carlo_fidelity(counts, ts, bell, sc.n_mc_sets, seed_mc)
-            track["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
-                           "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
+        if mcs:
+            track["mc"] = _mc_payload(mcs[i])
         stat_tracks.append(track)
     statistical = {"input": stat_tracks[0],
                    "storage": [{"t_s": t, **track}
@@ -351,6 +348,12 @@ def run_simulate(sc: Scenario) -> dict:
             "statistical": PROV_DERIVED,
         },
     }
+
+
+def _mc_payload(mc: tomo.McSummary) -> dict:
+    """The "mc" block of a report track and of `tomo` output."""
+    return {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
+            "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
 
 
 def _finite(obj):
@@ -507,12 +510,13 @@ def _cmd_tomo(args) -> int:
     with open(args.counts) as fh:
         counts = measure.counts_from_csv(fh.read())
     ts = tomo.make_settings(args.scheme)
-    result = tomo.mle_reconstruct(counts, ts)
     if args.target == "bell":
         target = qstate.bell_phi_plus()
     else:
         with open(args.target) as fh:
             target = qstate.density_from_json(json.load(fh))
+    seed = args.seed if args.seed is not None else 0
+    (result,), mcs = tomo.reconstruct_with_mc([counts], ts, target, args.mc_sets, [seed])
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
         "fidelity_vs_target": qstate.fidelity(result.rho_hat, target),
@@ -520,11 +524,8 @@ def _cmd_tomo(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
     }
-    if args.mc_sets:
-        mc = tomo.monte_carlo_fidelity(counts, ts, target, args.mc_sets,
-                                       args.seed if args.seed is not None else 0)
-        payload["mc"] = {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
-                         "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
+    if mcs:
+        payload["mc"] = _mc_payload(mcs[0])
     _write_out(_json_text(payload), args.out)
     if not result.converged:
         raise NonConvergenceError("tomography MLE hit the iteration cap")

@@ -75,22 +75,27 @@ def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL,
                          eig_floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
     """Validate hermiticity, unit trace, and positivity; return the array.
 
-    Raises StateError with the violated property named.
+    Accepts one matrix or a (..., n, n) stack.  Raises StateError naming the
+    violated property and, for a stack, the first matrix that violates it.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise StateError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise StateError("density matrix entries must be finite")
-    herm_err = np.max(np.abs(rho - rho.conj().T))
-    if herm_err > atol:
-        raise StateError(f"hermiticity violated by {herm_err:.3e}")
-    trace_err = abs(rho.trace() - 1.0)
-    if trace_err > atol:
-        raise StateError(f"trace differs from 1 by {trace_err:.3e}")
-    eigmin = float(np.linalg.eigvalsh(rho).min())
-    if eigmin < eig_floor:
-        raise StateError(f"negative eigenvalue {eigmin:.3e} below floor {eig_floor:.1e}")
+
+    def require(ok, message: str, err=None) -> None:
+        if not np.all(ok):
+            at = tuple(np.argwhere(~np.asarray(ok))[0])
+            where = f"matrix {at[0] if len(at) == 1 else at}: " if at else ""
+            raise StateError(where + message.format(None if err is None else err[at]))
+
+    require(np.isfinite(rho).all(axis=(-2, -1)), "density matrix entries must be finite")
+    herm_err = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    require(herm_err <= atol, "hermiticity violated by {:.3e}", herm_err)
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    require(trace_err <= atol, "trace differs from 1 by {:.3e}", trace_err)
+    eigmin = np.linalg.eigvalsh(rho).min(axis=-1)
+    require(eigmin >= eig_floor,
+            f"negative eigenvalue {{:.3e}} below floor {eig_floor:.1e}", eigmin)
     return rho
 
 
@@ -136,7 +141,8 @@ def partial_trace(rho: np.ndarray, subsystem: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sqrtm_psd(mat: np.ndarray, eig_floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """Hermitian principal square root with small-negative eigenvalue clamping.
+    """Hermitian principal square root (of each matrix of a stack) with clamping
+    of small negative eigenvalues.
 
     Eigenvalues in [eig_floor, 0) clamp to 0; anything below eig_floor is a
     genuine positivity violation and raises.
@@ -146,26 +152,28 @@ def sqrtm_psd(mat: np.ndarray, eig_floor: float = EIGENVALUE_FLOOR) -> np.ndarra
     if vals.min() < eig_floor:
         raise StateError(f"matrix not positive semidefinite (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity  (Tr sqrt(sqrt(a) b sqrt(a)))^2.
 
     This is the squared-overlap convention: for pure a = |psi><psi| it
     equals <psi|b|psi>.  Result is clipped to [0, 1] against roundoff.
+    For (..., n, n) stacks, broadcast together, it returns the per-matrix values.
     """
     sa = sqrtm_psd(a)
     inner = sa @ np.asarray(b, dtype=complex) @ sa
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
     if vals.min() < EIGENVALUE_FLOOR:
         raise StateError(f"fidelity argument not PSD (min eigenvalue {vals.min():.3e})")
     # Zero out eigenvalue noise on rank-deficient inputs: sqrt amplifies
     # O(eps) eigenvalues to O(sqrt(eps)) errors otherwise.
-    noise_floor = vals.max() * vals.size * np.finfo(float).eps * 4.0
+    noise_floor = vals.max(axis=-1, keepdims=True) * vals.shape[-1] * np.finfo(float).eps * 4.0
     vals = np.where(vals < noise_floor, 0.0, vals)
-    root_sum = float(np.sqrt(vals).sum())
-    return float(min(max(root_sum * root_sum, 0.0), 1.0))
+    root_sum = np.sqrt(vals).sum(axis=-1)
+    out = np.clip(root_sum * root_sum, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

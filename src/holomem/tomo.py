@@ -9,22 +9,27 @@ c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 
 It is minimized by accelerated projected gradient (Shang, Zhang & Ng,
 PRA 95, 062336 (2017)) on a (B, 4, 4) stack of states: B count sets are
-solved at once with batched matrix products and eigendecompositions.
-Each step moves along -grad f from a momentum point and projects onto the
-unit-trace positive matrices (an eigendecomposition plus a projection of
-the eigenvalues onto the simplex).  Every set keeps its own step size,
+solved at once with batched matrix products.  Each step moves along
+-grad f from a momentum point and projects onto the unit-trace positive
+matrices, projecting the eigenvalues onto the simplex.  When the simplex
+keeps all four, that projection is the shift h - (Tr h - 1)/4 I, so a
+vectorised LDL^H test of the shifted matrix replaces the eigendecomposition
+for all but the sets on the boundary.  Every set keeps its own step size,
 found by backtracking on the curvature along the step, and its own
 momentum, which restarts when a step would raise f or runs against the
 gradient.  So the recorded f never rises, and each set's iterates depend
 only on its own counts and durations (up to rounding in the batched
-products).
+products).  reconstruct_with_mc therefore solves the point estimates and
+all their Monte Carlo resamples in one call.
 
 Stopping rule: f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
 when G is positive semidefinite.  A set stops once the smallest eigenvalue
-of G is at least -gtol.  By convexity of the unprofiled likelihood,
-(f - f_min) / n_tot is then at most gtol * C / C_opt with C = sum_k c_k, a
-ratio near 1 (exactly 1 for the 36-setting scheme at equal durations).
+of G is at least -gtol, computed by eigvalsh only where the LDL^H test
+finds G + 2 gtol I positive definite.  By convexity of the unprofiled
+likelihood, (f - f_min) / n_tot is then at most gtol * C / C_opt with
+C = sum_k c_k, a ratio near 1 (exactly 1 for the 36-setting scheme at
+equal durations).
 """
 
 from __future__ import annotations
@@ -210,7 +215,18 @@ def _from_eig(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _project_density(h: np.ndarray) -> np.ndarray:
+def _positive_definite(h: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (B, n, n) Hermitian stack is positive definite (all
+    LDL^H pivots positive), reading like eigh the lower triangle and real diagonal."""
+    a = h.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(a.shape[-1] - 1):
+            col, pivot = a[:, k + 1:, k], a[:, k, k, None].real
+            a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / pivot)[:, None, :]
+    return np.all(np.diagonal(a, axis1=1, axis2=2).real > 0.0, axis=1)
+
+
+def _project_eig(h: np.ndarray) -> np.ndarray:
     """Frobenius-nearest density matrices to a (B, 4, 4) Hermitian stack:
     the eigenvalues are projected onto the probability simplex."""
     vals, vecs = np.linalg.eigh(h)
@@ -220,6 +236,24 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     support = np.sum(desc > excess, axis=1)
     shift = excess[np.arange(len(vals)), support - 1]
     return _from_eig(np.maximum(vals - shift[:, None], 0.0), vecs)
+
+
+def _project_density(h: np.ndarray) -> np.ndarray:
+    """_project_eig without the eigendecomposition where the simplex keeps
+    all four eigenvalues: then the projection is h - s I, s = (Tr h - 1)/4,
+    exactly when that matrix is positive definite."""
+    out = h - ((np.real(np.trace(h, axis1=1, axis2=2)) - 1.0) / 4.0)[:, None, None] * np.eye(4)
+    if (edge := ~_positive_definite(out)).any():
+        out[edge] = _project_eig(h[edge])
+    return out
+
+
+def _certified(g: np.ndarray, gtol: float) -> np.ndarray:
+    """The stopping rule, eigvalsh(G)[0] >= -gtol, run only where G + 2 gtol I is positive
+    definite: a necessary condition, with a margin far beyond the LDL^H rounding."""
+    ok = _positive_definite(g + 2.0 * gtol * np.eye(4))
+    ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -gtol
+    return ok
 
 
 def _start_states(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
@@ -291,7 +325,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     theta = np.ones(b)
     step = np.ones(b)
     iterations = np.zeros(b, dtype=int)
-    converged = np.linalg.eigvalsh(g_x)[:, 0] >= -opts.gtol
+    converged = _certified(g_x, opts.gtol)
     active = ~converged & (opts.max_iter > 0)
 
     while active.any():
@@ -349,8 +383,8 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
         x_prev[rows] = x[rows]
         x[moved], c_x[moved], g_x[moved] = z[better], c_z[better], g_z[better]
         f[moved] += np.minimum(gain[better], 0.0)
-        for r in moved:
-            history[r].append(float(f[r] * prob.n_tot[r]))
+        for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
+            history[r].append(value)
         # Gradient restart (O'Donoghue & Candes): momentum that points
         # against the projected gradient step is dropped as well.
         uphill = _inner(y - z, z - x_prev[rows]) > 0.0
@@ -358,69 +392,66 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
         step[rows] *= np.where(better, 2.0, 0.5)
         iterations[rows] += 1
 
-        converged[moved] = np.linalg.eigvalsh(g_x[moved])[:, 0] >= -opts.gtol
+        converged[moved] = _certified(g_x[moved], opts.gtol)
         active[rows] = ~converged[rows] & (iterations[rows] < opts.max_iter)
 
-    results = []
-    for r in everyone:
-        rho_hat = _hermitian_part(x[r])
-        qstate.check_density_matrix(rho_hat, atol=qstate.CHANNEL_ATOL)
-        # Report the actual Poissonian log-likelihood at the profiled exposure.
-        c = np.clip(c_x[r], 1e-300, None)
-        mu = prob.n_tot[r] * c / c.sum()
-        log_l = float(np.dot(n[r], np.log(mu)) - mu.sum())
-        results.append(TomographyResult(rho_hat=rho_hat, log_likelihood=log_l,
-                                        converged=bool(converged[r]),
-                                        iterations=int(iterations[r]),
-                                        objective_history=history[r]))
-    return results
+    rho_hat = qstate.check_density_matrix(_hermitian_part(x), atol=qstate.CHANNEL_ATOL)
+    # Report the actual Poissonian log-likelihood at the profiled exposure.
+    c = np.clip(c_x, 1e-300, None)
+    mu = prob.n_tot[:, None] * c / c.sum(axis=1, keepdims=True)
+    log_l = np.einsum("bk,bk->b", n, np.log(mu)) - mu.sum(axis=1)
+    return [TomographyResult(rho_hat=rho_hat[r], log_likelihood=float(log_l[r]),
+                             converged=bool(converged[r]), iterations=int(iterations[r]),
+                             objective_history=history[r]) for r in everyone]
 
 
 def mle_reconstruct_many(count_sets: list[list[CountRecord]], ts: TomographySettings,
                          opts: MleOptions | None = None) -> list[TomographyResult]:
-    """Poissonian maximum-likelihood reconstruction of several count sets.
-
-    All sets are solved together by accelerated projected gradient from
-    their clamped linear-inversion starts (see the module docstring).  A
-    set's result does not depend, beyond rounding, on which other sets share
-    the call.  A result is flagged converged=False only if max_iter was hit
-    before the optimality test passed.
-    """
+    """Poissonian maximum-likelihood reconstruction of several count sets,
+    solved together from their clamped linear-inversion starts (see the
+    module docstring).  A result is flagged converged=False only if max_iter
+    was hit before the optimality test passed."""
     return _mle_many(*_as_arrays(count_sets, ts), ts, opts or MleOptions())
 
 
 def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings,
                     opts: MleOptions | None = None) -> TomographyResult:
-    """Poissonian maximum-likelihood state reconstruction of one count set.
-
-    Accelerated projected gradient over density matrices from the clamped
-    linear-inversion start; it stops when the smallest eigenvalue of the
-    normalized gradient is at least -opts.gtol, which certifies optimality
-    to that tolerance.  The result is flagged converged=False only if
-    opts.max_iter iterations are reached first.
-    """
+    """Poissonian maximum-likelihood state reconstruction of one count set:
+    mle_reconstruct_many for a single set."""
     return mle_reconstruct_many([counts], ts, opts)[0]
+
+
+def reconstruct_with_mc(count_sets: list[list[CountRecord]], ts: TomographySettings,
+                        target: np.ndarray, n_sets: int,
+                        seeds: list[int]) -> tuple[list[TomographyResult], list[McSummary]]:
+    """Point estimates of several count sets and, for n_sets >= 2, each set's
+    Monte Carlo fidelity summary versus `target`, from one batched solve.
+
+    Resample i of set j draws counts_k ~ Poisson(n_k) from child seed i of
+    seeds[j] (one seed per set); the fidelities are recorded in index order.
+    With n_sets = 0 the summary list is empty.
+    """
+    if n_sets < 0 or n_sets == 1:
+        raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
+    n, dur = _as_arrays(count_sets, ts)
+    resampled = np.array([np.random.default_rng(child_seed(seed, "mc-tomo", i)).poisson(row)
+                          for row, seed in zip(n, seeds, strict=True) for i in range(n_sets)],
+                         dtype=float).reshape(-1, n.shape[1])
+    results = _mle_many(np.concatenate([n, resampled]),
+                        np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts, MleOptions())
+    points, draws = results[:len(n)], results[len(n):]
+    if not draws:
+        return points, []
+    fid = qstate.fidelity(np.stack([r.rho_hat for r in draws]), target).reshape(len(n), n_sets)
+    failed = np.array([not r.converged for r in draws]).reshape(len(n), n_sets).sum(axis=1)
+    return points, [McSummary(n_sets, float(f.mean()), float(f.std(ddof=1)), f.tolist(), int(k))
+                    for f, k in zip(fid, failed)]
 
 
 def monte_carlo_fidelity(counts: list[CountRecord], ts: TomographySettings,
                          target: np.ndarray, n_sets: int, seed: int) -> McSummary:
-    """Poissonian-resampling uncertainty on the fidelity versus `target`.
-
-    Set i resamples counts_k ~ Poisson(n_k) from its own child seed of the
-    master seed; all sets are then reconstructed in one batched MLE and
-    fidelity(rho_hat, target) is recorded in index order.
-    """
+    """Poissonian-resampling uncertainty on the fidelity versus `target`:
+    reconstruct_with_mc for one count set, with n_sets >= 2."""
     if n_sets < 2:
         raise TomographyError(f"n_sets must be >= 2, got {n_sets}")
-    n, dur = _as_arrays([counts], ts)
-    resampled = np.array([
-        np.random.default_rng(child_seed(seed, "mc-tomo", i)).poisson(n[0])
-        for i in range(n_sets)], dtype=float)
-    results = _mle_many(resampled, np.repeat(dur, n_sets, axis=0), ts, MleOptions())
-    samples = [qstate.fidelity(r.rho_hat, target) for r in results]
-    arr = np.array(samples)
-    return McSummary(n_sets=n_sets,
-                     fidelity_mean=float(arr.mean()),
-                     fidelity_std=float(arr.std(ddof=1)),
-                     samples=samples,
-                     n_nonconverged=sum(1 for r in results if not r.converged))
+    return reconstruct_with_mc([counts], ts, target, n_sets, [seed])[1][0]

@@ -180,7 +180,12 @@ def test_criterion_9_property_suites():
     batch_dev = max(abs(both[key] - alone[key])
                     for key in ("mle_fidelity_vs_bell", "mle_fidelity_vs_true"))
     assert batch_dev < 1e-6
-    assert both["mc"] == alone["mc"]
+    # The resamples of every track share one batched solve, so the MC
+    # summary matches only up to rounding in the batched products.
+    for key in ("mean", "std"):
+        assert abs(both["mc"][key] - alone["mc"][key]) < 1e-12
+    for key in ("n_sets", "nonconverged"):
+        assert both["mc"][key] == alone["mc"][key]
     report(f"criterion 9: properties — max fuzzed S {s_max:.4f} <= 2*sqrt(2); "
            f"crosstalk deviation {dev:.2e} < 3 sigma ({3 * stderr:.2e}); "
            f"25 random channel outputs physical; 1 us track independent of "

@@ -356,6 +356,8 @@ class TestCommands:
             assert cli.main(argv) == cli.EXIT_VALIDATION
         qstate.check_density_matrix(qstate.density_from_json(payload["rho_hat"]),
                                     atol=qstate.CHANNEL_ATOL)
+        mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(), 4, 0)
+        assert payload["mc"] == cli._mc_payload(mc)
 
     def test_unknown_arguments_exit_validation(self, capsys):
         assert cli.main(["simulate", "--bogus"]) == cli.EXIT_VALIDATION

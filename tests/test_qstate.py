@@ -163,3 +163,31 @@ class TestJson:
     def test_rejects_malformed(self):
         with pytest.raises(qstate.StateError):
             qstate.density_from_json({"dim": 4, "re": [1.0], "im": [0.0]})
+
+
+class TestStacks:
+    def test_fidelity_of_a_stack_equals_the_loop_bit_for_bit(self, rng):
+        a = np.array([random_density_matrix(rng) for _ in range(200)])
+        b = np.array([random_density_matrix(rng) for _ in range(200)])
+        bell = qstate.bell_phi_plus()
+        stacked = qstate.fidelity(a, b)
+        assert stacked.shape == (200,)
+        assert stacked.tolist() == [qstate.fidelity(x, y) for x, y in zip(a, b)]
+        assert qstate.fidelity(a, bell).tolist() == [qstate.fidelity(x, bell) for x in a]
+        assert isinstance(qstate.fidelity(a[0], bell), float)
+
+    def test_check_accepts_a_physical_stack(self, rng):
+        stack = np.array([random_density_matrix(rng) for _ in range(20)])
+        assert qstate.check_density_matrix(stack).shape == (20, 4, 4)
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda m: m.__setitem__((0, 1), np.nan), "finite"),
+        (lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6j), "hermiticity"),
+        (lambda m: m.__setitem__((0, 0), m[0, 0] + 0.1), "trace"),
+        (lambda m: m.__setitem__(slice(None), np.diag([0.6, 0.5, -0.05, -0.05])), "eigenvalue"),
+    ])
+    def test_check_names_the_bad_matrix_of_a_stack(self, rng, spoil, message):
+        stack = np.array([random_density_matrix(rng) for _ in range(12)])
+        spoil(stack[7])
+        with pytest.raises(qstate.StateError, match=f"^matrix 7: .*{message}"):
+            qstate.check_density_matrix(stack)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from holomem import channel, cli, measure, qstate, tomo
@@ -133,6 +135,16 @@ class TestMle:
         counts = tomo.exact_counts(qstate.werner(0.5), TS36, 10 ** 4)
         result = tomo.mle_reconstruct(counts, TS36)
         assert np.isfinite(result.log_likelihood)
+
+    def test_log_likelihood_matches_per_set_formula(self, rng):
+        count_sets = [measure.sample_counts(random_density_matrix(rng), list(TS36.settings),
+                                            3000, 0.5, seed=s) for s in range(4)]
+        for counts, result in zip(count_sets, tomo.mle_reconstruct_many(count_sets, TS36)):
+            n = np.array([float(r.counts) for r in counts])
+            c = np.clip(tomo.forward_probabilities(result.rho_hat, TS36), 1e-300, None)
+            mu = n.sum() * c / c.sum()
+            expected = float(np.dot(n, np.log(mu)) - mu.sum())
+            assert result.log_likelihood == pytest.approx(expected, rel=1e-12)
 
     def test_zero_counts_rejected(self):
         counts = [measure.CountRecord(s.label, 0) for s in TS36.settings]
@@ -321,3 +333,176 @@ class TestReferenceAgreement:
             count_sets.append([measure.CountRecord(s.label, int(rng.poisson(4000 * p * d)), d)
                                for s, p, d in zip(TS16.settings, probs, durations)])
         self.check_sets(count_sets, TS16, rho)
+
+
+def random_unitaries(rng, count):
+    g = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
+    return np.linalg.qr(g)[0]
+
+
+def hermitian_stack(rng, vals):
+    """U diag(vals) U^H for Haar-random U, one matrix per row of vals."""
+    u = random_unitaries(rng, len(vals))
+    return (u * vals[:, None, :]) @ u.conj().swapaxes(1, 2)
+
+
+def eigen_projection(h):
+    """Reference projection: per matrix, eigh and the sort-based simplex
+    projection of the eigenvalues (Duchi et al., ICML 2008)."""
+    out = []
+    for m in h:
+        vals, vecs = np.linalg.eigh(m)
+        u = np.sort(vals)[::-1]
+        cum = np.cumsum(u)
+        keep = max(j for j in range(1, 5) if u[j - 1] - (cum[j - 1] - 1.0) / j > 0)
+        theta = (cum[keep - 1] - 1.0) / keep
+        out.append((vecs * np.maximum(vals - theta, 0.0)) @ vecs.conj().T)
+    return np.array(out)
+
+
+def bundled_mle_inputs(monkeypatch, cfg):
+    """The (n, dur) arrays of the one batched solve inside run_simulate."""
+    seen = []
+    solve = tomo._mle_many
+
+    def spy(n, dur, ts, opts):
+        seen.append((n, dur))
+        return solve(n, dur, ts, opts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tomo, "_mle_many", spy)
+        cli.run_simulate(cli.load_scenario(cfg))
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestKernels:
+    """The eigendecomposition-free projection and certificate prefilter."""
+
+    def test_positive_definite_matches_eigvalsh(self):
+        rng = np.random.default_rng(4)
+        k = 500
+        scale = 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        mixed = rng.standard_normal((k, 4)) * scale
+        rank_deficient = rng.uniform(0.0, 1.0, size=(k, 4)) * scale
+        rank_deficient[:, :2] *= rng.integers(0, 2, size=(k, 2))
+        edge = rng.uniform(0.1, 1.0, size=(k, 4)) * scale
+        edge[:, 0] = rng.choice([-1e-14, 1e-14], size=k) * edge.max(axis=1)
+        positive = rng.uniform(1e-9, 1.0, size=(k, 4)) * scale
+        h = hermitian_stack(rng, np.concatenate([mixed, rank_deficient, edge, positive]))
+        lam = np.linalg.eigvalsh(h)
+        pd = tomo._positive_definite(h)
+        near = np.abs(lam[:, 0]) <= 1e-12 * np.abs(lam).max(axis=1)
+        assert len(h) >= 2000
+        assert np.all((pd == (lam[:, 0] > 0)) | near)
+        assert pd[~near].sum() > 400 and (~pd[~near]).sum() > 400
+
+    def test_projection_matches_eigen_reference(self):
+        rng = np.random.default_rng(5)
+        states = np.array([0.5 * random_density_matrix(rng) + np.eye(4) / 8 for _ in range(300)])
+        noise = hermitian_stack(rng, 0.02 * rng.uniform(-1, 1, size=(300, 4)))
+        interior = states + noise + rng.uniform(-1, 1, size=(300, 1, 1)) * np.eye(4)
+        # One eigenvalue far below the others: the simplex drops it.
+        boundary = hermitian_stack(rng, np.column_stack([np.full(300, -3.0),
+                                                         rng.uniform(-1, 1, size=(300, 3))]))
+        for h, shortcut in ((interior, True), (boundary, False)):
+            shift = (np.real(np.trace(h, axis1=1, axis2=2)) - 1.0) / 4.0
+            assert np.all(tomo._positive_definite(h - shift[:, None, None] * np.eye(4)) == shortcut)
+            rho = tomo._project_density(h)
+            assert np.abs(rho - eigen_projection(h)).max() <= 1e-14
+            assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-14
+            assert np.linalg.eigvalsh(rho).min() >= -1e-14
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"master_seed": 1000, "n_mc_sets": 0,
+         "storage_times_s": [float(f"{i * 0.2:.1f}e-6") for i in range(41)]},
+    ], ids=["bundled", "decay-scan-1000"])
+    def test_same_iterations_as_eigen_only_solver(self, monkeypatch, overrides):
+        n, dur = bundled_mle_inputs(monkeypatch, {**cli.default_config(), **overrides})
+        assert len(n) == (303 if not overrides else 42)
+        fast = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+        with monkeypatch.context() as patch:
+            patch.setattr(tomo, "_project_density", tomo._project_eig)
+            patch.setattr(tomo, "_certified",
+                          lambda g, gtol: np.linalg.eigvalsh(g)[:, 0] >= -gtol)
+            slow = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+        assert [r.iterations for r in fast] == [r.iterations for r in slow]
+        assert all(r.converged for r in fast) and all(r.converged for r in slow)
+        assert max(np.abs(a.rho_hat - b.rho_hat).max() for a, b in zip(fast, slow)) <= 1e-12
+
+
+class TestReconstructWithMc:
+    def test_tracks_batched_match_one_track_calls(self):
+        sc = cli.load_scenario(cli.default_config())
+        rho_in = channel.input_state(sc.source)
+        tracks = [("input", rho_in, sc.input_coinc_prob)]
+        for t in sc.storage_times_s:
+            rho_out, coinc_prob, _ = channel.store_retrieve(rho_in, t, sc.channel)
+            tracks.append((f"t={t!r}", rho_out, coinc_prob))
+        count_sets = [measure.sample_counts(rho, list(TS36.settings), sc.n_trials, min(p, 1.0),
+                                            child_seed(sc.master_seed, f"counts/{label}", 0))
+                      for label, rho, p in tracks]
+        seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label, _, _ in tracks]
+        bell = qstate.bell_phi_plus()
+        points, mcs = tomo.reconstruct_with_mc(count_sets, TS36, bell, sc.n_mc_sets, seeds)
+        assert len(points) == len(mcs) == 3
+        for counts, seed, mc in zip(count_sets, seeds, mcs):
+            alone = tomo.monte_carlo_fidelity(counts, TS36, bell, sc.n_mc_sets, seed)
+            assert (mc.n_sets, mc.n_nonconverged) == (alone.n_sets, alone.n_nonconverged)
+            assert abs(mc.fidelity_mean - alone.fidelity_mean) < 1e-12
+            assert abs(mc.fidelity_std - alone.fidelity_std) < 1e-12
+            np.testing.assert_allclose(mc.samples, alone.samples, rtol=0, atol=1e-12)
+
+    def test_without_resamples_is_the_plain_batch(self):
+        count_sets = [measure.sample_counts(qstate.werner(p), list(TS16.settings), 4000, 0.5, s)
+                      for s, p in enumerate((0.6, 0.9))]
+        points, mcs = tomo.reconstruct_with_mc(count_sets, TS16, qstate.bell_phi_plus(), 0, [1, 2])
+        assert mcs == []
+        for a, b in zip(points, tomo.mle_reconstruct_many(count_sets, TS16)):
+            assert a.iterations == b.iterations
+            np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
+
+    @pytest.mark.parametrize("n_sets,seeds", [(1, [0]), (-2, [0]), (3, [0, 1])])
+    def test_rejects_bad_arguments(self, n_sets, seeds):
+        counts = tomo.exact_counts(qstate.werner(0.5), TS36, 1000)
+        with pytest.raises(ValueError):
+            tomo.reconstruct_with_mc([counts], TS36, qstate.bell_phi_plus(), n_sets, seeds)
+
+
+def random_count_set(rng, ts, exposure, pure):
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real if pure else random_density_matrix(rng)
+    probs = np.clip(tomo.forward_probabilities(rho, ts), 0.0, None)
+    counts = [measure.CountRecord(s.label, int(k))
+              for s, k in zip(ts.settings, rng.poisson(exposure * probs))]
+    assume(sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")) > 0)
+    return rho, counts
+
+
+PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), exposure=st.integers(20, 200_000),
+       pure=st.booleans(), ts=st.sampled_from([TS36, TS16]))
+def test_mle_is_physical_and_no_worse_than_its_start(seed, exposure, pure, ts):
+    _, counts = random_count_set(np.random.default_rng(seed), ts, exposure, pure)
+    result = tomo.mle_reconstruct(counts, ts)
+    assert result.converged
+    qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
+    assert result.objective_history[-1] <= result.objective_history[0]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), exposure=st.integers(200, 200_000),
+       others=st.integers(1, 6), data=st.data())
+def test_count_set_alone_or_in_a_batch(seed, exposure, others, data):
+    rng = np.random.default_rng(seed)
+    rho, counts = random_count_set(rng, TS36, exposure, pure=False)
+    batch = [random_count_set(rng, TS36, exposure, pure=bool(i % 2))[1] for i in range(others)]
+    at = data.draw(st.integers(0, others))
+    batch.insert(at, counts)
+    alone = tomo.mle_reconstruct(counts, TS36)
+    within = tomo.mle_reconstruct_many(batch, TS36)[at]
+    assert abs(qstate.fidelity(alone.rho_hat, rho) - qstate.fidelity(within.rho_hat, rho)) < 1e-6
