@@ -269,6 +269,15 @@ def run_simulate(sc: Scenario) -> dict:
     max_xtalk = max((registers.expected_crosstalk(a, b, sc.geometry)
                      for i, a in enumerate(modes) for b in modes[i + 1:]), default=0.0)
 
+    stored = [channel.store_retrieve(rho_in, t, sc.channel) for t in sc.storage_times_s]
+    # (label, true state, coincidence probability) in report order: the
+    # input, then one track per storage time.
+    tracks = [("input", rho_in, sc.input_coinc_prob)] + [
+        (f"t={t!r}", rho_out, p) for t, (rho_out, p, _) in zip(sc.storage_times_s, stored)]
+    true_states = np.stack([rho for _, rho, _ in tracks])
+    vs_bell = qstate.fidelity(bell, true_states).tolist()
+    process = qstate.fidelity(rho_in, true_states[1:]).tolist()
+
     analytic = {
         "mode_capacity": registers.mode_capacity(sc.geometry),
         "max_register_crosstalk_expected": max_xtalk,
@@ -276,33 +285,25 @@ def run_simulate(sc: Scenario) -> dict:
         "eit_group_delay_s": eitline.group_delay(sc.eit),
         "input": {
             "chsh_s": measure.chsh_s(rho_in),
-            "fidelity_vs_bell": qstate.fidelity(bell, rho_in),
+            "fidelity_vs_bell": vs_bell[0],
             "visibility": {b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")},
             "mean_visibility": v0,
         },
         "visibility_threshold_time_s": channel.visibility_threshold_time(sc.channel, v0),
-        "storage": [],
-    }
-    seeds: dict[str, int] = {}
-    # (label, true state, coincidence probability) in report order: the
-    # input, then one track per storage time.
-    tracks = [("input", rho_in, sc.input_coinc_prob)]
-
-    for t in sc.storage_times_s:
-        rho_out, coinc_prob, frac = channel.store_retrieve(rho_in, t, sc.channel)
-        analytic["storage"].append({
+        "storage": [{
             "t_s": t,
             "efficiency": channel.efficiency(sc.channel, t),
             "coinc_prob": coinc_prob,
             "signal_fraction": frac,
             "chsh_s": measure.chsh_s(rho_out),
-            "fidelity_vs_bell": qstate.fidelity(bell, rho_out),
-            "process_fidelity": qstate.fidelity(rho_in, rho_out),
+            "fidelity_vs_bell": f_bell,
+            "process_fidelity": f_process,
             "mean_visibility": measure.mean_visibility(rho_out) if frac > 0 else 0.0,
             "visibility_model": channel.visibility_decay(sc.channel, v0, t),
-        })
-        tracks.append((f"t={t!r}", rho_out, coinc_prob))
-
+        } for t, (rho_out, coinc_prob, frac), f_bell, f_process
+            in zip(sc.storage_times_s, stored, vs_bell[1:], process)],
+    }
+    seeds: dict[str, int] = {}
     count_sets, mc_seeds = [], []
     for label, rho_true, coinc_prob in tracks:
         seeds[f"counts/{label}"] = seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
@@ -312,20 +313,19 @@ def run_simulate(sc: Scenario) -> dict:
         if sc.n_mc_sets:
             seeds[f"mc/{label}"] = mc_seeds[-1]
     results, mcs = tomo.reconstruct_with_mc(count_sets, ts, bell, sc.n_mc_sets, mc_seeds)
-
-    stat_tracks = []
-    for i, ((label, rho_true, _), counts, result) in enumerate(zip(tracks, count_sets, results)):
+    for (label, _, _), result in zip(tracks, results):
         if not result.converged:
             raise NonConvergenceError(f"tomography failed to converge for {label}")
-        track = {
-            "mle_fidelity_vs_bell": qstate.fidelity(result.rho_hat, bell),
-            "mle_fidelity_vs_true": qstate.fidelity(result.rho_hat, rho_true),
-            "mle_iterations": result.iterations,
-            "total_counts": int(sum(r.counts for r in counts)),
-        }
-        if mcs:
-            track["mc"] = _mc_payload(mcs[i])
-        stat_tracks.append(track)
+    rho_hats = np.stack([result.rho_hat for result in results])
+    stat_tracks = [{
+        "mle_fidelity_vs_bell": f_bell,
+        "mle_fidelity_vs_true": f_true,
+        "mle_iterations": result.iterations,
+        "total_counts": sum(r.counts for r in counts),
+        **({"mc": _mc_payload(mcs[i])} if mcs else {}),
+    } for i, (counts, result, f_bell, f_true) in enumerate(zip(
+        count_sets, results, qstate.fidelity(rho_hats, bell).tolist(),
+        qstate.fidelity(rho_hats, true_states).tolist()))]
     statistical = {"input": stat_tracks[0],
                    "storage": [{"t_s": t, **track}
                                for t, track in zip(sc.storage_times_s, stat_tracks[1:])]}
@@ -399,15 +399,12 @@ def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     if args.seed is not None and isinstance(cfg, dict):
         cfg = {**cfg, SEED.key: args.seed}
-    sc = load_scenario(cfg)
-    report = run_simulate(sc)
-    _write_out(report_to_json(report), args.out)
+    _write_out(report_to_json(run_simulate(load_scenario(cfg))), args.out)
     return EXIT_OK
 
 
 def _cmd_capacity(args) -> int:
-    cfg = _read_config(args.config)
-    sc = load_scenario(cfg)
+    sc = load_scenario(_read_config(args.config))
     _write_out(f"{registers.mode_capacity(sc.geometry):.1f}\n", args.out)
     return EXIT_OK
 
@@ -431,8 +428,7 @@ def _cmd_chsh(args) -> int:
     if args.state == "bell":
         rho = qstate.bell_phi_plus()
     elif args.state == "input":
-        cfg = _read_config(args.config)
-        rho = channel.input_state(load_scenario(cfg).source)
+        rho = channel.input_state(load_scenario(_read_config(args.config)).source)
     elif args.state.startswith("werner:"):
         rho = qstate.werner(float(args.state.split(":", 1)[1]))
     else:
@@ -443,16 +439,13 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_crosstalk(args) -> int:
-    cfg = _read_config(args.config)
-    g = load_scenario(cfg).geometry
+    g = load_scenario(_read_config(args.config)).geometry
     seed = args.seed if args.seed is not None else 0
     modes = registers.spin_wave_vectors(g)
     buf = io.StringIO()
     buf.write("i,j,overlap_re,overlap_im,expected,stderr\n")
     for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            if j <= i:
-                continue
+        for j, b in enumerate(modes[i + 1:], start=i + 1):
             ov = registers.crosstalk(a, b, g, seed=child_seed(seed, "crosstalk", i * len(modes) + j))
             buf.write(f"{i},{j},{ov.real:.6e},{ov.imag:.6e},"
                       f"{registers.expected_crosstalk(a, b, g):.6e},"

@@ -2,6 +2,10 @@
 correlation functions, CHSH S, fringe visibilities, and Poissonian count
 sampling.
 
+All Born-rule probabilities Tr(rho P1 x P2) of a call come from one vectorised
+evaluation, clamped to [0, 1].  Linear analyzers at (phi1, phi2) correlate as
+E = Tr(rho sigma(phi1) x sigma(phi2)) with sigma(phi) = cos 2phi Z + sin 2phi X.
+
 Sign convention: with the textbook correlation E = cos 2(phi1 - phi2) for
 |phi+>, the quoted S combination at angles (0, 45, 22.5, 67.5) degrees
 evaluates to 0.  The experimental analyzers therefore implement the
@@ -13,6 +17,7 @@ Mirrored is the default everywhere; the textbook flag is kept for tests.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -69,8 +74,11 @@ class CountRecord:
             raise MeasureError(f"counts must be >= 0, got {self.counts}")
         if not self.duration_s > 0.0:
             raise MeasureError(f"duration must be positive, got {self.duration_s}")
+        if "\r" in self.setting_label:  # the count CSV cannot carry it
+            raise MeasureError(f"setting label {self.setting_label!r} contains a carriage return")
 
 
+@functools.cache
 def setting_from_labels(l1: str, l2: str) -> AnalyzerSetting:
     """Analyzer setting from basis labels in {H, V, +, -, R, L}."""
     try:
@@ -80,45 +88,44 @@ def setting_from_labels(l1: str, l2: str) -> AnalyzerSetting:
     return AnalyzerSetting(label=l1 + l2, ket1=tuple(k1), ket2=tuple(k2))
 
 
-def linear_ket(phi_rad: float) -> tuple[complex, complex]:
-    """Linear-polarization ket at angle phi from H."""
-    return (complex(math.cos(phi_rad)), complex(math.sin(phi_rad)))
+def _born_probs(rho: np.ndarray, settings) -> np.ndarray:
+    """Born-rule probabilities Tr(rho (P1 x P2)) of each setting, clamped to [0, 1]."""
+    kets = np.array([(s.ket1, s.ket2) for s in settings], dtype=complex).reshape(-1, 2, 2)
+    k = (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
+    p = np.einsum("ni,ij,nj->n", k.conj(), np.asarray(rho, dtype=complex), k).real
+    return np.clip(p, 0.0, 1.0)
 
 
 def coincidence_prob(rho: np.ndarray, s: AnalyzerSetting) -> float:
     """Born-rule coincidence probability Tr(rho (P1 x P2))."""
-    k = np.kron(np.asarray(s.ket1, dtype=complex), np.asarray(s.ket2, dtype=complex))
-    p = float(np.real(k.conj() @ np.asarray(rho, dtype=complex) @ k))
-    return min(max(p, 0.0), 1.0)
+    return float(_born_probs(rho, [s])[0])
+
+
+def _correlations(rho: np.ndarray, phi1_rad, phi2_rad, convention: Convention) -> np.ndarray:
+    """Tr(rho sigma(phi1) x sigma(phi2)) per angle pair; mirrored negates phi2."""
+    if convention not in ("mirrored", "textbook"):
+        raise MeasureError(f"unknown convention {convention!r}")
+    two_phi = 2.0 * np.array([phi1_rad, phi2_rad], dtype=float)
+    two_phi[1] *= -1.0 if convention == "mirrored" else 1.0
+    c, s = np.cos(two_phi), np.sin(two_phi)
+    a, b = np.stack([c, s, s, -c], axis=-1).reshape(2, -1, 2, 2)
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("ikjl,nji,nlk->n", r, a, b).real
 
 
 def correlation(rho: np.ndarray, phi1_rad: float, phi2_rad: float,
                 convention: Convention = "mirrored") -> float:
     """Polarization correlation E = P(++) + P(--) - P(+-) - P(-+) over linear
     analyzers at (phi1, phi2); the mirrored convention negates phi2."""
-    if convention not in ("mirrored", "textbook"):
-        raise MeasureError(f"unknown convention {convention!r}")
-    if convention == "mirrored":
-        phi2_rad = -phi2_rad
-    e = 0.0
-    for d1, sign1 in ((0.0, 1.0), (math.pi / 2.0, -1.0)):
-        for d2, sign2 in ((0.0, 1.0), (math.pi / 2.0, -1.0)):
-            s = AnalyzerSetting(label="corr",
-                                ket1=linear_ket(phi1_rad + d1),
-                                ket2=linear_ket(phi2_rad + d2))
-            e += sign1 * sign2 * coincidence_prob(rho, s)
-    return e
+    return float(_correlations(rho, [phi1_rad], [phi2_rad], convention)[0])
 
 
 def chsh_s(rho: np.ndarray, angles_rad: tuple[float, float, float, float] = CHSH_ANGLES_RAD,
            convention: Convention = "mirrored") -> float:
     """CHSH combination |-E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2')|."""
     p1, p1p, p2, p2p = angles_rad
-    s = (-correlation(rho, p1, p2, convention)
-         + correlation(rho, p1, p2p, convention)
-         + correlation(rho, p1p, p2, convention)
-         + correlation(rho, p1p, p2p, convention))
-    return abs(s)
+    e = _correlations(rho, [p1, p1, p1p, p1p], [p2, p2p, p2, p2p], convention).tolist()
+    return abs(-e[0] + e[1] + e[2] + e[3])
 
 
 BASIS_PAIRS = {"HV": ("H", "V"), "PM": ("+", "-"), "RL": ("R", "L")}
@@ -132,18 +139,24 @@ def basis_settings(basis: str) -> list[AnalyzerSetting]:
     return [setting_from_labels(x, y) for x in (b1, b2) for y in (b1, b2)]
 
 
+def _visibilities(rho: np.ndarray, bases: tuple[str, ...]) -> list[float]:
+    """Fringe visibilities (C_max - C_min)/(C_max + C_min) in each basis."""
+    probs = _born_probs(rho, [s for b in bases for s in basis_settings(b)])
+    c_max, c_min = probs.reshape(-1, 4).max(axis=1), probs.reshape(-1, 4).min(axis=1)
+    for basis, total in zip(bases, (c_max + c_min).tolist()):
+        if total == 0.0:
+            raise MeasureError(f"all coincidence probabilities vanish in basis {basis}")
+    return ((c_max - c_min) / (c_max + c_min)).tolist()
+
+
 def visibility(rho: np.ndarray, basis: str) -> float:
     """Fringe visibility (C_max - C_min)/(C_max + C_min) in the given basis."""
-    probs = [coincidence_prob(rho, s) for s in basis_settings(basis)]
-    c_max, c_min = max(probs), min(probs)
-    if c_max + c_min == 0.0:
-        raise MeasureError(f"all coincidence probabilities vanish in basis {basis}")
-    return (c_max - c_min) / (c_max + c_min)
+    return _visibilities(rho, (basis,))[0]
 
 
 def mean_visibility(rho: np.ndarray) -> float:
     """Average visibility over the HV, PM, and RL bases."""
-    return sum(visibility(rho, b) for b in ("HV", "PM", "RL")) / 3.0
+    return sum(_visibilities(rho, ("HV", "PM", "RL"))) / 3.0
 
 
 def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting],
@@ -151,20 +164,15 @@ def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting],
                   seed: int) -> list[CountRecord]:
     """Poissonian coincidence counts, counts_k ~ Poisson(n * scale * p_k).
 
-    Deterministic for a fixed seed; settings are sampled in list order from
-    a single generator, so results do not depend on execution parallelism.
+    Deterministic for a fixed seed: one generator draws all settings in list order.
     """
     if n_trials <= 0:
         raise MeasureError(f"n_trials must be positive, got {n_trials}")
     if not 0.0 < coinc_prob_scale <= 1.0:
         raise MeasureError(f"coinc_prob_scale must lie in (0, 1], got {coinc_prob_scale}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for s in settings:
-        mu = n_trials * coinc_prob_scale * coincidence_prob(rho, s)
-        records.append(CountRecord(setting_label=s.label,
-                                   counts=int(rng.poisson(mu))))
-    return records
+    mu = n_trials * coinc_prob_scale * _born_probs(rho, settings)
+    counts = np.random.default_rng(seed).poisson(mu).tolist()
+    return [CountRecord(setting_label=s.label, counts=c) for s, c in zip(settings, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +183,7 @@ def counts_to_csv(records: list[CountRecord]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["setting_label", "counts", "duration_s"])
-    for r in records:
-        w.writerow([r.setting_label, r.counts, repr(r.duration_s)])
+    w.writerows([r.setting_label, r.counts, repr(r.duration_s)] for r in records)
     return buf.getvalue()
 
 

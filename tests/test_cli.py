@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,29 @@ class TestSimulateReport:
         argv = ["simulate", "--config", str(path), "--seed", str(seed), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         assert len(json.loads(out.read_text())["statistical"]["storage"]) == 41
+
+
+class TestStackedPaths:
+    def test_simulate_calls_no_scalar_born_rule_and_stacked_fidelities(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((measure, "coincidence_prob"), (measure, "correlation"),
+                             (qstate, "fidelity")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        def run(times):
+            cfg = small_config()
+            cfg.update(n_mc_sets=0, storage_times_s=times)
+            calls.clear()
+            cli.run_simulate(cli.load_scenario(cfg))
+            return Counter(calls)
+
+        two, ten = run([0.0, 1e-6]), run([i * 2e-7 for i in range(10)])
+        for got in (two, ten):
+            assert got["coincidence_prob"] == 0 and got["correlation"] == 0
+        assert 0 < two["fidelity"] == ten["fidelity"]
 
 
 class TestCommands:

@@ -2,9 +2,70 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holomem import channel, measure, qstate
+from holomem import channel, measure, qstate, tomo
 from conftest import random_density_matrix
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: the scalar Born rule with one np.kron per setting, and
+# the correlation as four linear-analyzer settings.  The library evaluates all
+# probabilities of a call at once and correlations as Tr(rho sigma x sigma).
+# ---------------------------------------------------------------------------
+
+def kron_prob(rho, s):
+    k = np.kron(np.asarray(s.ket1, dtype=complex), np.asarray(s.ket2, dtype=complex))
+    p = float(np.real(k.conj() @ np.asarray(rho, dtype=complex) @ k))
+    return min(max(p, 0.0), 1.0)
+
+
+def kron_counts(rho, settings, n_trials, scale, seed):
+    rng = np.random.default_rng(seed)
+    return [int(rng.poisson(n_trials * scale * kron_prob(rho, s))) for s in settings]
+
+
+def linear_ket(phi):
+    return (complex(math.cos(phi)), complex(math.sin(phi)))
+
+
+def four_setting_correlation(rho, phi1, phi2, convention="mirrored"):
+    if convention == "mirrored":
+        phi2 = -phi2
+    e = 0.0
+    for d1, sign1 in ((0.0, 1.0), (math.pi / 2.0, -1.0)):
+        for d2, sign2 in ((0.0, 1.0), (math.pi / 2.0, -1.0)):
+            s = measure.AnalyzerSetting("corr", linear_ket(phi1 + d1), linear_ket(phi2 + d2))
+            e += sign1 * sign2 * kron_prob(rho, s)
+    return e
+
+
+def reference_chsh(rho, angles, convention):
+    p1, p1p, p2, p2p = angles
+    e = lambda a, b: four_setting_correlation(rho, a, b, convention)  # noqa: E731
+    return abs(-e(p1, p2) + e(p1, p2p) + e(p1p, p2) + e(p1p, p2p))
+
+
+def reference_visibility(rho, basis):
+    probs = [kron_prob(rho, s) for s in measure.basis_settings(basis)]
+    return (max(probs) - min(probs)) / (max(probs) + min(probs))
+
+
+def random_state(rng, rank=None):
+    """Random two-qubit state of the given rank (full rank if None)."""
+    g = rng.standard_normal((4, rank or 4)) + 1j * rng.standard_normal((4, rank or 4))
+    rho = g @ g.conj().T
+    return rho / np.real(np.trace(rho))
+
+
+def reference_states(rng):
+    """Named states that include zero-probability settings and the model's own."""
+    rho_in = channel.input_state(channel.experiment_source_params())
+    stored = channel.store_retrieve(rho_in, 1e-6, channel.calibrated_channel_params())[0]
+    return [qstate.bell_phi_plus(), qstate.bell_psi_plus(), qstate.werner(0.5),
+            np.eye(4, dtype=complex) / 4, rho_in, stored, random_state(rng, 1),
+            random_state(rng, 2), random_state(rng)]
 
 
 class TestCoincidenceProb:
@@ -133,6 +194,78 @@ class TestSampleCounts:
             measure.sample_counts(qstate.werner(0.5), settings, 100, 0.0, seed=0)
 
 
+class TestAgainstKronReference:
+    """The vectorised Born rule against the per-setting kron path it replaced."""
+
+    SETTING_SETS = {"HV": measure.basis_settings("HV"),
+                    "scheme16": list(tomo.make_settings(16).settings),
+                    "scheme36": list(tomo.make_settings(36).settings)}
+
+    @pytest.mark.parametrize("name", sorted(SETTING_SETS))
+    def test_sample_counts_identical(self, name):
+        settings = self.SETTING_SETS[name]
+        rng = np.random.default_rng(8080)
+        mismatches = []
+        for case in range(80):
+            states = reference_states(rng)
+            rho = states[case % len(states)]
+            scale = (1.0, 0.5, 0.04, 1e-3, float(rng.uniform(1e-4, 1.0)))[case % 5]
+            n_trials = (1, 1000, 120_000, 10 ** 7)[case % 4]
+            seed = int(rng.integers(2 ** 32))
+            got = [r.counts for r in measure.sample_counts(rho, settings, n_trials, scale, seed)]
+            if got != kron_counts(rho, settings, n_trials, scale, seed):
+                mismatches.append((case, scale, n_trials, seed))
+        assert mismatches == []
+
+    def test_zero_probability_settings_are_sampled(self):
+        # Bell |phi+> never gives HV or VH: mu = 0 draws 0 and keeps the stream.
+        settings = self.SETTING_SETS["HV"]
+        got = measure.sample_counts(qstate.bell_phi_plus(), settings, 10 ** 6, 1.0, seed=5)
+        assert [r.counts for r in got][1:3] == [0, 0]
+        assert [r.counts for r in got] == kron_counts(qstate.bell_phi_plus(), settings,
+                                                      10 ** 6, 1.0, 5)
+
+    def test_coincidence_prob(self, rng):
+        for rho in reference_states(rng):
+            for s in self.SETTING_SETS["scheme36"]:
+                assert abs(measure.coincidence_prob(rho, s) - kron_prob(rho, s)) <= 1e-15
+
+    @pytest.mark.parametrize("convention", ["mirrored", "textbook"])
+    def test_correlation(self, rng, convention):
+        for _ in range(200):
+            rho = random_state(rng, int(rng.integers(1, 5)))
+            phi1, phi2 = rng.uniform(-math.pi, math.pi, 2)
+            got = measure.correlation(rho, phi1, phi2, convention)
+            assert abs(got - four_setting_correlation(rho, phi1, phi2, convention)) <= 1e-14
+
+    @pytest.mark.parametrize("convention", ["mirrored", "textbook"])
+    def test_chsh_s(self, rng, convention):
+        for rho in reference_states(rng):
+            assert abs(measure.chsh_s(rho, convention=convention)
+                       - reference_chsh(rho, measure.CHSH_ANGLES_RAD, convention)) <= 1e-14
+        for _ in range(100):
+            rho = random_state(rng, int(rng.integers(1, 5)))
+            angles = tuple(rng.uniform(-math.pi, math.pi, 4))
+            assert abs(measure.chsh_s(rho, angles, convention)
+                       - reference_chsh(rho, angles, convention)) <= 1e-14
+
+    def test_visibility(self, rng):
+        states = reference_states(rng) + [random_state(rng, int(rng.integers(1, 5)))
+                                          for _ in range(100)]
+        for rho in states:
+            refs = [reference_visibility(rho, b) for b in ("HV", "PM", "RL")]
+            for basis, ref in zip(("HV", "PM", "RL"), refs):
+                assert abs(measure.visibility(rho, basis) - ref) <= 1e-14
+            assert abs(measure.mean_visibility(rho) - sum(refs) / 3.0) <= 1e-14
+
+    def test_vanishing_basis_named(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(measure.MeasureError, match="vanish in basis PM"):
+            measure.visibility(rho, "PM")
+        with pytest.raises(measure.MeasureError, match="vanish in basis HV"):
+            measure.mean_visibility(rho)
+
+
 class TestCsv:
     def test_round_trip(self):
         records = [measure.CountRecord("HH", 120, 1.0),
@@ -149,3 +282,18 @@ class TestCsv:
             measure.CountRecord("HH", -1)
         with pytest.raises(measure.MeasureError):
             measure.CountRecord("HH", 1, duration_s=0.0)
+
+    def test_carriage_return_label_rejected(self):
+        # csv writes a lone carriage return unquoted, so it could not be read back.
+        with pytest.raises(measure.MeasureError, match="carriage return"):
+            measure.CountRecord("H\rH", 1)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.builds(measure.CountRecord,
+                          setting_label=st.text().filter(lambda label: "\r" not in label),
+                          counts=st.integers(0, 2 ** 64),
+                          duration_s=st.floats(min_value=0.0, exclude_min=True)),
+                max_size=40))
+def test_counts_csv_round_trip(records):
+    assert measure.counts_from_csv(measure.counts_to_csv(records)) == records
