@@ -7,11 +7,26 @@ matrices.  The common exposure is profiled out analytically, so the
 objective reduces to f = -sum n_k ln c_k + n_tot ln(sum c_k) with
 c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 
-It is minimized by accelerated projected gradient (Shang, Zhang & Ng,
-PRA 95, 062336 (2017)) on a (B, 4, 4) stack of states: B count sets are
-solved at once with batched matrix products.  Each step moves along
--grad f from a momentum point and projects onto the unit-trace positive
-matrices, projecting the eigenvalues onto the simplex.  When the simplex
+B count sets are solved at once, as a (B, 4, 4) stack of states, with
+batched matrix products, in two phases from the clamped linear-inversion
+start.
+
+Damped Newton.  In the orthonormal coordinates v_m = Tr(E_m rho), with
+E_m = B_m / 2 for the 15 traceless Pauli products B_m, f / n_tot is smooth
+inside the state space and has the Hessian
+H = sum_k nu_k (d_k / c_k)^2 a_k a_k^T - s s^T, where nu_k = n_k / n_tot,
+a_k = (Tr(E_m Pi_k))_m and s = sum_k d_k a_k / C.  Each step solves
+H dv = -grad and halves its length until the state stays positive definite
+and f does not rise.  A set leaves this phase when H is not positive
+definite or its step would be shorter than 2^-8, which is how iterates
+approaching an optimum on the boundary end.  Interior optima are certified
+here within a few steps.
+
+Accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017))
+takes every set the Newton phase left, from its Newton iterate.  Each
+step moves along -grad f from a momentum point and projects onto the
+unit-trace positive matrices, projecting the eigenvalues onto the simplex.
+When the simplex
 keeps all four, that projection is the shift h - (Tr h - 1)/4 I, so a
 vectorised LDL^H test of the shifted matrix replaces the eigendecomposition
 for all but the sets on the boundary.  Every set keeps its own step size,
@@ -22,7 +37,8 @@ only on its own counts and durations (up to rounding in the batched
 products).  reconstruct_with_mc therefore solves the point estimates and
 all their Monte Carlo resamples in one call.
 
-Stopping rule: f is invariant under rescaling of rho, so Tr(rho G) = 0 for
+Stopping rule, checked after every step of either phase (max_iter counts
+both): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
 when G is positive semidefinite.  A set stops once the smallest eigenvalue
 of G is at least -gtol, computed by eigvalsh only where the LDL^H test
@@ -81,6 +97,8 @@ class TomographyResult:
     log_likelihood: float
     converged: bool
     iterations: int
+    # The leading damped-Newton part of `iterations`; the rest are APG steps.
+    newton_steps: int
     # Objective value (negative profiled log-likelihood) at the start and
     # after each accepted step; nonincreasing (a change within the rounding
     # of the projection is recorded as none).
@@ -104,6 +122,9 @@ _PAULIS = [np.eye(2, dtype=complex),
            np.array([[0, -1j], [1j, 0]], dtype=complex),
            np.array([[1, 0], [0, -1]], dtype=complex)]
 _PAULI_BASIS = np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+# Orthonormal coordinates of unit-trace states: rho = I/4 + sum_m v_m E_m
+# with E_m = B_m / 2 (m = 1..15) flattened, so v_m = Tr(E_m rho).
+_COORDS = _PAULI_BASIS[1:].reshape(15, 16) / 2.0
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -275,6 +296,9 @@ class _Problem:
         self.pis = ts.projectors.reshape(k, 16)
         # c_k = d_k Re sum_ij rho_ij conj(Pi_k)_ij for Hermitian rho, Pi_k.
         self.pis_h = self.pis.conj().T
+        # a_km = Tr(E_m Pi_k) and the flattened outer products a_k a_k^T.
+        self.coords = np.real(self.pis.conj() @ _COORDS.T)
+        self.outer = np.einsum("km,kn->kmn", self.coords, self.coords).reshape(k, -1)
 
     def rates(self, rho: np.ndarray, rows) -> np.ndarray:
         """c_k for the given rows (linear in rho, so also used for steps)."""
@@ -291,6 +315,14 @@ class _Problem:
         w = self.d[rows] * (1.0 / c.sum(axis=1, keepdims=True) - ratio)
         return (w @ self.pis).reshape(-1, 4, 4)
 
+    def hessian(self, c: np.ndarray, rows) -> np.ndarray:
+        """(B, 15, 15) Hessian in the coordinates v at positive rates c:
+        sum_k nu_k (d_k / c_k)^2 a_k a_k^T - s s^T with s = sum_k d_k a_k / C."""
+        d = self.d[rows]
+        h = (self.nu[rows] * (d / c) ** 2) @ self.outer
+        s = (d @ self.coords) / c.sum(axis=1, keepdims=True)
+        return h.reshape(-1, 15, 15) - s[:, :, None] * s[:, None, :]
+
     def change(self, c: np.ndarray, dc: np.ndarray, rows) -> np.ndarray:
         """f(rho + step) - f(rho) from c(rho) and c(step), accurate for small
         steps where a difference of two objective values would cancel."""
@@ -303,6 +335,8 @@ class _Problem:
 
 # Step halvings after which an extrapolated point is abandoned for x.
 _MAX_HALVINGS = 40
+# Shortest damped Newton step; a set whose step must be shorter leaves for APG.
+_MIN_NEWTON_STEP = 2.0 ** -8
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,16 +351,57 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     prob = _Problem(n, dur, ts)
     b = len(n)
     everyone = np.arange(b)
-    x_prev = x.copy()
     c_x = prob.rates(x, everyone)
     g_x = prob.gradient(c_x, everyone)
     f = prob.value(c_x, everyone)
     history = [[float(v)] for v in f * prob.n_tot]
-    theta = np.ones(b)
-    step = np.ones(b)
     iterations = np.zeros(b, dtype=int)
     converged = _certified(g_x, opts.gtol)
-    active = ~converged & (opts.max_iter > 0)
+
+    # Damped Newton in the coordinates v while the Hessian is positive
+    # definite and steps stay long; then APG from the Newton iterate.
+    newton = ~converged & (opts.max_iter > 0)
+    while newton.any():
+        rows = np.flatnonzero(newton)
+        h = prob.hessian(c_x[rows], rows)
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            # cholesky fails the whole stack; only the failing sets leave.
+            curved = _positive_definite(h)
+            newton[rows[~curved]] = False
+            rows, h = rows[curved], h[curved]
+        grad = np.real(g_x[rows].reshape(-1, 16) @ _COORDS.conj().T)
+        dx = (np.linalg.solve(h, -grad[:, :, None])[:, :, 0] @ _COORDS).reshape(-1, 4, 4)
+        dc = prob.rates(dx, rows)
+        t = 1.0
+        pending = np.arange(len(rows))
+        while len(pending):
+            at = rows[pending]
+            z = x[at] + t * dx[pending]
+            gain = prob.change(c_x[at], t * dc[pending], at)
+            ok = (gain <= 0.0) & _positive_definite(z)
+            moved = at[ok]
+            x[moved] = z[ok]
+            c_x[moved] = prob.rates(z[ok], moved)
+            g_x[moved] = prob.gradient(c_x[moved], moved)
+            f[moved] += gain[ok]
+            for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
+                history[r].append(value)
+            iterations[moved] += 1
+            converged[moved] = _certified(g_x[moved], opts.gtol)
+            pending = pending[~ok]
+            t *= 0.5
+            if t < _MIN_NEWTON_STEP:
+                newton[rows[pending]] = False
+                break
+        newton[rows] &= ~converged[rows] & (iterations[rows] < opts.max_iter)
+    newton_steps = iterations.copy()
+
+    x_prev = x.copy()
+    theta = np.ones(b)
+    step = np.ones(b)
+    active = ~converged & (iterations < opts.max_iter)
 
     while active.any():
         rows = np.flatnonzero(active)
@@ -402,6 +477,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     log_l = np.einsum("bk,bk->b", n, np.log(mu)) - mu.sum(axis=1)
     return [TomographyResult(rho_hat=rho_hat[r], log_likelihood=float(log_l[r]),
                              converged=bool(converged[r]), iterations=int(iterations[r]),
+                             newton_steps=int(newton_steps[r]),
                              objective_history=history[r]) for r in everyone]
 
 

@@ -398,6 +398,48 @@ class TestCommands:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert "<root>: missing or not a mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["capacity"], ["crosstalk"],
+                                         ["chsh", "--state", "input"]])
+    def test_malformed_yaml_exits_validation(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("a: [1, 2\n")
+        assert cli.main([*command, "--config", str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_libyaml_loader_gives_the_pure_python_tree(self):
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+        bundled = (Path(cli.__file__).parent / "data" / "default_scenario.yaml").read_text()
+        scan = cli.default_config()
+        scan["n_mc_sets"] = 0
+        scan["storage_times_s"] = [float(f"{i * 0.2:.1f}e-6") for i in range(41)]
+        for text in (bundled, yaml.safe_dump(scan, sort_keys=True)):
+            # Compared as JSON text, so that 1 and 1.0 or True and 1 differ.
+            fast, pure = (yaml.load(text, Loader=loader)
+                          for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+            assert json.dumps(fast, sort_keys=True) == json.dumps(pure, sort_keys=True)
+        assert cli.default_config() == yaml.safe_load(bundled)
+
+    def test_one_parser_serves_successive_calls(self, capsys):
+        calls = [["capacity"], ["chsh", "--state", "werner:0.7"], ["simulate", "--bogus"],
+                 ["eit", "--points", "11", "--od", "4"], ["nosuchcommand"],
+                 ["chsh", "--state", "bell", "--convention", "textbook"], ["capacity"]]
+
+        def run(argv):
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            return rc, out, err
+
+        assert cli.build_parser() is cli.build_parser()
+        reused = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0]
+
 
 # Run in a fresh interpreter, so modules the test session already loaded do
 # not count.  argv[1] is the directory holding the holomem package.

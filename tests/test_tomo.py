@@ -376,6 +376,30 @@ def bundled_mle_inputs(monkeypatch, cfg):
     return seen[0]
 
 
+def low_count_sets(ts, rank, durations, rng, count=20, exposure=30):
+    """Count sets of random rank-`rank` states: optima on the boundary."""
+    sets = []
+    while len(sets) < count:
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        rho = g @ g.conj().T
+        probs = np.clip(tomo.forward_probabilities(rho / np.trace(rho).real, ts), 0.0, None)
+        counts = [measure.CountRecord(s.label, int(k), d) for s, k, d in
+                  zip(ts.settings, rng.poisson(exposure * probs * durations), durations)]
+        if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
+            sets.append(counts)
+    return sets
+
+
+def unequal_durations(ts):
+    """1, 1.5 and 2 in turn, with the H/V group at 1."""
+    return [1.0 if s.label in ("HH", "HV", "VH", "VV") else 1.0 + 0.5 * (i % 3)
+            for i, s in enumerate(ts.settings)]
+
+
+DECAY_SCAN_1000 = {"master_seed": 1000, "n_mc_sets": 0,
+                   "storage_times_s": [float(f"{i * 0.2:.1f}e-6") for i in range(41)]}
+
+
 class TestKernels:
     """The eigendecomposition-free projection and certificate prefilter."""
 
@@ -413,14 +437,20 @@ class TestKernels:
             assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-14
             assert np.linalg.eigvalsh(rho).min() >= -1e-14
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"master_seed": 1000, "n_mc_sets": 0,
-         "storage_times_s": [float(f"{i * 0.2:.1f}e-6") for i in range(41)]},
-    ], ids=["bundled", "decay-scan-1000"])
+    @pytest.mark.parametrize("overrides", [{}, DECAY_SCAN_1000],
+                             ids=["bundled", "decay-scan-1000"])
     def test_same_iterations_as_eigen_only_solver(self, monkeypatch, overrides):
         n, dur = bundled_mle_inputs(monkeypatch, {**cli.default_config(), **overrides})
         assert len(n) == (303 if not overrides else 42)
+        self.check_against_eigen_only_solver(monkeypatch, n, dur)
+
+    def test_boundary_sets_same_iterations_as_eigen_only_solver(self, monkeypatch):
+        # The bundled sets finish in the Newton phase; these reach APG.
+        sets = low_count_sets(TS36, 1, [1.0] * len(TS36.settings), np.random.default_rng(5))
+        self.check_against_eigen_only_solver(monkeypatch, *tomo._as_arrays(sets, TS36))
+
+    @staticmethod
+    def check_against_eigen_only_solver(monkeypatch, n, dur):
         fast = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
         with monkeypatch.context() as patch:
             patch.setattr(tomo, "_project_density", tomo._project_eig)
@@ -430,6 +460,62 @@ class TestKernels:
         assert [r.iterations for r in fast] == [r.iterations for r in slow]
         assert all(r.converged for r in fast) and all(r.converged for r in slow)
         assert max(np.abs(a.rho_hat - b.rho_hat).max() for a, b in zip(fast, slow)) <= 1e-12
+
+
+class TestNewton:
+    """The damped Newton phase and its hand-over to APG."""
+
+    @pytest.mark.parametrize("overrides", [{}, DECAY_SCAN_1000],
+                             ids=["bundled", "decay-scan-1000"])
+    def test_interior_optima_finish_in_newton(self, monkeypatch, overrides):
+        n, dur = bundled_mle_inputs(monkeypatch, {**cli.default_config(), **overrides})
+        results = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+        assert len(results) == (303 if not overrides else 42)
+        assert all(r.converged and r.iterations <= 10 for r in results)
+        assert all(r.newton_steps == r.iterations for r in results)
+
+    @pytest.mark.parametrize("ts,unequal", [(TS36, False), (TS16, False), (TS16, True)],
+                             ids=["36", "16", "16-unequal"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_boundary_optima_reach_apg(self, ts, unequal, rank):
+        durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
+        count_sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
+        results = tomo.mle_reconstruct_many(count_sets, ts)
+        # Noise can put the optimum of a rank-deficient state inside.
+        on_boundary = [np.linalg.eigvalsh(r.rho_hat)[0] < 1e-6 for r in results]
+        assert sum(on_boundary) >= 0.75 * len(results)
+        for result, boundary in zip(results, on_boundary):
+            assert result.converged
+            assert result.newton_steps < result.iterations or not boundary
+            qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
+            h = result.objective_history
+            assert all(a >= b for a, b in zip(h[:result.newton_steps + 1], h[1:]))
+
+    def test_indefinite_hessian_leaves_only_its_set(self):
+        # Four observed settings and unequal durations: at the start the
+        # Hessian has a negative eigenvalue, so cholesky fails the stack.
+        few = {"HH": 6, "VV": 4, "++": 5, "RL": 3}
+        odd = [measure.CountRecord(s.label, few.get(s.label, 0), d)
+               for s, d in zip(TS36.settings, unequal_durations(TS36))]
+        sets = [measure.sample_counts(qstate.werner(p), list(TS36.settings), 5000, 0.5, seed)
+                for seed, p in enumerate((0.6, 0.75, 0.85, 0.9))]
+        batch = sets[:2] + [odd] + sets[2:]
+        n, dur = tomo._as_arrays(batch, TS36)
+        prob = tomo._Problem(n, dur, TS36)
+        hessian = prob.hessian(prob.rates(tomo._start_states(n, dur, TS36), slice(None)),
+                               slice(None))
+        lowest = np.linalg.eigvalsh(hessian)[:, 0]
+        assert lowest[2] < -1e-2 and np.all(np.delete(lowest, 2) > 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(hessian)
+        within = tomo.mle_reconstruct_many(batch, TS36)
+        assert within[2].converged and within[2].newton_steps == 0 < within[2].iterations
+        for counts, result in zip(sets, within[:2] + within[3:]):
+            alone = tomo.mle_reconstruct(counts, TS36)
+            assert result.converged and result.newton_steps == result.iterations > 0
+            assert (result.iterations, result.newton_steps) == (alone.iterations,
+                                                                alone.newton_steps)
+            assert np.abs(result.rho_hat - alone.rho_hat).max() <= 1e-12
 
 
 class TestReconstructWithMc:
