@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qstate
+from .constants import CHSH_VISIBILITY
 
 class ChannelError(ValueError):
     """Invalid channel or source parameters."""
@@ -144,33 +145,30 @@ def visibility_decay_coeffs(p: ChannelParams, v0: float) -> tuple[float, float]:
     return 1.0 / v0, (p.bg_coinc / p.eta0 ** 2) / v0
 
 
-def visibility_threshold_time(p: ChannelParams, v0: float,
-                              threshold: float = 1.0 / math.sqrt(2.0)) -> float:
-    """Time at which V(t) crosses the given threshold; +inf if it never does."""
-    if visibility_decay(p, v0, 0.0) <= threshold:
+def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
+    """Time at which V(t) falls to the CHSH-violation threshold 1/sqrt(2)
+    (CHSH_VISIBILITY); +inf if it never does."""
+    if visibility_decay(p, v0, 0.0) <= CHSH_VISIBILITY:
         return 0.0
     a, b = visibility_decay_coeffs(p, v0)
     if b <= 0.0:
         return math.inf  # no decay: never crosses
-    return p.tau_s / 2.0 * math.log((1.0 / threshold - a) / b)
+    return p.tau_s / 2.0 * math.log((1.0 / CHSH_VISIBILITY - a) / b)
 
 
 def calibrated_channel_params(source: SourceParams | None = None,
                               eta0: float = 0.15,
-                              tau_s: float = 2.8e-6,
-                              fidelity_target: float = 0.81,
-                              t_cal_s: float = 1e-6) -> ChannelParams:
+                              tau_s: float = 2.8e-6) -> ChannelParams:
     """Shipped default channel: measured eta0 and tau, with bg_coinc chosen
-    so the simulated output fidelity vs |phi+> at t_cal equals the measured
-    value (the background rate itself was not reported).
+    so the simulated output fidelity vs |phi+> after 1 us of storage equals
+    the measured 0.81 (the background rate itself was not reported).
     """
     source = source or experiment_source_params()
     rho_in = input_state(source)
     f_in = float(np.real(np.trace(qstate.bell_phi_plus() @ rho_in)))
-    frac = (fidelity_target - 0.25) / (f_in - 0.25)
+    frac = (0.81 - 0.25) / (f_in - 0.25)
     if not 0.0 < frac <= 1.0:
-        raise ChannelError(
-            f"fidelity target {fidelity_target} unreachable from input fidelity {f_in:.4f}")
-    eta_cal = eta0 * math.exp(-t_cal_s / tau_s)
+        raise ChannelError(f"fidelity target 0.81 unreachable from input fidelity {f_in:.4f}")
+    eta_cal = eta0 * math.exp(-1e-6 / tau_s)
     bg = eta_cal ** 2 * (1.0 / frac - 1.0)
     return ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg)

@@ -423,6 +423,8 @@ def _cmd_eit(args) -> int:
                 else _rad_per_s(args.gamma_gs_hz))
     p = eitline.EitParams(od=args.od, rabi_rad_per_s=_rad_per_s(args.rabi_hz),
                           gamma_gs_rad_per_s=gamma_gs)
+    if not 0.0 < args.span_hz < math.inf:
+        raise ConfigError("--span-hz", f"must be finite and positive, got {args.span_hz}")
     span = args.span_hz * 2.0 * math.pi
     deltas = np.linspace(-span, span, args.points)
     buf = io.StringIO()
@@ -439,7 +441,10 @@ def _cmd_chsh(args) -> int:
     elif args.state == "input":
         rho = channel.input_state(load_scenario(_read_config(args.config)).source)
     elif args.state.startswith("werner:"):
-        rho = qstate.werner(float(args.state.split(":", 1)[1]))
+        try:
+            rho = qstate.werner(float(args.state.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ConfigError("--state", str(exc)) from None
     else:
         raise ConfigError("--state", f"unknown state {args.state!r}")
     s = measure.chsh_s(rho, convention=args.convention)
@@ -470,12 +475,18 @@ def _read_fit_csv(path: str | None):
         with open(path) as fh:
             text = fh.read()
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("t_s"):
             continue
-        t, y, s = line.split(",")
-        rows.append((float(t), float(y), float(s)))
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ConfigError("--data", f"line {number}: expected 3 fields t_s,y,sigma, "
+                                        f"got {len(fields)}")
+        try:
+            rows.append(tuple(map(float, fields)))
+        except ValueError as exc:
+            raise ConfigError("--data", f"line {number}: {exc}") from None
     if not rows:
         raise ConfigError("--data", "no data rows found")
     return rows
@@ -543,54 +554,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "of polarization-entangled photon pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="scenario YAML (default: bundled)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario master seed")
+    shared = {
+        "--config": dict(default=None, help="scenario YAML (default: bundled)"),
+        "--out": dict(default=None, help="output path (default: stdout)"),
+        "--seed": dict(type=int, default=None,
+                       help="random seed (simulate: overrides the scenario master seed)"),
+    }
 
-    p = sub.add_parser("simulate", help="full end-to-end reproduction")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
+    def command(name, func, flags, help):
+        """A subcommand with those of the shared flags that it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("capacity", help="Fresnel-number mode capacity")
-    common(p)
-    p.set_defaults(func=_cmd_capacity)
+    command("simulate", _cmd_simulate, ("--config", "--out", "--seed"),
+            "full end-to-end reproduction")
+    command("capacity", _cmd_capacity, ("--config", "--out"), "Fresnel-number mode capacity")
 
-    p = sub.add_parser("eit", help="EIT transmission spectrum CSV")
-    common(p)
+    p = command("eit", _cmd_eit, ("--out",), "EIT transmission spectrum CSV")
     p.add_argument("--od", type=float, default=10.0)
     p.add_argument("--rabi-hz", type=float, default=7e6)
     p.add_argument("--gamma-gs-hz", type=float, default=None)
     p.add_argument("--span-hz", type=float, default=12e6)
     p.add_argument("--points", type=int, default=801)
-    p.set_defaults(func=_cmd_eit)
 
-    p = sub.add_parser("chsh", help="CHSH S for a model state")
-    common(p)
+    p = command("chsh", _cmd_chsh, ("--config", "--out"), "CHSH S for a model state")
     p.add_argument("--state", default="input", help="bell | input | werner:p")
     p.add_argument("--convention", default="mirrored", choices=["mirrored", "textbook"])
-    p.set_defaults(func=_cmd_chsh)
 
-    p = sub.add_parser("crosstalk", help="register-overlap Monte Carlo CSV")
-    common(p)
-    p.set_defaults(func=_cmd_crosstalk)
+    command("crosstalk", _cmd_crosstalk, ("--config", "--out", "--seed"),
+            "register-overlap Monte Carlo CSV")
 
-    p = sub.add_parser("fit", help="decay-model least squares")
-    common(p)
+    p = command("fit", _cmd_fit, ("--out",), "decay-model least squares")
     p.add_argument("--kind", choices=["exp", "vis"], default="exp")
     p.add_argument("--data", default=None, help="CSV t_s,y,sigma (default: bundled)")
     p.add_argument("--tau-s", type=float, default=None)
     p.add_argument("--float-tau", action="store_true")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("tomo", help="MLE tomography from a counts CSV")
-    common(p)
+    p = command("tomo", _cmd_tomo, ("--out", "--seed"), "MLE tomography from a counts CSV")
     p.add_argument("--counts", required=True)
     p.add_argument("--scheme", default="36", choices=["16", "36"])
     p.add_argument("--target", default="bell", help="bell | density-matrix JSON path")
     p.add_argument("--mc-sets", type=int, default=0)
-    p.set_defaults(func=_cmd_tomo)
 
     return parser
 

@@ -13,7 +13,7 @@ Re r(u) = (Gamma/2)(gamma_gs A + (B - gamma_gs) u) / ((A - u)^2 + B^2 u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,11 +42,11 @@ class EitParams:
     def __post_init__(self):
         if not self.od > 0.0:
             raise EitError(f"optical depth must be positive, got {self.od}")
-        if self.rabi_rad_per_s < 0.0:
+        if not self.rabi_rad_per_s >= 0.0:
             raise EitError(f"Rabi frequency must be >= 0, got {self.rabi_rad_per_s}")
         if not self.gamma_e_rad_per_s > 0.0:
             raise EitError(f"excited-state decay must be positive, got {self.gamma_e_rad_per_s}")
-        if self.gamma_gs_rad_per_s < 0.0:
+        if not self.gamma_gs_rad_per_s >= 0.0:
             raise EitError(f"ground-state decoherence must be >= 0, got {self.gamma_gs_rad_per_s}")
 
 
@@ -116,19 +116,15 @@ def transparency_fwhm(p: EitParams) -> float:
     return 2.0 * math.sqrt(u_half) / (2.0 * math.pi)
 
 
-def calibrate_gamma_gs(target_fwhm_hz: float = 2.2e6,
-                       od: float = 10.0,
-                       rabi_rad_per_s: float = 2.0 * math.pi * 7e6,
-                       gamma_e_rad_per_s: float = GAMMA_D1_RAD_PER_S) -> float:
-    """One-dimensional search for the ground-state decoherence that
-    reproduces the measured transparency window.  Returns gamma_gs (rad/s)."""
+def calibrate_gamma_gs() -> float:
+    """One-dimensional search for the ground-state decoherence that makes
+    experiment_eit_params() reproduce the measured 2.2 MHz transparency
+    window.  Returns gamma_gs (rad/s)."""
     from scipy.optimize import minimize_scalar
 
     def mismatch(log_gamma: float) -> float:
-        p = EitParams(od=od, rabi_rad_per_s=rabi_rad_per_s,
-                      gamma_e_rad_per_s=gamma_e_rad_per_s,
-                      gamma_gs_rad_per_s=math.exp(log_gamma))
-        return abs(transparency_fwhm(p) - target_fwhm_hz)
+        p = replace(experiment_eit_params(), gamma_gs_rad_per_s=math.exp(log_gamma))
+        return abs(transparency_fwhm(p) - 2.2e6)
 
     res = minimize_scalar(mismatch, bounds=(math.log(1.0), math.log(2.0 * math.pi * 1e6)),
                           method="bounded", options={"xatol": 1e-3})

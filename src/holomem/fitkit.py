@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import CHSH_VISIBILITY
+
 MAX_ITERATIONS = 1000
 
 
@@ -36,7 +38,12 @@ class FitResult:
 
 
 def _prepare(data, min_points: int):
-    arr = np.array(sorted((float(t), float(y), float(s)) for t, y, s in data))
+    rows = [(float(t), float(y), float(s)) for t, y, s in data]
+    for i, row in enumerate(rows, start=1):
+        for name, value in zip(("t", "y", "sigma"), row):
+            if not math.isfinite(value):
+                raise FitError(f"row {i}: {name} must be finite, got {value}")
+    arr = np.array(sorted(rows))
     if arr.shape[0] < min_points:
         raise FitError(f"need at least {min_points} points, got {arr.shape[0]}")
     t, y, sigma = arr.T
@@ -126,10 +133,9 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
     return result
 
 
-def threshold_crossing(a: float, b: float, tau_s: float,
-                       threshold: float = 1.0 / math.sqrt(2.0)) -> float:
-    """Time where 1/(a + b exp(2t/tau)) = threshold; +inf if never."""
-    if b <= 0.0 or 1.0 / threshold <= a:
+def threshold_crossing(a: float, b: float, tau_s: float) -> float:
+    """Time where 1/(a + b exp(2t/tau)) = CHSH_VISIBILITY; +inf if never."""
+    if b <= 0.0 or 1.0 / CHSH_VISIBILITY <= a:
         return math.inf
-    arg = (1.0 / threshold - a) / b
+    arg = (1.0 / CHSH_VISIBILITY - a) / b
     return max(tau_s / 2.0 * math.log(arg), 0.0)

@@ -72,8 +72,8 @@ class CountRecord:
     def __post_init__(self):
         if self.counts < 0:
             raise MeasureError(f"counts must be >= 0, got {self.counts}")
-        if not self.duration_s > 0.0:
-            raise MeasureError(f"duration must be positive, got {self.duration_s}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise MeasureError(f"duration must be finite and positive, got {self.duration_s}")
         if "\r" in self.setting_label:  # the count CSV cannot carry it
             raise MeasureError(f"setting label {self.setting_label!r} contains a carriage return")
 

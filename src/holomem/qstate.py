@@ -71,8 +71,7 @@ def projector(psi) -> np.ndarray:
 # Density-matrix validation and constructors
 # ---------------------------------------------------------------------------
 
-def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL,
-                         eig_floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL) -> np.ndarray:
     """Validate hermiticity, unit trace, and positivity; return the array.
 
     Accepts one matrix or a (..., n, n) stack.  Raises StateError naming the
@@ -94,8 +93,8 @@ def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL,
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     require(trace_err <= atol, "trace differs from 1 by {:.3e}", trace_err)
     eigmin = np.linalg.eigvalsh(rho).min(axis=-1)
-    require(eigmin >= eig_floor,
-            f"negative eigenvalue {{:.3e}} below floor {eig_floor:.1e}", eigmin)
+    require(eigmin >= EIGENVALUE_FLOOR,
+            f"negative eigenvalue {{:.3e}} below floor {EIGENVALUE_FLOOR:.1e}", eigmin)
     return rho
 
 
@@ -140,16 +139,16 @@ def partial_trace(rho: np.ndarray, subsystem: int) -> np.ndarray:
 # Fidelity
 # ---------------------------------------------------------------------------
 
-def sqrtm_psd(mat: np.ndarray, eig_floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     """Hermitian principal square root (of each matrix of a stack) with clamping
     of small negative eigenvalues.
 
-    Eigenvalues in [eig_floor, 0) clamp to 0; anything below eig_floor is a
-    genuine positivity violation and raises.
+    Eigenvalues in [EIGENVALUE_FLOOR, 0) clamp to 0; anything below the floor
+    is a genuine positivity violation and raises.
     """
     mat = np.asarray(mat, dtype=complex)
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < eig_floor:
+    if vals.min() < EIGENVALUE_FLOOR:
         raise StateError(f"matrix not positive semidefinite (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

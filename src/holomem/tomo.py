@@ -26,24 +26,20 @@ Accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017))
 takes every set the Newton phase left, from its Newton iterate.  Each
 step moves along -grad f from a momentum point and projects onto the
 unit-trace positive matrices, projecting the eigenvalues onto the simplex.
-When the simplex
-keeps all four, that projection is the shift h - (Tr h - 1)/4 I, so a
-vectorised LDL^H test of the shifted matrix replaces the eigendecomposition
-for all but the sets on the boundary.  Every set keeps its own step size,
-found by backtracking on the curvature along the step, and its own
-momentum, which restarts when a step would raise f or runs against the
-gradient.  So the recorded f never rises, and each set's iterates depend
-only on its own counts and durations (up to rounding in the batched
-products).  reconstruct_with_mc therefore solves the point estimates and
-all their Monte Carlo resamples in one call.
+Every set keeps its own step size, found by backtracking on the curvature
+along the step, and its own momentum, which restarts when a step would
+raise f or runs against the gradient.  So the recorded f never rises, and
+each set's iterates depend only on its own counts and durations (up to
+rounding in the batched products).  reconstruct_with_mc therefore solves
+the point estimates and all their Monte Carlo resamples in one call.
 
-Stopping rule, checked after every step of either phase (max_iter counts
-both): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
+Stopping rule, checked after every step of either phase (_MAX_ITER caps
+both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
 when G is positive semidefinite.  A set stops once the smallest eigenvalue
-of G is at least -gtol, computed by eigvalsh only where the LDL^H test
-finds G + 2 gtol I positive definite.  By convexity of the unprofiled
-likelihood, (f - f_min) / n_tot is then at most gtol * C / C_opt with
+of G is at least -_GTOL, computed by eigvalsh only where a vectorised LDL^H
+test finds G + 2 _GTOL I positive definite.  By convexity of the unprofiled
+likelihood, (f - f_min) / n_tot is then at most _GTOL * C / C_opt with
 C = sum_k c_k, a ratio near 1 (exactly 1 for the 36-setting scheme at
 equal durations).
 """
@@ -81,14 +77,6 @@ class TomographySettings:
     projectors: np.ndarray = field(compare=False, repr=False)
     inversion: np.ndarray = field(compare=False, repr=False)
     inversion_offset: np.ndarray = field(compare=False, repr=False)
-
-
-@dataclass
-class MleOptions:
-    max_iter: int = 10_000
-    # Converged when the smallest eigenvalue of the normalized gradient is
-    # at least -gtol (see the module docstring).
-    gtol: float = 1e-9
 
 
 @dataclass
@@ -259,21 +247,11 @@ def _project_eig(h: np.ndarray) -> np.ndarray:
     return _from_eig(np.maximum(vals - shift[:, None], 0.0), vecs)
 
 
-def _project_density(h: np.ndarray) -> np.ndarray:
-    """_project_eig without the eigendecomposition where the simplex keeps
-    all four eigenvalues: then the projection is h - s I, s = (Tr h - 1)/4,
-    exactly when that matrix is positive definite."""
-    out = h - ((np.real(np.trace(h, axis1=1, axis2=2)) - 1.0) / 4.0)[:, None, None] * np.eye(4)
-    if (edge := ~_positive_definite(out)).any():
-        out[edge] = _project_eig(h[edge])
-    return out
-
-
-def _certified(g: np.ndarray, gtol: float) -> np.ndarray:
-    """The stopping rule, eigvalsh(G)[0] >= -gtol, run only where G + 2 gtol I is positive
+def _certified(g: np.ndarray) -> np.ndarray:
+    """The stopping rule, eigvalsh(G)[0] >= -_GTOL, run only where G + 2 _GTOL I is positive
     definite: a necessary condition, with a margin far beyond the LDL^H rounding."""
-    ok = _positive_definite(g + 2.0 * gtol * np.eye(4))
-    ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -gtol
+    ok = _positive_definite(g + 2.0 * _GTOL * np.eye(4))
+    ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -_GTOL
     return ok
 
 
@@ -333,6 +311,12 @@ class _Problem:
         return np.where(np.isnan(out), np.inf, out)
 
 
+# Iteration cap, counting both phases; only a set that reaches it is flagged
+# converged=False.
+_MAX_ITER = 10_000
+# Converged when the smallest eigenvalue of the normalized gradient is at
+# least -_GTOL (see the module docstring).
+_GTOL = 1e-9
 # Step halvings after which an extrapolated point is abandoned for x.
 _MAX_HALVINGS = 40
 # Shortest damped Newton step; a set whose step must be shorter leaves for APG.
@@ -344,8 +328,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("bij,bji->b", a, b))
 
 
-def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
-              opts: MleOptions) -> list[TomographyResult]:
+def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[TomographyResult]:
     """Solve the (B, K) count sets at once; see the module docstring."""
     x = _start_states(n, dur, ts)
     prob = _Problem(n, dur, ts)
@@ -356,11 +339,11 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     f = prob.value(c_x, everyone)
     history = [[float(v)] for v in f * prob.n_tot]
     iterations = np.zeros(b, dtype=int)
-    converged = _certified(g_x, opts.gtol)
+    converged = _certified(g_x)
 
     # Damped Newton in the coordinates v while the Hessian is positive
     # definite and steps stay long; then APG from the Newton iterate.
-    newton = ~converged & (opts.max_iter > 0)
+    newton = ~converged
     while newton.any():
         rows = np.flatnonzero(newton)
         h = prob.hessian(c_x[rows], rows)
@@ -389,19 +372,19 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
             for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
                 history[r].append(value)
             iterations[moved] += 1
-            converged[moved] = _certified(g_x[moved], opts.gtol)
+            converged[moved] = _certified(g_x[moved])
             pending = pending[~ok]
             t *= 0.5
             if t < _MIN_NEWTON_STEP:
                 newton[rows[pending]] = False
                 break
-        newton[rows] &= ~converged[rows] & (iterations[rows] < opts.max_iter)
+        newton[rows] &= ~converged[rows] & (iterations[rows] < _MAX_ITER)
     newton_steps = iterations.copy()
 
     x_prev = x.copy()
     theta = np.ones(b)
     step = np.ones(b)
-    active = ~converged & (iterations < opts.max_iter)
+    active = ~converged & (iterations < _MAX_ITER)
 
     while active.any():
         rows = np.flatnonzero(active)
@@ -428,7 +411,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
         while len(pending):
             at = rows[pending]
             t = step[at]
-            z_try = _project_density(y[pending] - t[:, None, None] * g_y[pending])
+            z_try = _project_eig(y[pending] - t[:, None, None] * g_y[pending])
             c_try = prob.rates(z_try, at)
             g_try = prob.gradient(c_try, at)
             delta = z_try - y[pending]
@@ -467,8 +450,8 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
         step[rows] *= np.where(better, 2.0, 0.5)
         iterations[rows] += 1
 
-        converged[moved] = _certified(g_x[moved], opts.gtol)
-        active[rows] = ~converged[rows] & (iterations[rows] < opts.max_iter)
+        converged[moved] = _certified(g_x[moved])
+        active[rows] = ~converged[rows] & (iterations[rows] < _MAX_ITER)
 
     rho_hat = qstate.check_density_matrix(_hermitian_part(x), atol=qstate.CHANNEL_ATOL)
     # Report the actual Poissonian log-likelihood at the profiled exposure.
@@ -481,20 +464,19 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
                              objective_history=history[r]) for r in everyone]
 
 
-def mle_reconstruct_many(count_sets: list[list[CountRecord]], ts: TomographySettings,
-                         opts: MleOptions | None = None) -> list[TomographyResult]:
+def mle_reconstruct_many(count_sets: list[list[CountRecord]],
+                         ts: TomographySettings) -> list[TomographyResult]:
     """Poissonian maximum-likelihood reconstruction of several count sets,
     solved together from their clamped linear-inversion starts (see the
-    module docstring).  A result is flagged converged=False only if max_iter
+    module docstring).  A result is flagged converged=False only if _MAX_ITER
     was hit before the optimality test passed."""
-    return _mle_many(*_as_arrays(count_sets, ts), ts, opts or MleOptions())
+    return _mle_many(*_as_arrays(count_sets, ts), ts)
 
 
-def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings,
-                    opts: MleOptions | None = None) -> TomographyResult:
+def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings) -> TomographyResult:
     """Poissonian maximum-likelihood state reconstruction of one count set:
     mle_reconstruct_many for a single set."""
-    return mle_reconstruct_many([counts], ts, opts)[0]
+    return mle_reconstruct_many([counts], ts)[0]
 
 
 def reconstruct_with_mc(count_sets: list[list[CountRecord]], ts: TomographySettings,
@@ -514,7 +496,7 @@ def reconstruct_with_mc(count_sets: list[list[CountRecord]], ts: TomographySetti
                           for row, seed in zip(n, seeds, strict=True) for i in range(n_sets)],
                          dtype=float).reshape(-1, n.shape[1])
     results = _mle_many(np.concatenate([n, resampled]),
-                        np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts, MleOptions())
+                        np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts)
     points, draws = results[:len(n)], results[len(n):]
     if not draws:
         return points, []

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, tomo
 
+TS36 = tomo.make_settings(36)
+
 
 def small_config() -> dict:
     """A fast variant of the bundled scenario for end-to-end tests."""
@@ -316,6 +318,19 @@ class TestCommands:
     def test_chsh_rejects_unknown_state(self, capsys):
         assert cli.main(["chsh", "--state", "ghz"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("state", ["werner:abc", "werner:nan", "werner:1.5"])
+    def test_chsh_bad_werner_weight_names_the_flag(self, state, capsys):
+        assert cli.main(["chsh", "--state", state]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --state: ")
+
+    @pytest.mark.parametrize("argv", [["--rabi-hz", "nan"], ["--gamma-gs-hz", "nan"],
+                                      ["--span-hz", "nan"], ["--span-hz", "inf"],
+                                      ["--span-hz", "0"], ["--span-hz=-1e6"]])
+    def test_eit_rejects_nan_and_bad_span(self, argv, capsys):
+        assert cli.main(["eit", "--points", "5", *argv]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_eit_csv(self, tmp_path):
         out = tmp_path / "eit.csv"
         assert cli.main(["eit", "--out", str(out)]) == cli.EXIT_OK
@@ -346,6 +361,24 @@ class TestCommands:
 
     def test_fit_visibility_requires_tau(self, capsys):
         assert cli.main(["fit", "--kind", "vis"]) == cli.EXIT_VALIDATION
+
+    FIT_ROWS = "t_s,y,sigma\n0.0,0.15,0.01\n1e-6,0.10,0.01\n2e-6,0.07,0.01\n"
+
+    @pytest.mark.parametrize("row,message", [("nan,0.05,0.01", "t must be finite, got nan"),
+                                             ("3e-6,nan,0.01", "y must be finite, got nan"),
+                                             ("3e-6,0.05,inf", "sigma must be finite, got inf")])
+    def test_fit_rejects_non_finite_data(self, row, message, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text(self.FIT_ROWS + row + "\n")
+        assert cli.main(["fit", "--data", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: row 4: {message}\n"
+
+    @pytest.mark.parametrize("row", ["3e-6,0.05", "3e-6,0.05,0.01,7"])
+    def test_fit_names_the_line_of_a_short_row(self, row, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text(self.FIT_ROWS + row + "\n")
+        assert cli.main(["fit", "--data", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --data: line 5: expected 3 fields")
 
     def test_simulate_to_file_and_seed_override(self, tmp_path):
         cfg = small_config()
@@ -382,6 +415,50 @@ class TestCommands:
                                     atol=qstate.CHANNEL_ATOL)
         mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(), 4, 0)
         assert payload["mc"] == cli._mc_payload(mc)
+
+    def test_tomo_rejects_infinite_duration(self, tmp_path, capsys):
+        counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
+        text = measure.counts_to_csv(counts).replace(",1.0\n", ",inf\n", 1)
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_VALIDATION
+        assert "duration must be finite and positive, got inf" in capsys.readouterr().err
+
+    # The shared flags each subcommand reads; it rejects the others.
+    SHARED_FLAGS = {"simulate": ("--config", "--out", "--seed"), "capacity": ("--config", "--out"),
+                    "eit": ("--out",), "chsh": ("--config", "--out"),
+                    "crosstalk": ("--config", "--out", "--seed"), "fit": ("--out",),
+                    "tomo": ("--out", "--seed")}
+
+    @staticmethod
+    def flag_values(tmp_path) -> dict:
+        """A valid value for each shared flag, and each command's required arguments."""
+        cfg = small_config()
+        cfg["n_mc_sets"] = 0
+        cfg["storage_times_s"] = [0.0]
+        (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+        counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
+        (tmp_path / "counts.csv").write_text(measure.counts_to_csv(counts))
+        return {"--config": str(tmp_path / "scenario.yaml"), "--out": str(tmp_path / "out"),
+                "--seed": "4", "tomo": ["--counts", str(tmp_path / "counts.csv")]}
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, kept in SHARED_FLAGS.items()
+        for flag in ("--config", "--out", "--seed") if flag not in kept])
+    def test_unread_shared_flags_exit_validation(self, command, flag, tmp_path, capsys):
+        values = self.flag_values(tmp_path)
+        argv = [command, *values.get(command, []), flag, values[flag]]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+    def test_read_shared_flags_accepted(self, command, tmp_path, capsys):
+        values = self.flag_values(tmp_path)
+        argv = [command, *values.get(command, [])]
+        for flag in self.SHARED_FLAGS[command]:
+            argv += [flag, values[flag]]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (tmp_path / "out").read_text() and capsys.readouterr().out == ""
 
     def test_unknown_arguments_exit_validation(self, capsys):
         assert cli.main(["simulate", "--bogus"]) == cli.EXIT_VALIDATION

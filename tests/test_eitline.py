@@ -212,3 +212,9 @@ class TestValidation:
             params(gamma_gs_rad_per_s=-1.0)
         with pytest.raises(eitline.EitError):
             eitline.transparency_fwhm(params(rabi_rad_per_s=0.0))
+
+    @pytest.mark.parametrize("field", ["od", "rabi_rad_per_s", "gamma_e_rad_per_s",
+                                       "gamma_gs_rad_per_s"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(eitline.EitError):
+            params(**{field: math.nan})

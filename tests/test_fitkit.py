@@ -78,6 +78,15 @@ class TestExponentialFit:
         with pytest.raises(fitkit.FitError):
             fitkit.fit_exponential([(0.0, 1.0, 0.0), (1.0, 0.5, 0.1), (2.0, 0.2, 0.1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column,name", [(0, "t"), (1, "y"), (2, "sigma")])
+    def test_non_finite_inputs_name_the_row(self, column, name, bad):
+        pts = [list(p) for p in decay_points(0.15, 2.8e-6, np.linspace(0.0, 5e-6, 6))]
+        pts[3][column] = bad
+        for fit in (fitkit.fit_exponential, lambda d: fitkit.fit_visibility(d, tau_s=2.8e-6)):
+            with pytest.raises(fitkit.FitError, match=f"^row 4: {name} must be finite, got {bad}$"):
+                fit(pts)
+
 
 class TestVisibilityFit:
     def test_round_trip_against_channel_model(self):

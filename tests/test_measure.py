@@ -283,6 +283,10 @@ class TestCsv:
         with pytest.raises(measure.MeasureError):
             measure.CountRecord("HH", 1, duration_s=0.0)
 
+    def test_infinite_duration_rejected(self):
+        with pytest.raises(measure.MeasureError, match="duration must be finite and positive"):
+            measure.CountRecord("HH", 1, duration_s=math.inf)
+
     def test_carriage_return_label_rejected(self):
         # csv writes a lone carriage return unquoted, so it could not be read back.
         with pytest.raises(measure.MeasureError, match="carriage return"):

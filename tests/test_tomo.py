@@ -163,14 +163,16 @@ class TestMle:
                       for s, k in zip(ts.settings, rng.poisson(30 * np.clip(probs, 0.0, None)))]
             if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
                 count_sets.append(counts)
-        for result in tomo.mle_reconstruct_many(count_sets, ts, tomo.MleOptions(max_iter=2000)):
-            assert result.converged
+        for result in tomo.mle_reconstruct_many(count_sets, ts):
+            assert result.converged and result.iterations <= 2000
             qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
 
-    def test_only_the_iteration_cap_flags_nonconvergence(self):
+    def test_only_the_iteration_cap_flags_nonconvergence(self, monkeypatch):
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        capped = tomo.mle_reconstruct(counts, TS36, tomo.MleOptions(max_iter=2))
+        with monkeypatch.context() as patch:
+            patch.setattr(tomo, "_MAX_ITER", 2)
+            capped = tomo.mle_reconstruct(counts, TS36)
         assert not capped.converged and capped.iterations == 2
         qstate.check_density_matrix(capped.rho_hat, atol=qstate.CHANNEL_ATOL)
         full = tomo.mle_reconstruct(counts, TS36)
@@ -365,9 +367,9 @@ def bundled_mle_inputs(monkeypatch, cfg):
     seen = []
     solve = tomo._mle_many
 
-    def spy(n, dur, ts, opts):
+    def spy(n, dur, ts):
         seen.append((n, dur))
-        return solve(n, dur, ts, opts)
+        return solve(n, dur, ts)
 
     with monkeypatch.context() as patch:
         patch.setattr(tomo, "_mle_many", spy)
@@ -401,7 +403,7 @@ DECAY_SCAN_1000 = {"master_seed": 1000, "n_mc_sets": 0,
 
 
 class TestKernels:
-    """The eigendecomposition-free projection and certificate prefilter."""
+    """The LDL^H positive-definiteness test, the projection and the certificate prefilter."""
 
     def test_positive_definite_matches_eigvalsh(self):
         rng = np.random.default_rng(4)
@@ -429,10 +431,8 @@ class TestKernels:
         # One eigenvalue far below the others: the simplex drops it.
         boundary = hermitian_stack(rng, np.column_stack([np.full(300, -3.0),
                                                          rng.uniform(-1, 1, size=(300, 3))]))
-        for h, shortcut in ((interior, True), (boundary, False)):
-            shift = (np.real(np.trace(h, axis1=1, axis2=2)) - 1.0) / 4.0
-            assert np.all(tomo._positive_definite(h - shift[:, None, None] * np.eye(4)) == shortcut)
-            rho = tomo._project_density(h)
+        for h in (interior, boundary):
+            rho = tomo._project_eig(h)
             assert np.abs(rho - eigen_projection(h)).max() <= 1e-14
             assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-14
             assert np.linalg.eigvalsh(rho).min() >= -1e-14
@@ -451,12 +451,11 @@ class TestKernels:
 
     @staticmethod
     def check_against_eigen_only_solver(monkeypatch, n, dur):
-        fast = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+        fast = tomo._mle_many(n, dur, TS36)
         with monkeypatch.context() as patch:
-            patch.setattr(tomo, "_project_density", tomo._project_eig)
             patch.setattr(tomo, "_certified",
-                          lambda g, gtol: np.linalg.eigvalsh(g)[:, 0] >= -gtol)
-            slow = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+                          lambda g: np.linalg.eigvalsh(g)[:, 0] >= -tomo._GTOL)
+            slow = tomo._mle_many(n, dur, TS36)
         assert [r.iterations for r in fast] == [r.iterations for r in slow]
         assert all(r.converged for r in fast) and all(r.converged for r in slow)
         assert max(np.abs(a.rho_hat - b.rho_hat).max() for a, b in zip(fast, slow)) <= 1e-12
@@ -469,7 +468,7 @@ class TestNewton:
                              ids=["bundled", "decay-scan-1000"])
     def test_interior_optima_finish_in_newton(self, monkeypatch, overrides):
         n, dur = bundled_mle_inputs(monkeypatch, {**cli.default_config(), **overrides})
-        results = tomo._mle_many(n, dur, TS36, tomo.MleOptions())
+        results = tomo._mle_many(n, dur, TS36)
         assert len(results) == (303 if not overrides else 42)
         assert all(r.converged and r.iterations <= 10 for r in results)
         assert all(r.newton_steps == r.iterations for r in results)
