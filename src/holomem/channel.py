@@ -7,12 +7,16 @@ per-photon efficiency eta(t) = eta0 exp(-t/tau) plus a white background.
 Coincidences therefore decay as eta(t)^2 and the measured state is the
 signal state mixed with I/4 in proportion to the background coincidence
 probability.
+
+That mixture is affine in the signal fraction f, so `store_retrieve` maps a
+vector of storage times to a (T, 4, 4) stack at once; `simulate` samples
+every track of it into one (B, K) count array, with no `CountRecord`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,27 +105,28 @@ def efficiency(p: ChannelParams, t_s: float) -> float:
     return p.eta0 * math.exp(-t_s / p.tau_s)
 
 
-def store_retrieve(rho: np.ndarray, t_s: float,
-                   p: ChannelParams) -> tuple[np.ndarray, float, float]:
-    """Apply the storage channel for time t.
+def store_retrieve(rho: np.ndarray, t_s, p: ChannelParams):
+    """Apply the storage channel for time t, or at once for each of a sequence of times.
 
     Returns (rho_out, coinc_prob, signal_fraction): the measured state
     (signal mixed with I/4 background), the total coincidence probability
-    per trial, and the signal fraction C_s / (C_s + C_b).
+    per trial, and the signal fraction C_s / (C_s + C_b).  For T times these
+    are a (T, 4, 4) stack, checked as one, and two (T,) arrays.
     """
-    if t_s < 0.0:
-        raise ChannelError(f"storage time must be >= 0, got {t_s}")
-    c_signal = efficiency(p, t_s) ** 2
-    c_bg = p.bg_coinc
-    total = c_signal + c_bg
-    if total == 0.0:
+    t = np.asarray(t_s, dtype=float)
+    if np.any(t < 0.0):
+        raise ChannelError(f"storage time must be >= 0, got {t[t < 0.0].flat[0]}")
+    c_signal = np.array([efficiency(p, x) for x in t.ravel().tolist()]).reshape(t.shape) ** 2
+    total = c_signal + p.bg_coinc
+    if np.any(total == 0.0):
         # eta0 > 0 here, but eta(t)^2 underflows to zero beyond about 370 tau.
-        raise ChannelError(f"zero coincidence probability at t = {t_s}: "
+        raise ChannelError(f"zero coincidence probability at t = {t[total == 0.0].flat[0]}: "
                            "the signal has decayed to zero and the background is zero")
     frac = c_signal / total
-    rho_out = frac * np.asarray(rho, dtype=complex) + (1.0 - frac) * np.eye(4) / 4.0
+    rho_out = (frac[..., None, None] * np.asarray(rho, dtype=complex)
+               + (1.0 - frac)[..., None, None] * np.eye(4) / 4.0)
     qstate.check_density_matrix(rho_out, atol=qstate.CHANNEL_ATOL)
-    return rho_out, total, frac
+    return rho_out, total[()], frac[()]
 
 
 def visibility_decay(p: ChannelParams, v0: float, t_s: float) -> float:

@@ -269,20 +269,20 @@ def run_simulate(sc: Scenario) -> dict:
     analytic and count-statistics (tomography) tracks per storage time."""
     rho_in = channel.input_state(sc.source)
     bell = qstate.bell_phi_plus()
-    v0 = measure.mean_visibility(rho_in)
     ts = tomo.make_settings(sc.tomo_scheme)
     modes = registers.spin_wave_vectors(sc.geometry)
     max_xtalk = max((registers.expected_crosstalk(a, b, sc.geometry)
                      for i, a in enumerate(modes) for b in modes[i + 1:]), default=0.0)
 
-    stored = [channel.store_retrieve(rho_in, t, sc.channel) for t in sc.storage_times_s]
-    # (label, true state, coincidence probability) in report order: the
-    # input, then one track per storage time.
-    tracks = [("input", rho_in, sc.input_coinc_prob)] + [
-        (f"t={t!r}", rho_out, p) for t, (rho_out, p, _) in zip(sc.storage_times_s, stored)]
-    true_states = np.stack([rho for _, rho, _ in tracks])
+    rho_out, coinc_probs, fracs = channel.store_retrieve(rho_in, sc.storage_times_s, sc.channel)
+    # Tracks in report order: the input, then one per storage time.
+    labels = ["input"] + [f"t={t!r}" for t in sc.storage_times_s]
+    true_states = np.concatenate([rho_in[None], rho_out])
     vs_bell = qstate.fidelity(bell, true_states).tolist()
-    process = qstate.fidelity(rho_in, true_states[1:]).tolist()
+    process = qstate.fidelity(rho_in, rho_out).tolist()
+    chsh = measure.chsh_s(true_states).tolist()
+    mean_vis = measure.mean_visibility(true_states)
+    v0 = float(mean_vis[0])
 
     analytic = {
         "mode_capacity": registers.mode_capacity(sc.geometry),
@@ -290,7 +290,7 @@ def run_simulate(sc: Scenario) -> dict:
         "eit_fwhm_hz": eitline.transparency_fwhm(sc.eit),
         "eit_group_delay_s": eitline.group_delay(sc.eit),
         "input": {
-            "chsh_s": measure.chsh_s(rho_in),
+            "chsh_s": chsh[0],
             "fidelity_vs_bell": vs_bell[0],
             "visibility": {b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")},
             "mean_visibility": v0,
@@ -301,25 +301,25 @@ def run_simulate(sc: Scenario) -> dict:
             "efficiency": channel.efficiency(sc.channel, t),
             "coinc_prob": coinc_prob,
             "signal_fraction": frac,
-            "chsh_s": measure.chsh_s(rho_out),
+            "chsh_s": s,
             "fidelity_vs_bell": f_bell,
             "process_fidelity": f_process,
-            "mean_visibility": measure.mean_visibility(rho_out) if frac > 0 else 0.0,
+            "mean_visibility": vis,
             "visibility_model": channel.visibility_decay(sc.channel, v0, t),
-        } for t, (rho_out, coinc_prob, frac), f_bell, f_process
-            in zip(sc.storage_times_s, stored, vs_bell[1:], process)],
+        } for t, coinc_prob, frac, s, f_bell, f_process, vis in zip(
+            sc.storage_times_s, coinc_probs.tolist(), fracs.tolist(), chsh[1:], vs_bell[1:],
+            process, np.where(fracs > 0, mean_vis[1:], 0.0).tolist())],
     }
-    seeds: dict[str, int] = {}
-    count_sets, mc_seeds = [], []
-    for label, rho_true, coinc_prob in tracks:
-        seeds[f"counts/{label}"] = seed_counts = child_seed(sc.master_seed, f"counts/{label}", 0)
-        count_sets.append(measure.sample_counts(rho_true, list(ts.settings), sc.n_trials,
-                                                min(coinc_prob, 1.0), seed_counts))
-        mc_seeds.append(child_seed(sc.master_seed, f"mc/{label}", 0))
-        if sc.n_mc_sets:
-            seeds[f"mc/{label}"] = mc_seeds[-1]
-    results, mcs = tomo.reconstruct_with_mc(count_sets, ts, bell, sc.n_mc_sets, mc_seeds)
-    for (label, _, _), result in zip(tracks, results):
+    count_seeds = [child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
+    mc_seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
+    seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}
+    if sc.n_mc_sets:
+        seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
+    scales = np.minimum([sc.input_coinc_prob, *coinc_probs.tolist()], 1.0)
+    n = measure.sample_count_arrays(true_states, ts.projectors, sc.n_trials, scales, count_seeds)
+    results, mcs = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, bell, sc.n_mc_sets,
+                                            mc_seeds)
+    for label, result in zip(labels, results):
         if not result.converged:
             raise NonConvergenceError(f"tomography failed to converge for {label}")
     rho_hats = np.stack([result.rho_hat for result in results])
@@ -327,10 +327,10 @@ def run_simulate(sc: Scenario) -> dict:
         "mle_fidelity_vs_bell": f_bell,
         "mle_fidelity_vs_true": f_true,
         "mle_iterations": result.iterations,
-        "total_counts": sum(r.counts for r in counts),
+        "total_counts": total,
         **({"mc": _mc_payload(mcs[i])} if mcs else {}),
-    } for i, (counts, result, f_bell, f_true) in enumerate(zip(
-        count_sets, results, qstate.fidelity(rho_hats, bell).tolist(),
+    } for i, (total, result, f_bell, f_true) in enumerate(zip(
+        n.sum(axis=1).tolist(), results, qstate.fidelity(rho_hats, bell).tolist(),
         qstate.fidelity(rho_hats, true_states).tolist()))]
     statistical = {"input": stat_tracks[0],
                    "storage": [{"t_s": t, **track}
@@ -425,6 +425,8 @@ def _cmd_eit(args) -> int:
                           gamma_gs_rad_per_s=gamma_gs)
     if not 0.0 < args.span_hz < math.inf:
         raise ConfigError("--span-hz", f"must be finite and positive, got {args.span_hz}")
+    if args.points <= 0:
+        raise ConfigError("--points", f"must be a positive integer, got {args.points}")
     span = args.span_hz * 2.0 * math.pi
     deltas = np.linspace(-span, span, args.points)
     buf = io.StringIO()
@@ -520,16 +522,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_tomo(args) -> int:
     _check(MC_SETS_RULE, args.mc_sets, "--mc-sets")
-    with open(args.counts) as fh:
-        counts = measure.counts_from_csv(fh.read())
     ts = tomo.make_settings(args.scheme)
+    with open(args.counts) as fh:
+        n, dur = tomo.count_arrays([measure.counts_from_csv(fh.read())], ts)
     if args.target == "bell":
         target = qstate.bell_phi_plus()
     else:
         with open(args.target) as fh:
             target = qstate.density_from_json(json.load(fh))
     seed = args.seed if args.seed is not None else 0
-    (result,), mcs = tomo.reconstruct_with_mc([counts], ts, target, args.mc_sets, [seed])
+    (result,), mcs = tomo.reconstruct_with_mc(n, dur, ts, target, args.mc_sets, [seed])
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
         "fidelity_vs_target": qstate.fidelity(result.rho_hat, target),

@@ -40,12 +40,13 @@ class EitParams:
     gamma_gs_rad_per_s: float = DEFAULT_GAMMA_GS_RAD_PER_S
 
     def __post_init__(self):
-        if not self.od > 0.0:
-            raise EitError(f"optical depth must be positive, got {self.od}")
+        if not 0.0 < self.od < math.inf:
+            raise EitError(f"optical depth must be finite and positive, got {self.od}")
         if not self.rabi_rad_per_s >= 0.0:
             raise EitError(f"Rabi frequency must be >= 0, got {self.rabi_rad_per_s}")
-        if not self.gamma_e_rad_per_s > 0.0:
-            raise EitError(f"excited-state decay must be positive, got {self.gamma_e_rad_per_s}")
+        if not 0.0 < self.gamma_e_rad_per_s < math.inf:
+            raise EitError("excited-state decay must be finite and positive, "
+                           f"got {self.gamma_e_rad_per_s}")
         if not self.gamma_gs_rad_per_s >= 0.0:
             raise EitError(f"ground-state decoherence must be >= 0, got {self.gamma_gs_rad_per_s}")
 

@@ -2,9 +2,12 @@
 correlation functions, CHSH S, fringe visibilities, and Poissonian count
 sampling.
 
-All Born-rule probabilities Tr(rho P1 x P2) of a call come from one vectorised
-evaluation, clamped to [0, 1].  Linear analyzers at (phi1, phi2) correlate as
-E = Tr(rho sigma(phi1) x sigma(phi2)) with sigma(phi) = cos 2phi Z + sin 2phi X.
+Born-rule probabilities Tr(rho Pi_k) over a (K, 4, 4) projector stack (such as
+`TomographySettings.projectors`), clamped to [0, 1], are one evaluation for a
+state or a (B, 4, 4) stack, as are `chsh_s` and the visibilities.  Analyzers at
+(phi1, phi2) correlate as E = Tr(rho sigma(phi1) x sigma(phi2)), with
+sigma(phi) = cos 2phi Z + sin 2phi X.  Counts travel as (B, K) integer arrays;
+`CountRecord` lives only at the count CSV and `tomo` boundary.
 
 Sign convention: with the textbook correlation E = cos 2(phi1 - phi2) for
 |phi+>, the quoted S combination at angles (0, 45, 22.5, 67.5) degrees
@@ -56,9 +59,7 @@ class AnalyzerSetting:
 
     @property
     def joint_projector(self) -> np.ndarray:
-        k = np.kron(np.asarray(self.ket1, dtype=complex),
-                    np.asarray(self.ket2, dtype=complex))
-        return np.outer(k, k.conj())
+        return joint_projectors([self])[0]
 
 
 @dataclass(frozen=True)
@@ -88,29 +89,34 @@ def setting_from_labels(l1: str, l2: str) -> AnalyzerSetting:
     return AnalyzerSetting(label=l1 + l2, ket1=tuple(k1), ket2=tuple(k2))
 
 
-def _born_probs(rho: np.ndarray, settings) -> np.ndarray:
-    """Born-rule probabilities Tr(rho (P1 x P2)) of each setting, clamped to [0, 1]."""
+def joint_projectors(settings) -> np.ndarray:
+    """(K, 4, 4) joint projectors (P1 x P2) of a sequence of settings."""
     kets = np.array([(s.ket1, s.ket2) for s in settings], dtype=complex).reshape(-1, 2, 2)
     k = (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
-    p = np.einsum("ni,ij,nj->n", k.conj(), np.asarray(rho, dtype=complex), k).real
+    return k[:, :, None] * k.conj()[:, None, :]
+
+
+def born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Tr(rho Pi_k), clamped to [0, 1]: (K,) for a state, (B, K) for a stack."""
+    p = np.einsum("kij,...ji->...k", projectors, np.asarray(rho, dtype=complex)).real
     return np.clip(p, 0.0, 1.0)
 
 
 def coincidence_prob(rho: np.ndarray, s: AnalyzerSetting) -> float:
     """Born-rule coincidence probability Tr(rho (P1 x P2))."""
-    return float(_born_probs(rho, [s])[0])
+    return float(born_probabilities(rho, joint_projectors([s]))[0])
 
 
 def _correlations(rho: np.ndarray, phi1_rad, phi2_rad, convention: Convention) -> np.ndarray:
-    """Tr(rho sigma(phi1) x sigma(phi2)) per angle pair; mirrored negates phi2."""
+    """Tr(rho sigma(phi1) x sigma(phi2)) per angle pair (last axis); mirrored negates phi2."""
     if convention not in ("mirrored", "textbook"):
         raise MeasureError(f"unknown convention {convention!r}")
     two_phi = 2.0 * np.array([phi1_rad, phi2_rad], dtype=float)
     two_phi[1] *= -1.0 if convention == "mirrored" else 1.0
     c, s = np.cos(two_phi), np.sin(two_phi)
     a, b = np.stack([c, s, s, -c], axis=-1).reshape(2, -1, 2, 2)
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("ikjl,nji,nlk->n", r, a, b).real
+    r = np.asarray(rho, dtype=complex).reshape(*np.shape(rho)[:-2], 2, 2, 2, 2)
+    return np.einsum("...ikjl,nji,nlk->...n", r, a, b).real
 
 
 def correlation(rho: np.ndarray, phi1_rad: float, phi2_rad: float,
@@ -121,11 +127,11 @@ def correlation(rho: np.ndarray, phi1_rad: float, phi2_rad: float,
 
 
 def chsh_s(rho: np.ndarray, angles_rad: tuple[float, float, float, float] = CHSH_ANGLES_RAD,
-           convention: Convention = "mirrored") -> float:
+           convention: Convention = "mirrored") -> float | np.ndarray:
     """CHSH combination |-E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2')|."""
     p1, p1p, p2, p2p = angles_rad
-    e = _correlations(rho, [p1, p1, p1p, p1p], [p2, p2p, p2, p2p], convention).tolist()
-    return abs(-e[0] + e[1] + e[2] + e[3])
+    e = _correlations(rho, [p1, p1, p1p, p1p], [p2, p2p, p2, p2p], convention)
+    return np.abs(-e[..., 0] + e[..., 1] + e[..., 2] + e[..., 3])[()]
 
 
 BASIS_PAIRS = {"HV": ("H", "V"), "PM": ("+", "-"), "RL": ("R", "L")}
@@ -139,40 +145,48 @@ def basis_settings(basis: str) -> list[AnalyzerSetting]:
     return [setting_from_labels(x, y) for x in (b1, b2) for y in (b1, b2)]
 
 
-def _visibilities(rho: np.ndarray, bases: tuple[str, ...]) -> list[float]:
-    """Fringe visibilities (C_max - C_min)/(C_max + C_min) in each basis."""
-    probs = _born_probs(rho, [s for b in bases for s in basis_settings(b)])
-    c_max, c_min = probs.reshape(-1, 4).max(axis=1), probs.reshape(-1, 4).min(axis=1)
-    for basis, total in zip(bases, (c_max + c_min).tolist()):
-        if total == 0.0:
-            raise MeasureError(f"all coincidence probabilities vanish in basis {basis}")
-    return ((c_max - c_min) / (c_max + c_min)).tolist()
+def _visibilities(rho: np.ndarray, bases: tuple[str, ...]) -> np.ndarray:
+    """Fringe visibilities (C_max - C_min)/(C_max + C_min), one per basis (last axis)."""
+    pis = joint_projectors([s for b in bases for s in basis_settings(b)])
+    probs = born_probabilities(rho, pis).reshape(*np.shape(rho)[:-2], len(bases), 4)
+    c_max, c_min = probs.max(axis=-1), probs.min(axis=-1)
+    total = c_max + c_min
+    if np.any(total == 0.0):
+        basis = bases[np.argwhere(total == 0.0)[0][-1]]
+        raise MeasureError(f"all coincidence probabilities vanish in basis {basis}")
+    return (c_max - c_min) / total
 
 
-def visibility(rho: np.ndarray, basis: str) -> float:
+def visibility(rho: np.ndarray, basis: str) -> float | np.ndarray:
     """Fringe visibility (C_max - C_min)/(C_max + C_min) in the given basis."""
-    return _visibilities(rho, (basis,))[0]
+    return _visibilities(rho, (basis,))[..., 0][()]
 
 
-def mean_visibility(rho: np.ndarray) -> float:
+def mean_visibility(rho: np.ndarray) -> float | np.ndarray:
     """Average visibility over the HV, PM, and RL bases."""
-    return sum(_visibilities(rho, ("HV", "PM", "RL"))) / 3.0
+    return (_visibilities(rho, ("HV", "PM", "RL")).sum(axis=-1) / 3.0)[()]
 
 
-def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting],
-                  n_trials: int, coinc_prob_scale: float,
-                  seed: int) -> list[CountRecord]:
-    """Poissonian coincidence counts, counts_k ~ Poisson(n * scale * p_k).
-
-    Deterministic for a fixed seed: one generator draws all settings in list order.
-    """
+def sample_count_arrays(rho: np.ndarray, projectors: np.ndarray, n_trials: int,
+                        coinc_prob_scale, seeds) -> np.ndarray:
+    """(B, K) Poissonian counts of a (B, 4, 4) stack, counts_bk ~ Poisson(n scale_b
+    p_bk), each row drawn in setting order by its own default_rng(seeds[b])."""
     if n_trials <= 0:
         raise MeasureError(f"n_trials must be positive, got {n_trials}")
-    if not 0.0 < coinc_prob_scale <= 1.0:
+    scale = np.asarray(coinc_prob_scale, dtype=float)
+    if not np.all((0.0 < scale) & (scale <= 1.0)):
         raise MeasureError(f"coinc_prob_scale must lie in (0, 1], got {coinc_prob_scale}")
-    mu = n_trials * coinc_prob_scale * _born_probs(rho, settings)
-    counts = np.random.default_rng(seed).poisson(mu).tolist()
-    return [CountRecord(setting_label=s.label, counts=c) for s, c in zip(settings, counts)]
+    mu = (n_trials * scale)[:, None] * born_probabilities(rho, projectors)
+    rows = [np.random.default_rng(seed).poisson(m) for seed, m in zip(seeds, mu, strict=True)]
+    return np.array(rows, dtype=np.int64).reshape(mu.shape)
+
+
+def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting], n_trials: int,
+                  coinc_prob_scale: float, seed: int) -> list[CountRecord]:
+    """sample_count_arrays for one state and seed, as count records."""
+    counts = sample_count_arrays(np.asarray(rho)[None], joint_projectors(settings), n_trials,
+                                 [coinc_prob_scale], [seed])[0]
+    return [CountRecord(setting_label=s.label, counts=c) for s, c in zip(settings, counts.tolist())]
 
 
 # ---------------------------------------------------------------------------

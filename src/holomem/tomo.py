@@ -9,7 +9,8 @@ c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 
 B count sets are solved at once, as a (B, 4, 4) stack of states, with
 batched matrix products, in two phases from the clamped linear-inversion
-start.
+start.  Count sets travel as (B, K) count and duration arrays in setting
+order; `CountRecord` lists (a count CSV) enter only through `count_arrays`.
 
 Damped Newton.  In the orthonormal coordinates v_m = Tr(E_m rho), with
 E_m = B_m / 2 for the 15 traceless Pauli products B_m, f / n_tot is smooth
@@ -46,12 +47,14 @@ equal durations).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qstate
-from .measure import AnalyzerSetting, CountRecord, setting_from_labels
+from .measure import (AnalyzerSetting, CountRecord, born_probabilities, joint_projectors,
+                      setting_from_labels)
 from .seeding import child_seed
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
@@ -115,32 +118,27 @@ _PAULI_BASIS = np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
 _COORDS = _PAULI_BASIS[1:].reshape(15, 16) / 2.0
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
+@functools.cache
 def make_settings(scheme: int | str) -> TomographySettings:
-    """Build the 36-setting (all pairs of H,V,+,-,R,L) or 16-setting
-    (all pairs of H,V,+,R) scheme.  Both are informationally complete."""
+    """The 36-setting (all pairs of H,V,+,-,R,L) or 16-setting (all pairs of
+    H,V,+,R) scheme.  Both are informationally complete.  Built once per
+    argument; the result is frozen and its arrays read-only."""
     key = str(scheme)
-    if key == "36":
-        labels = SINGLE_QUBIT_LABELS_36
-    elif key == "16":
-        labels = SINGLE_QUBIT_LABELS_16
-    else:
+    if key not in ("36", "16"):
         raise TomographyError(f"scheme must be 16 or 36, got {scheme!r}")
+    labels = SINGLE_QUBIT_LABELS_36 if key == "36" else SINGLE_QUBIT_LABELS_16
     settings = tuple(setting_from_labels(a, b) for a in labels for b in labels)
-    pis = np.stack([s.joint_projector for s in settings])
+    pis = joint_projectors(settings)
     # Design: p_k = sum_m c_m Tr(B_m Pi_k), with c_0 = 1/4 fixed by trace;
     # least squares over the other 15 coefficients.
     design = np.real(np.einsum("mij,kji->km", _PAULI_BASIS, pis))
     pinv = np.linalg.pinv(design[:, 1:])
     inversion = np.einsum("mk,mij->kij", pinv, _PAULI_BASIS[1:])
     offset = 0.25 * (_PAULI_BASIS[0] - np.einsum("k,kij->ij", design[:, 0], inversion))
-    ts = TomographySettings(scheme=key, settings=settings, projectors=_read_only(pis),
-                            inversion=_read_only(inversion),
-                            inversion_offset=_read_only(offset))
+    for a in (pis, inversion, offset):
+        a.flags.writeable = False
+    ts = TomographySettings(scheme=key, settings=settings, projectors=pis, inversion=inversion,
+                            inversion_offset=offset)
     if design_rank(ts) != 16:
         raise TomographyError(f"scheme {key} is not informationally complete")
     return ts
@@ -153,33 +151,20 @@ def design_rank(ts: TomographySettings) -> int:
 
 
 def forward_probabilities(rho: np.ndarray, ts: TomographySettings) -> np.ndarray:
-    """Born-rule probabilities for every setting of the scheme."""
-    return np.real(np.einsum("kij,ji->k", ts.projectors, np.asarray(rho, dtype=complex)))
+    """Born-rule probabilities for every setting of the scheme, clamped to [0, 1]."""
+    return born_probabilities(rho, ts.projectors)
 
 
-def exact_counts(rho: np.ndarray, ts: TomographySettings,
-                 exposure: float) -> list[CountRecord]:
-    """Noiseless synthetic counts: round(exposure * p_k) per setting."""
-    probs = forward_probabilities(rho, ts)
-    return [CountRecord(setting_label=s.label, counts=int(round(exposure * p)))
-            for s, p in zip(ts.settings, probs)]
-
-
-def _check_alignment(counts: list[CountRecord], ts: TomographySettings) -> None:
-    if len(counts) != len(ts.settings):
-        raise TomographyError(
-            f"{len(counts)} count records for {len(ts.settings)} settings")
-    for rec, s in zip(counts, ts.settings):
-        if rec.setting_label != s.label:
-            raise TomographyError(
-                f"count record {rec.setting_label!r} does not match setting {s.label!r}")
-
-
-def _as_arrays(count_sets: list[list[CountRecord]],
-               ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
-    """(B, K) counts and durations of aligned count sets."""
+def count_arrays(count_sets: list[list[CountRecord]],
+                 ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
+    """(B, K) counts and durations of count record sets aligned with the scheme."""
     for counts in count_sets:
-        _check_alignment(counts, ts)
+        if len(counts) != len(ts.settings):
+            raise TomographyError(f"{len(counts)} count records for {len(ts.settings)} settings")
+        for rec, s in zip(counts, ts.settings):
+            if rec.setting_label != s.label:
+                raise TomographyError(
+                    f"count record {rec.setting_label!r} does not match setting {s.label!r}")
     n = np.array([[float(r.counts) for r in counts] for counts in count_sets])
     dur = np.array([[r.duration_s for r in counts] for counts in count_sets])
     return n.reshape(-1, len(ts.settings)), dur.reshape(-1, len(ts.settings))
@@ -209,7 +194,7 @@ def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
 def linear_inversion(counts: list[CountRecord], ts: TomographySettings) -> np.ndarray:
     """Least-squares state estimate: Hermitian, unit trace, possibly
     non-positive.  Exact on noiseless probabilities."""
-    return _linear_inversion_many(*_as_arrays([counts], ts), ts)[0]
+    return _linear_inversion_many(*count_arrays([counts], ts), ts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +449,17 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
                              objective_history=history[r]) for r in everyone]
 
 
-def mle_reconstruct_many(count_sets: list[list[CountRecord]],
-                         ts: TomographySettings) -> list[TomographyResult]:
-    """Poissonian maximum-likelihood reconstruction of several count sets,
-    solved together from their clamped linear-inversion starts (see the
-    module docstring).  A result is flagged converged=False only if _MAX_ITER
-    was hit before the optimality test passed."""
-    return _mle_many(*_as_arrays(count_sets, ts), ts)
-
-
 def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings) -> TomographyResult:
-    """Poissonian maximum-likelihood state reconstruction of one count set:
-    mle_reconstruct_many for a single set."""
-    return mle_reconstruct_many([counts], ts)[0]
+    """Poissonian maximum-likelihood state reconstruction of one count set
+    from its clamped linear-inversion start (see the module docstring)."""
+    return _mle_many(*count_arrays([counts], ts), ts)[0]
 
 
-def reconstruct_with_mc(count_sets: list[list[CountRecord]], ts: TomographySettings,
+def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
                         target: np.ndarray, n_sets: int,
                         seeds: list[int]) -> tuple[list[TomographyResult], list[McSummary]]:
-    """Point estimates of several count sets and, for n_sets >= 2, each set's
-    Monte Carlo fidelity summary versus `target`, from one batched solve.
+    """Point estimates of (B, K) count and duration arrays and, for n_sets >= 2,
+    each set's Monte Carlo fidelity summary versus `target`, from one batched solve.
 
     Resample i of set j draws counts_k ~ Poisson(n_k) from child seed i of
     seeds[j] (one seed per set); the fidelities are recorded in index order.
@@ -491,7 +467,9 @@ def reconstruct_with_mc(count_sets: list[list[CountRecord]], ts: TomographySetti
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
-    n, dur = _as_arrays(count_sets, ts)
+    n, dur = np.asarray(n, dtype=float), np.asarray(dur, dtype=float)
+    if n.shape != dur.shape or n.shape[1:] != (len(ts.settings),):
+        raise TomographyError(f"counts {n.shape} and durations {dur.shape} mismatch")
     resampled = np.array([np.random.default_rng(child_seed(seed, "mc-tomo", i)).poisson(row)
                           for row, seed in zip(n, seeds, strict=True) for i in range(n_sets)],
                          dtype=float).reshape(-1, n.shape[1])
@@ -512,4 +490,4 @@ def monte_carlo_fidelity(counts: list[CountRecord], ts: TomographySettings,
     reconstruct_with_mc for one count set, with n_sets >= 2."""
     if n_sets < 2:
         raise TomographyError(f"n_sets must be >= 2, got {n_sets}")
-    return reconstruct_with_mc([counts], ts, target, n_sets, [seed])[1][0]
+    return reconstruct_with_mc(*count_arrays([counts], ts), ts, target, n_sets, [seed])[1][0]

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from holomem import measure, tomo
+
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Ginibre-distributed random physical two-qubit state."""
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
     return rho / np.real(np.trace(rho))
+
+
+def exact_counts(rho: np.ndarray, ts: tomo.TomographySettings, exposure: float):
+    """Noiseless synthetic count records: round(exposure * p_k) per setting."""
+    return [measure.CountRecord(s.label, int(round(exposure * p)))
+            for s, p in zip(ts.settings, tomo.forward_probabilities(rho, ts))]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from holomem import channel, cli, eitline, fitkit, measure, qstate, registers, tomo
-from conftest import random_density_matrix
+from conftest import exact_counts, random_density_matrix
 
 from test_fitkit import decay_points
 from test_registers import geometry
@@ -97,7 +97,7 @@ def test_criterion_7_tomography_consistency():
     worst = 1.0
     for _ in range(50):
         rho = random_density_matrix(rng)
-        counts = tomo.exact_counts(rho, ts, 10 ** 6)
+        counts = exact_counts(rho, ts, 10 ** 6)
         result = tomo.mle_reconstruct(counts, ts)
         worst = min(worst, qstate.fidelity(result.rho_hat, rho))
     assert worst > 0.999

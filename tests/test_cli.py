@@ -331,6 +331,22 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_eit_points_must_be_positive(self, points, capsys):
+        assert cli.main(["eit", "--points", points]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --points: must be a positive integer, got {points}\n"
+
+    def test_eit_infinite_od_fails_outside_the_warning_filter(self):
+        # A fresh interpreter with default warning filters: before the check,
+        # this printed nan phases with a RuntimeWarning and exited 0.
+        proc = subprocess.run([sys.executable, "-c", _EIT_INF_OD, TestImports.SRC],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "error: optical depth must be finite and positive, got inf\n"
+
     def test_eit_csv(self, tmp_path):
         out = tmp_path / "eit.csv"
         assert cli.main(["eit", "--out", str(out)]) == cli.EXIT_OK
@@ -531,6 +547,13 @@ with open(sys.argv[2], "w") as fh:
     yaml.safe_dump(cfg, fh)
 rc = cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
 print(rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+_EIT_INF_OD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import holomem.cli as cli
+sys.exit(cli.main(["eit", "--od", "inf", "--points", "3"]))
 """
 
 _FIT = """

@@ -218,3 +218,10 @@ class TestValidation:
     def test_rejects_nan(self, field):
         with pytest.raises(eitline.EitError):
             params(**{field: math.nan})
+
+    @pytest.mark.parametrize("field,name", [("od", "optical depth"),
+                                            ("gamma_e_rad_per_s", "excited-state decay")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_rejects_infinite(self, field, name, value):
+        with pytest.raises(eitline.EitError, match=f"{name} must be finite and positive"):
+            params(**{field: value})

@@ -297,7 +297,8 @@ class TestCsv:
 @given(st.lists(st.builds(measure.CountRecord,
                           setting_label=st.text().filter(lambda label: "\r" not in label),
                           counts=st.integers(0, 2 ** 64),
-                          duration_s=st.floats(min_value=0.0, exclude_min=True)),
+                          duration_s=st.floats(min_value=0.0, exclude_min=True,
+                                               allow_infinity=False)),
                 max_size=40))
 def test_counts_csv_round_trip(records):
     assert measure.counts_from_csv(measure.counts_to_csv(records)) == records

@@ -6,11 +6,16 @@ from scipy.optimize import minimize
 
 from holomem import channel, cli, measure, qstate, tomo
 from holomem.seeding import child_seed
-from conftest import random_density_matrix
+from conftest import exact_counts, random_density_matrix
 
 
 TS36 = tomo.make_settings(36)
 TS16 = tomo.make_settings(16)
+
+
+def mle_reconstruct_many(count_sets, ts):
+    """One batched solve of several count record sets."""
+    return tomo._mle_many(*tomo.count_arrays(count_sets, ts), ts)
 
 
 class TestSchemes:
@@ -83,7 +88,7 @@ class TestLinearInversion:
 
 class TestMle:
     def test_noiseless_bell_recovery(self):
-        counts = tomo.exact_counts(qstate.bell_phi_plus(), TS36, 10 ** 6)
+        counts = exact_counts(qstate.bell_phi_plus(), TS36, 10 ** 6)
         result = tomo.mle_reconstruct(counts, TS36)
         assert result.converged
         assert qstate.fidelity(result.rho_hat, qstate.bell_phi_plus()) > 0.999
@@ -92,7 +97,7 @@ class TestMle:
     def test_noiseless_random_states(self, ts, rng):
         for _ in range(10):
             rho = random_density_matrix(rng)
-            counts = tomo.exact_counts(rho, ts, 10 ** 7)
+            counts = exact_counts(rho, ts, 10 ** 7)
             result = tomo.mle_reconstruct(counts, ts)
             assert qstate.fidelity(result.rho_hat, rho) > 0.999
 
@@ -132,14 +137,14 @@ class TestMle:
         assert errs[1] < errs[0] / 3.0
 
     def test_likelihood_is_finite(self):
-        counts = tomo.exact_counts(qstate.werner(0.5), TS36, 10 ** 4)
+        counts = exact_counts(qstate.werner(0.5), TS36, 10 ** 4)
         result = tomo.mle_reconstruct(counts, TS36)
         assert np.isfinite(result.log_likelihood)
 
     def test_log_likelihood_matches_per_set_formula(self, rng):
         count_sets = [measure.sample_counts(random_density_matrix(rng), list(TS36.settings),
                                             3000, 0.5, seed=s) for s in range(4)]
-        for counts, result in zip(count_sets, tomo.mle_reconstruct_many(count_sets, TS36)):
+        for counts, result in zip(count_sets, mle_reconstruct_many(count_sets, TS36)):
             n = np.array([float(r.counts) for r in counts])
             c = np.clip(tomo.forward_probabilities(result.rho_hat, TS36), 1e-300, None)
             mu = n.sum() * c / c.sum()
@@ -163,7 +168,7 @@ class TestMle:
                       for s, k in zip(ts.settings, rng.poisson(30 * np.clip(probs, 0.0, None)))]
             if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
                 count_sets.append(counts)
-        for result in tomo.mle_reconstruct_many(count_sets, ts):
+        for result in mle_reconstruct_many(count_sets, ts):
             assert result.converged and result.iterations <= 2000
             qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
 
@@ -200,7 +205,7 @@ class TestMonteCarlo:
         sets = resampled_sets(counts, seed=21, n_sets=12)
         alone = [qstate.fidelity(tomo.mle_reconstruct(s, TS36).rho_hat, bell) for s in sets]
         odd = [qstate.fidelity(r.rho_hat, bell)
-               for r in tomo.mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
+               for r in mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
         np.testing.assert_allclose(alone, mc.samples, rtol=0, atol=1e-6)
         np.testing.assert_allclose(odd, mc.samples[1::2], rtol=0, atol=1e-6)
 
@@ -226,7 +231,7 @@ class TestMonteCarlo:
         assert all(0.0 <= f <= 1.0 for f in mc.samples)
 
     def test_requires_at_least_two_sets(self):
-        counts = tomo.exact_counts(qstate.werner(0.5), TS36, 1000)
+        counts = exact_counts(qstate.werner(0.5), TS36, 1000)
         with pytest.raises(tomo.TomographyError):
             tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
                                       n_sets=1, seed=0)
@@ -301,7 +306,7 @@ class TestReferenceAgreement:
 
     def check_sets(self, count_sets, ts, target):
         fidelities = []
-        for counts, result in zip(count_sets, tomo.mle_reconstruct_many(count_sets, ts)):
+        for counts, result in zip(count_sets, mle_reconstruct_many(count_sets, ts)):
             assert result.converged
             ref = reference_mle(counts, ts)
             f_ref = profiled_objective(ref, counts, ts)
@@ -447,7 +452,7 @@ class TestKernels:
     def test_boundary_sets_same_iterations_as_eigen_only_solver(self, monkeypatch):
         # The bundled sets finish in the Newton phase; these reach APG.
         sets = low_count_sets(TS36, 1, [1.0] * len(TS36.settings), np.random.default_rng(5))
-        self.check_against_eigen_only_solver(monkeypatch, *tomo._as_arrays(sets, TS36))
+        self.check_against_eigen_only_solver(monkeypatch, *tomo.count_arrays(sets, TS36))
 
     @staticmethod
     def check_against_eigen_only_solver(monkeypatch, n, dur):
@@ -479,7 +484,7 @@ class TestNewton:
     def test_boundary_optima_reach_apg(self, ts, unequal, rank):
         durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
         count_sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
-        results = tomo.mle_reconstruct_many(count_sets, ts)
+        results = mle_reconstruct_many(count_sets, ts)
         # Noise can put the optimum of a rank-deficient state inside.
         on_boundary = [np.linalg.eigvalsh(r.rho_hat)[0] < 1e-6 for r in results]
         assert sum(on_boundary) >= 0.75 * len(results)
@@ -499,7 +504,7 @@ class TestNewton:
         sets = [measure.sample_counts(qstate.werner(p), list(TS36.settings), 5000, 0.5, seed)
                 for seed, p in enumerate((0.6, 0.75, 0.85, 0.9))]
         batch = sets[:2] + [odd] + sets[2:]
-        n, dur = tomo._as_arrays(batch, TS36)
+        n, dur = tomo.count_arrays(batch, TS36)
         prob = tomo._Problem(n, dur, TS36)
         hessian = prob.hessian(prob.rates(tomo._start_states(n, dur, TS36), slice(None)),
                                slice(None))
@@ -507,7 +512,7 @@ class TestNewton:
         assert lowest[2] < -1e-2 and np.all(np.delete(lowest, 2) > 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(hessian)
-        within = tomo.mle_reconstruct_many(batch, TS36)
+        within = mle_reconstruct_many(batch, TS36)
         assert within[2].converged and within[2].newton_steps == 0 < within[2].iterations
         for counts, result in zip(sets, within[:2] + within[3:]):
             alone = tomo.mle_reconstruct(counts, TS36)
@@ -530,7 +535,8 @@ class TestReconstructWithMc:
                       for label, rho, p in tracks]
         seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label, _, _ in tracks]
         bell = qstate.bell_phi_plus()
-        points, mcs = tomo.reconstruct_with_mc(count_sets, TS36, bell, sc.n_mc_sets, seeds)
+        points, mcs = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS36), TS36, bell,
+                                               sc.n_mc_sets, seeds)
         assert len(points) == len(mcs) == 3
         for counts, seed, mc in zip(count_sets, seeds, mcs):
             alone = tomo.monte_carlo_fidelity(counts, TS36, bell, sc.n_mc_sets, seed)
@@ -542,17 +548,27 @@ class TestReconstructWithMc:
     def test_without_resamples_is_the_plain_batch(self):
         count_sets = [measure.sample_counts(qstate.werner(p), list(TS16.settings), 4000, 0.5, s)
                       for s, p in enumerate((0.6, 0.9))]
-        points, mcs = tomo.reconstruct_with_mc(count_sets, TS16, qstate.bell_phi_plus(), 0, [1, 2])
+        points, mcs = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS16), TS16,
+                                               qstate.bell_phi_plus(), 0, [1, 2])
         assert mcs == []
-        for a, b in zip(points, tomo.mle_reconstruct_many(count_sets, TS16)):
+        for a, b in zip(points, mle_reconstruct_many(count_sets, TS16)):
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
     @pytest.mark.parametrize("n_sets,seeds", [(1, [0]), (-2, [0]), (3, [0, 1])])
     def test_rejects_bad_arguments(self, n_sets, seeds):
-        counts = tomo.exact_counts(qstate.werner(0.5), TS36, 1000)
+        counts = exact_counts(qstate.werner(0.5), TS36, 1000)
         with pytest.raises(ValueError):
-            tomo.reconstruct_with_mc([counts], TS36, qstate.bell_phi_plus(), n_sets, seeds)
+            tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
+                                     qstate.bell_phi_plus(), n_sets, seeds)
+
+
+    @pytest.mark.parametrize("n,dur", [(np.ones((2, 16)), np.ones((2, 16))),
+                                       (np.ones((2, 36)), np.ones((1, 36))),
+                                       (np.ones(36), np.ones(36))], ids=["K", "B", "1-D"])
+    def test_rejects_arrays_not_matching_the_scheme(self, n, dur):
+        with pytest.raises(tomo.TomographyError, match="mismatch"):
+            tomo.reconstruct_with_mc(n, dur, TS36, qstate.bell_phi_plus(), 0, [0, 1])
 
 
 def random_count_set(rng, ts, exposure, pure):
@@ -589,5 +605,5 @@ def test_count_set_alone_or_in_a_batch(seed, exposure, others, data):
     at = data.draw(st.integers(0, others))
     batch.insert(at, counts)
     alone = tomo.mle_reconstruct(counts, TS36)
-    within = tomo.mle_reconstruct_many(batch, TS36)[at]
+    within = mle_reconstruct_many(batch, TS36)[at]
     assert abs(qstate.fidelity(alone.rho_hat, rho) - qstate.fidelity(within.rho_hat, rho)) < 1e-6
