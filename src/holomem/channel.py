@@ -15,6 +15,7 @@ every track of it into one (B, K) count array, with no `CountRecord`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,12 +76,13 @@ def experiment_source_params() -> SourceParams:
     return SourceParams(ratio_hv=14.3, ratio_pm=23.1, pair_rate_hz=33.0)
 
 
+@functools.cache
 def input_state(s: SourceParams) -> np.ndarray:
     """Source state model  a|phi+><phi+| + b|psi+><psi+| + c I/4.
 
     (a, b, c) is the unique solution of the normalization constraint plus
     the two measured count ratios P(HH)/P(HV) and P(++)/P(+-).  Raises
-    ModelInfeasibleError if any weight comes out negative.
+    ModelInfeasibleError if any weight comes out negative.  Cached, read-only.
     """
     # P(HH) = a/2 + c/4, P(HV) = b/2 + c/4,
     # P(++) = a/2 + b/2 + c/4, P(+-) = c/4.
@@ -97,6 +99,7 @@ def input_state(s: SourceParams) -> np.ndarray:
                 f"ratios ({r1}, {r2}) give negative {name} = {val:.3e}")
     rho = (a * qstate.bell_phi_plus() + b * qstate.bell_psi_plus()
            + c * np.eye(4, dtype=complex) / 4.0)
+    rho.flags.writeable = False
     return qstate.check_density_matrix(rho)
 
 

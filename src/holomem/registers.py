@@ -3,7 +3,8 @@ mode capacity, and a motional-dephasing diagnostic.
 
 Conventions: the control beam propagates along +z; signal beams lie in the
 x-z plane at angles theta_i relative to the control.  A spin wave stores a
-phase pattern exp(i q.x) with q = k_signal - k_control.
+phase pattern exp(i q.x) with q = k_signal - k_control.  The registers share
+the same atoms, so one sampled cloud per call serves every register overlap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .constants import BOLTZMANN_J_PER_K, RB87_MASS_KG
 # Crosstalk Monte Carlo never instantiates more atoms than this; the
 # estimator standard error scales as 1/sqrt(n_sample).
 MAX_SAMPLE_ATOMS = 100_000
+# Atoms per block of the crosstalk Gram sum; bounds peak memory.
+_BLOCK_ATOMS = 12_500
 
 
 class GeometryError(ValueError):
@@ -91,23 +94,35 @@ def spin_wave_vectors(g: MemoryGeometry) -> list[SpinWaveMode]:
     return modes
 
 
+def crosstalk_matrix(modes: list[SpinWaveMode], g: MemoryGeometry,
+                     seed: int) -> np.ndarray:
+    """Monte Carlo overlaps C[a, b] = (1/n) sum_j exp(i (q_b - q_a).x_j) of
+    all register pairs over one cloud of n = min(atom_count, MAX_SAMPLE_ATOMS)
+    atoms, summed as W^H W over blocks of _BLOCK_ATOMS with W = exp(i x.(q_b - q_0)).
+    The normal stream is sequential, so the positions do not depend on the
+    block size.  C is Hermitian, identical modes give exactly 1, and each other
+    entry is unbiased with standard error at most crosstalk_stderr(g).
+    """
+    q = np.array([m.q for m in modes], dtype=float).reshape(-1, 3)
+    dq = (q - q[:1]).T
+    n = min(g.atom_count, MAX_SAMPLE_ATOMS)
+    rng = np.random.default_rng(seed)
+    gram = np.zeros((len(q), len(q)), dtype=complex)
+    for start in range(0, n, _BLOCK_ATOMS):
+        positions = rng.standard_normal((min(_BLOCK_ATOMS, n - start), 3)) * g.cloud_sigma_m
+        w = np.exp(1j * (positions @ dq))
+        gram += w.conj().T @ w
+    gram = np.triu(gram, 1) / n
+    gram += gram.conj().T
+    gram[(q[:, None] == q[None, :]).all(axis=-1)] = 1.0
+    return gram
+
+
 def crosstalk(m1: SpinWaveMode, m2: SpinWaveMode, g: MemoryGeometry,
               seed: int) -> complex:
-    """Monte Carlo overlap (1/n) sum_j exp(i (q2 - q1).x_j) between registers.
-
-    Atom positions are drawn from the anisotropic Gaussian cloud; the sample
-    size is capped at MAX_SAMPLE_ATOMS.  Identical modes give exactly 1.
-    Deterministic for a fixed seed.
-    """
-    dq = m2.q - m1.q
-    if np.all(dq == 0.0):
-        return 1.0 + 0.0j
-    n_sample = min(g.atom_count, MAX_SAMPLE_ATOMS)
-    rng = np.random.default_rng(seed)
-    sigma = np.asarray(g.cloud_sigma_m, dtype=float)
-    positions = rng.standard_normal((n_sample, 3)) * sigma
-    phases = positions @ dq
-    return complex(np.exp(1j * phases).mean())
+    """Monte Carlo overlap of two registers, the two-mode case of
+    crosstalk_matrix.  Identical modes give exactly 1."""
+    return complex(crosstalk_matrix([m1, m2], g, seed)[0, 1])
 
 
 def crosstalk_stderr(g: MemoryGeometry) -> float:

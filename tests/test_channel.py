@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holomem import channel, measure, qstate
+from holomem import channel, cli, measure, qstate
 from conftest import random_density_matrix
 
 
@@ -50,6 +50,20 @@ class TestInputState:
     def test_ratio_validation(self):
         with pytest.raises(channel.ChannelError):
             channel.SourceParams(ratio_hv=0.9, ratio_pm=23.1, pair_rate_hz=33.0)
+
+    def test_built_once_per_source_and_read_only(self):
+        rho = channel.input_state(channel.experiment_source_params())
+        assert channel.input_state(channel.experiment_source_params()) is rho
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0] = 0.0
+
+    def test_cache_leaves_default_report_unchanged(self):
+        def report() -> str:
+            return cli.report_to_json(cli.run_simulate(cli.load_scenario(cli.default_config())))
+        channel.input_state.cache_clear()
+        cold = report()
+        assert channel.input_state.cache_info().hits > 0  # the run reused the state
+        assert report() == cold
 
 
 class TestStoreRetrieve:

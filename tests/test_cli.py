@@ -12,7 +12,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holomem import channel, cli, measure, qstate, tomo
+from holomem import channel, cli, measure, qstate, registers, tomo
+from holomem.seeding import child_seed
 
 TS36 = tomo.make_settings(36)
 
@@ -368,6 +369,18 @@ class TestCommands:
         rows = out.read_text().splitlines()
         assert rows[0] == "i,j,overlap_re,overlap_im,expected,stderr"
         assert len(rows) == 1 + 6  # 4 choose 2 pairs
+
+    def test_crosstalk_rows_read_one_matrix(self, capsys):
+        assert cli.main(["crosstalk", "--seed", "17"]) == cli.EXIT_OK
+        g = cli.load_scenario(cli.default_config()).geometry
+        modes = registers.spin_wave_vectors(g)
+        c = registers.crosstalk_matrix(modes, g, seed=child_seed(17, "crosstalk", 0))
+        rows = capsys.readouterr().out.splitlines()[1:]
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert [tuple(int(x) for x in row.split(",")[:2]) for row in rows] == pairs
+        for row, (i, j) in zip(rows, pairs):
+            re_, im_ = row.split(",")[2:4]
+            assert (re_, im_) == (f"{c[i, j].real:.6e}", f"{c[i, j].imag:.6e}")
 
     def test_fit_bundled_data(self, capsys):
         assert cli.main(["fit", "--kind", "exp"]) == cli.EXIT_OK

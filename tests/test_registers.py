@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,80 @@ class TestCrosstalk:
     def test_stderr_scaling(self):
         assert registers.crosstalk_stderr(geometry(atom_count=10000)) == pytest.approx(0.01)
         assert registers.crosstalk_stderr(geometry()) == pytest.approx(1.0 / math.sqrt(1e5))
+
+
+def pair_overlap(m1, m2, g, seed) -> complex:
+    """Reference: the direct mean over the whole cloud, drawn in one go."""
+    n = min(g.atom_count, registers.MAX_SAMPLE_ATOMS)
+    positions = np.random.default_rng(seed).standard_normal((n, 3)) * np.array(g.cloud_sigma_m)
+    return complex(np.exp(1j * (positions @ (m2.q - m1.q))).mean())
+
+
+class TestCrosstalkMatrix:
+    def test_hermitian_with_exact_unit_diagonal(self):
+        g = geometry()
+        modes = registers.spin_wave_vectors(g)
+        c = registers.crosstalk_matrix(modes, g, seed=3)
+        assert c.shape == (4, 4)
+        assert np.array_equal(c, c.conj().T)
+        assert np.all(np.diag(c) == 1.0)
+
+    def test_repeated_mode_exactly_one(self):
+        g = geometry(atom_count=5000)
+        m0, m1 = registers.spin_wave_vectors(g)[:2]
+        c = registers.crosstalk_matrix([m0, m1, m0], g, seed=4)
+        assert c[0, 2] == 1.0 and c[2, 0] == 1.0
+        assert c[0, 1] == c[2, 1]
+
+    def test_entries_match_direct_pair_mean(self):
+        g = geometry()
+        modes = registers.spin_wave_vectors(g)
+        c = registers.crosstalk_matrix(modes, g, seed=11)
+        for i, a in enumerate(modes):
+            for j, b in enumerate(modes):
+                if i != j:
+                    assert abs(c[i, j] - pair_overlap(a, b, g, 11)) < 1e-15
+
+    def test_two_mode_case_is_crosstalk(self):
+        g = geometry()
+        m1, m2 = registers.spin_wave_vectors(g)[1:3]
+        c = registers.crosstalk_matrix([m1, m2], g, seed=5)
+        assert abs(c[0, 1] - registers.crosstalk(m1, m2, g, seed=5)) < 1e-15
+
+    @pytest.mark.parametrize("block", [registers.MAX_SAMPLE_ATOMS, 7919])
+    def test_block_size_changes_only_rounding(self, monkeypatch, block):
+        g = geometry()
+        modes = registers.spin_wave_vectors(g)
+        default = registers.crosstalk_matrix(modes, g, seed=9)
+        monkeypatch.setattr(registers, "_BLOCK_ATOMS", block)
+        np.testing.assert_allclose(registers.crosstalk_matrix(modes, g, seed=9), default,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_squared_deviation_averages_one_over_n(self):
+        # E|C_ab - expected|^2 = (1 - expected^2) / n, and expected is below
+        # 1e-100 for every pair of the experimental modes.
+        g = geometry(atom_count=4000)
+        modes = registers.spin_wave_vectors(g)
+        upper = np.triu_indices(len(modes), 1)
+        expected = np.array([[registers.expected_crosstalk(a, b, g) for b in modes]
+                             for a in modes])[upper]
+        per_seed = np.array([
+            np.mean(np.abs(registers.crosstalk_matrix(modes, g, seed=s)[upper] - expected) ** 2)
+            for s in range(200)]) * g.atom_count
+        band = 4.0 * per_seed.std(ddof=1) / math.sqrt(len(per_seed))
+        assert abs(per_seed.mean() - 1.0) < band
+
+    def test_traced_peak_below_4_mb_on_bundled_geometry(self):
+        from holomem import cli
+        g = cli.load_scenario(cli.default_config()).geometry
+        modes = registers.spin_wave_vectors(g)
+        tracemalloc.start()
+        try:
+            registers.crosstalk_matrix(modes, g, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"crosstalk_matrix peaked at {peak / 1e6:.1f} MB traced"
 
 
 class TestModeCapacity:
