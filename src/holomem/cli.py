@@ -330,7 +330,7 @@ def run_simulate(sc: Scenario) -> dict:
         "total_counts": total,
         **({"mc": _mc_payload(mcs[i])} if mcs else {}),
     } for i, (total, result, f_bell, f_true) in enumerate(zip(
-        n.sum(axis=1).tolist(), results, qstate.fidelity(rho_hats, bell).tolist(),
+        n.sum(axis=1).tolist(), results, qstate.fidelity(bell, rho_hats).tolist(),
         qstate.fidelity(rho_hats, true_states).tolist()))]
     statistical = {"input": stat_tracks[0],
                    "storage": [{"t_s": t, **track}
@@ -535,7 +535,7 @@ def _cmd_tomo(args) -> int:
     (result,), mcs = tomo.reconstruct_with_mc(n, dur, ts, target, args.mc_sets, [seed])
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
-        "fidelity_vs_target": qstate.fidelity(result.rho_hat, target),
+        "fidelity_vs_target": qstate.fidelity(target, result.rho_hat),
         "log_likelihood": result.log_likelihood,
         "converged": result.converged,
         "iterations": result.iterations,

@@ -8,9 +8,10 @@ objective reduces to f = -sum n_k ln c_k + n_tot ln(sum c_k) with
 c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 
 B count sets are solved at once, as a (B, 4, 4) stack of states, with
-batched matrix products, in two phases from the clamped linear-inversion
-start.  Count sets travel as (B, K) count and duration arrays in setting
-order; `CountRecord` lists (a count CSV) enter only through `count_arrays`.
+batched matrix products, in up to three phases from the clamped
+linear-inversion start; each phase sees only the sets the one before left.
+Count sets travel as (B, K) count and duration arrays in setting order;
+`CountRecord` lists (a count CSV) enter only through `count_arrays`.
 
 Damped Newton.  In the orthonormal coordinates v_m = Tr(E_m rho), with
 E_m = B_m / 2 for the 15 traceless Pauli products B_m, f / n_tot is smooth
@@ -23,8 +24,24 @@ definite or its step would be shorter than 2^-8, which is how iterates
 approaching an optimum on the boundary end.  Interior optima are certified
 here within a few steps.
 
+Factored Newton (Burer & Monteiro, Math. Program. 95, 329 (2003); the
+rho = T^H T form of James et al., PRA 64, 052312 (2001)).  With
+rho = A A^H / Tr(A A^H) for a complex 4x4 factor A, every iterate is
+physical without a projection, so an optimum of rank below 4 is reached by
+columns of A shrinking.  A starts as V sqrt(max(lambda, 0)) from the
+eigendecomposition of the Newton iterate.  In the 32 real coordinates of A
+the gradient is 2 G A and the Hessian is
+2 (I (x) G) + sum_k (nu_k / c_k^2) J_k J_k^T - s s^T, with
+J_k = 2 d_k Pi_k A and s = sum_k J_k / C.  rho does not change along A X
+(X anti-Hermitian, A -> A exp(X)) or along A (scale), so the Hessian is
+restricted to the complement of those 17 directions and pseudo-inverted over
+its eigendecomposition, using |eigenvalue| and dropping those below
+_FACTOR_CUTOFF times the largest.  Each step halves its length until f does
+not rise.  A set leaves for APG when its step would be shorter than 2^-8 or
+after _MAX_FACTORED_STEPS steps.
+
 Accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017))
-takes every set the Newton phase left, from its Newton iterate.  Each
+takes every set the factored phase left, from its iterate.  Each
 step moves along -grad f from a momentum point and projects onto the
 unit-trace positive matrices, projecting the eigenvalues onto the simplex.
 Every set keeps its own step size, found by backtracking on the curvature
@@ -34,8 +51,8 @@ each set's iterates depend only on its own counts and durations (up to
 rounding in the batched products).  reconstruct_with_mc therefore solves
 the point estimates and all their Monte Carlo resamples in one call.
 
-Stopping rule, checked after every step of either phase (_MAX_ITER caps
-both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
+Stopping rule, checked after every step of each phase (_MAX_ITER caps all
+three together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
 when G is positive semidefinite.  A set stops once the smallest eigenvalue
 of G is at least -_GTOL, computed by eigvalsh only where a vectorised LDL^H
@@ -88,7 +105,8 @@ class TomographyResult:
     log_likelihood: float
     converged: bool
     iterations: int
-    # The leading damped-Newton part of `iterations`; the rest are APG steps.
+    # The leading part of `iterations` taken in the interior Newton phase; the
+    # rest are factored-Newton steps, then APG steps.
     newton_steps: int
     # Objective value (negative profiled log-likelihood) at the start and
     # after each accepted step; nonincreasing (a change within the rounding
@@ -286,6 +304,22 @@ class _Problem:
         s = (d @ self.coords) / c.sum(axis=1, keepdims=True)
         return h.reshape(-1, 15, 15) - s[:, :, None] * s[:, None, :]
 
+    def factor_hessian(self, a: np.ndarray, c: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
+        """(B, 32, 32) Hessian of A -> f(A A^H) at (B, 4, 4) factors with rates c and
+        gradient g, in the real coordinates of `_real`:
+        2 (I (x) G) + sum_k nu_k / c_k^2 J_k J_k^T - s s^T, with J_k = 2 d_k Pi_k A
+        and s = sum_k J_k / C."""
+        b, k = len(a), len(self.pis)
+        pa = (self.pis.reshape(1, k, 4, 4) @ a[:, None]).reshape(b, k, 16)
+        jac = 2.0 * self.d[rows][:, :, None] * np.concatenate([pa.real, pa.imag], axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = np.where(self.observed[rows], self.nu[rows] / c ** 2, 0.0)
+        s = jac.sum(axis=1) / c.sum(axis=1, keepdims=True)
+        h = (jac.swapaxes(1, 2) * weights[:, None, :]) @ jac - s[:, :, None] * s[:, None, :]
+        # dA -> G dA acts on the rows of A: G (x) I_4 on the row-major factor.
+        gk = 2.0 * np.einsum("bij,lm->biljm", g, np.eye(4)).reshape(b, 16, 16)
+        return h + np.block([[gk.real, -gk.imag], [gk.imag, gk.real]])
+
     def change(self, c: np.ndarray, dc: np.ndarray, rows) -> np.ndarray:
         """f(rho + step) - f(rho) from c(rho) and c(step), accurate for small
         steps where a difference of two objective values would cancel."""
@@ -296,7 +330,7 @@ class _Problem:
         return np.where(np.isnan(out), np.inf, out)
 
 
-# Iteration cap, counting both phases; only a set that reaches it is flagged
+# Iteration cap, counting all phases; only a set that reaches it is flagged
 # converged=False.
 _MAX_ITER = 10_000
 # Converged when the smallest eigenvalue of the normalized gradient is at
@@ -304,13 +338,86 @@ _MAX_ITER = 10_000
 _GTOL = 1e-9
 # Step halvings after which an extrapolated point is abandoned for x.
 _MAX_HALVINGS = 40
-# Shortest damped Newton step; a set whose step must be shorter leaves for APG.
+# Shortest damped Newton step; a set whose step must be shorter leaves the
+# interior or the factored Newton phase.
 _MIN_NEWTON_STEP = 2.0 ** -8
+# Factored Newton: Hessian eigenvalues count in the pseudo-inverse when their
+# magnitude exceeds _FACTOR_CUTOFF times the largest; a set leaves for APG
+# after _MAX_FACTORED_STEPS steps.
+_FACTOR_CUTOFF = 1e-10
+_MAX_FACTORED_STEPS = 20
+# i B_m spans the anti-Hermitian 4x4 matrices X; A -> A exp(X) leaves rho unchanged.
+_GAUGE = 1j * _PAULI_BASIS
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a b) for stacks of Hermitian matrices."""
     return np.real(np.einsum("bij,bji->b", a, b))
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """Complex 4x4 factors, (B, 4, 4) or (B, 16), as (B, 32) real vectors
+    (Re A, Im A), row-major."""
+    flat = a.reshape(len(a), 16)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def _factored_direction(prob: _Problem, a: np.ndarray, c: np.ndarray, g: np.ndarray,
+                        rows) -> np.ndarray:
+    """The Newton step dA at (B, 4, 4) factors A with rates c and gradient g.
+
+    The Hessian is restricted to the complement of the directions A X and A,
+    along which rho does not change, and pseudo-inverted over its
+    eigendecomposition with |eigenvalues| above the relative cutoff."""
+    orbit = np.concatenate([a[:, None], a[:, None] @ _GAUGE], axis=1).reshape(-1, 16)
+    q, r = np.linalg.qr(_real(orbit).reshape(len(a), 17, 32).swapaxes(1, 2))
+    # A rank-deficient A spans fewer directions; drop the columns QR filled in.
+    span = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    q = q * (span > 1e-10 * span.max(axis=1, keepdims=True))[:, None, :]
+    p = np.eye(32) - q @ q.swapaxes(1, 2)
+    lam, vec = np.linalg.eigh(p @ prob.factor_hessian(a, c, g, rows) @ p)
+    size = np.abs(lam)
+    keep = size > _FACTOR_CUTOFF * size.max(axis=1, keepdims=True)
+    inv = np.where(keep, 1.0 / np.where(keep, size, 1.0), 0.0)
+    grad = _real(2.0 * g @ a)
+    step = -((vec * inv[:, None, :]) @ (vec.swapaxes(1, 2) @ grad[:, :, None]))[:, :, 0]
+    return (step[:, :16] + 1j * step[:, 16:]).reshape(-1, 4, 4)
+
+
+def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.ndarray,
+                     g_x: np.ndarray, iterations: np.ndarray, converged: np.ndarray,
+                     accept) -> None:
+    """Damped Newton steps on factors A, rho = A A^H / Tr(A A^H), for the sets
+    `rows`, from A = V sqrt(max(lambda, 0)) of each iterate; `accept` records
+    each step (see the module docstring)."""
+    vals, vecs = np.linalg.eigh(x[rows])
+    a = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    active = np.ones(len(rows), dtype=bool)
+    for _ in range(_MAX_FACTORED_STEPS):
+        active &= ~converged[rows] & (iterations[rows] < _MAX_ITER)
+        live = np.flatnonzero(active)
+        if not len(live):
+            break
+        at = rows[live]
+        da = _factored_direction(prob, a[live], c_x[at], g_x[at], at)
+        t = 1.0
+        pending = np.arange(len(live))
+        while len(pending):
+            r, old, d = at[pending], a[live[pending]], t * da[pending]
+            # A A^H grows by this; f ignores the scale of rho.
+            cross = d @ old.conj().swapaxes(1, 2)
+            grow = cross + cross.conj().swapaxes(1, 2) + d @ d.conj().swapaxes(1, 2)
+            gain = prob.change(c_x[r], prob.rates(grow, r), r)
+            ok = gain <= 0.0
+            new = old[ok] + d[ok]
+            new /= np.linalg.norm(new, axis=(1, 2))[:, None, None]
+            a[live[pending[ok]]] = new
+            accept(r[ok], new @ new.conj().swapaxes(1, 2), gain[ok])
+            pending = pending[~ok]
+            t *= 0.5
+            if t < _MIN_NEWTON_STEP:
+                active[live[pending]] = False
+                break
 
 
 def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[TomographyResult]:
@@ -326,8 +433,21 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
     iterations = np.zeros(b, dtype=int)
     converged = _certified(g_x)
 
+    def accept(moved, z, gain):
+        """Move the sets `moved` to the states z, changing f by gain."""
+        if not len(moved):
+            return
+        x[moved] = z
+        c_x[moved] = prob.rates(z, moved)
+        g_x[moved] = prob.gradient(c_x[moved], moved)
+        f[moved] += gain
+        for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
+            history[r].append(value)
+        iterations[moved] += 1
+        converged[moved] = _certified(g_x[moved])
+
     # Damped Newton in the coordinates v while the Hessian is positive
-    # definite and steps stay long; then APG from the Newton iterate.
+    # definite and steps stay long; then factored Newton, then APG.
     newton = ~converged
     while newton.any():
         rows = np.flatnonzero(newton)
@@ -349,15 +469,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
             z = x[at] + t * dx[pending]
             gain = prob.change(c_x[at], t * dc[pending], at)
             ok = (gain <= 0.0) & _positive_definite(z)
-            moved = at[ok]
-            x[moved] = z[ok]
-            c_x[moved] = prob.rates(z[ok], moved)
-            g_x[moved] = prob.gradient(c_x[moved], moved)
-            f[moved] += gain[ok]
-            for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
-                history[r].append(value)
-            iterations[moved] += 1
-            converged[moved] = _certified(g_x[moved])
+            accept(at[ok], z[ok], gain[ok])
             pending = pending[~ok]
             t *= 0.5
             if t < _MIN_NEWTON_STEP:
@@ -365,6 +477,10 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
                 break
         newton[rows] &= ~converged[rows] & (iterations[rows] < _MAX_ITER)
     newton_steps = iterations.copy()
+
+    left = np.flatnonzero(~converged & (iterations < _MAX_ITER))
+    if len(left):
+        _factored_newton(prob, left, x, c_x, g_x, iterations, converged, accept)
 
     x_prev = x.copy()
     theta = np.ones(b)
@@ -461,24 +577,26 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     """Point estimates of (B, K) count and duration arrays and, for n_sets >= 2,
     each set's Monte Carlo fidelity summary versus `target`, from one batched solve.
 
-    Resample i of set j draws counts_k ~ Poisson(n_k) from child seed i of
-    seeds[j] (one seed per set); the fidelities are recorded in index order.
-    With n_sets = 0 the summary list is empty.
+    The resamples of set j are one (n_sets, K) draw counts_k ~ Poisson(n_k)
+    from a generator seeded with child seed 0 of seeds[j] (one seed per set),
+    so they do not depend on the other sets; resample i is row i, and the
+    fidelities are recorded in that order.  With n_sets = 0 the summary list
+    is empty.
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
     n, dur = np.asarray(n, dtype=float), np.asarray(dur, dtype=float)
     if n.shape != dur.shape or n.shape[1:] != (len(ts.settings),):
         raise TomographyError(f"counts {n.shape} and durations {dur.shape} mismatch")
-    resampled = np.array([np.random.default_rng(child_seed(seed, "mc-tomo", i)).poisson(row)
-                          for row, seed in zip(n, seeds, strict=True) for i in range(n_sets)],
-                         dtype=float).reshape(-1, n.shape[1])
+    resampled = np.array(
+        [np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (n_sets, len(row)))
+         for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])
     results = _mle_many(np.concatenate([n, resampled]),
                         np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts)
     points, draws = results[:len(n)], results[len(n):]
     if not draws:
         return points, []
-    fid = qstate.fidelity(np.stack([r.rho_hat for r in draws]), target).reshape(len(n), n_sets)
+    fid = qstate.fidelity(target, np.stack([r.rho_hat for r in draws])).reshape(len(n), n_sets)
     failed = np.array([not r.converged for r in draws]).reshape(len(n), n_sets).sum(axis=1)
     return points, [McSummary(n_sets, float(f.mean()), float(f.std(ddof=1)), f.tolist(), int(k))
                     for f, k in zip(fid, failed)]

@@ -240,12 +240,9 @@ class TestMonteCarlo:
 def resampled_sets(counts, seed, n_sets):
     """The Poisson resamples monte_carlo_fidelity draws, as count records."""
     base = np.array([r.counts for r in counts], dtype=float)
-    sets = []
-    for i in range(n_sets):
-        rng = np.random.default_rng(child_seed(seed, "mc-tomo", i))
-        sets.append([measure.CountRecord(r.setting_label, int(k), r.duration_s)
-                     for r, k in zip(counts, rng.poisson(base))])
-    return sets
+    draws = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(base, (n_sets, len(base)))
+    return [[measure.CountRecord(r.setting_label, int(k), r.duration_s)
+             for r, k in zip(counts, row)] for row in draws]
 
 
 def profiled_objective(rho, counts, ts):
@@ -555,6 +552,29 @@ class TestReconstructWithMc:
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
+    def test_each_track_is_one_draw_from_its_seed(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = rng.poisson(rng.uniform(0.0, 400.0, size=(3, 36))).astype(float)
+        seeds = [11, 12, 13]
+        together = drawn_resamples(monkeypatch, n, seeds, 50).reshape(3, 50, 36)
+        for j, (row, seed) in enumerate(zip(n, seeds)):
+            expected = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (50, 36))
+            assert together[j].astype(expected.dtype).tobytes() == expected.tobytes()
+            alone = drawn_resamples(monkeypatch, n[j:j + 1], [seed], 50)
+            assert alone.tobytes() == together[j].tobytes()
+
+    def test_resamples_are_poisson_about_the_counts(self, monkeypatch):
+        n = np.array([0, 1, 2, 5, 13, 40, 150, 700, 3000] * 4, dtype=float)
+        draws = drawn_resamples(monkeypatch, n[None], [5], 2500)
+        assert draws.shape == (2500, 36)
+        assert np.all(draws[:, n == 0] == 0)
+        seen, lam = draws[:, n > 0], n[n > 0]
+        # Standard errors of the sample mean and variance of Poisson(lam).
+        mean_se = np.sqrt(lam / len(draws))
+        var_se = np.sqrt((lam + 2.0 * lam ** 2) / len(draws))
+        assert np.all(np.abs(seen.mean(axis=0) - lam) <= 4.0 * mean_se)
+        assert np.all(np.abs(seen.var(axis=0, ddof=1) - lam) <= 4.0 * var_se)
+
     @pytest.mark.parametrize("n_sets,seeds", [(1, [0]), (-2, [0]), (3, [0, 1])])
     def test_rejects_bad_arguments(self, n_sets, seeds):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
@@ -569,6 +589,123 @@ class TestReconstructWithMc:
     def test_rejects_arrays_not_matching_the_scheme(self, n, dur):
         with pytest.raises(tomo.TomographyError, match="mismatch"):
             tomo.reconstruct_with_mc(n, dur, TS36, qstate.bell_phi_plus(), 0, [0, 1])
+
+
+def drawn_resamples(monkeypatch, n, seeds, n_sets):
+    """The resampled counts reconstruct_with_mc hands its solve, which is not run."""
+
+    class Drawn(Exception):
+        pass
+
+    def capture(counts, durations, ts):
+        raise Drawn(counts[len(n):])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tomo, "_mle_many", capture)
+        with pytest.raises(Drawn) as drawn:
+            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, qstate.bell_phi_plus(), n_sets,
+                                     seeds)
+    return drawn.value.args[0]
+
+
+@pytest.fixture(scope="module")
+def bundled_solves():
+    """run_simulate's batched solve at master seeds 7000-7019 of the bundled
+    scenario: each solve's (n, dur, results), and the rows APG projected."""
+    solves, projected = [], []
+    solve, project = tomo._mle_many, tomo._project_eig
+
+    def spy_solve(n, dur, ts):
+        results = solve(n, dur, ts)
+        solves.append((n, dur, results))
+        return results
+
+    def spy_project(h):
+        projected.append(len(h))
+        return project(h)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomo, "_mle_many", spy_solve)
+        patch.setattr(tomo, "_project_eig", spy_project)
+        for seed in range(7000, 7020):
+            cli.run_simulate(cli.load_scenario({**cli.default_config(), "master_seed": seed}))
+    return solves, sum(projected)
+
+
+@pytest.fixture(scope="module")
+def left_interior(bundled_solves):
+    """(n, dur) of the bundled count sets the interior Newton phase left uncertified."""
+    picked = [(n[i], dur[i]) for n, dur, results in bundled_solves[0]
+              for i, r in enumerate(results) if r.newton_steps < r.iterations]
+    return np.array([p[0] for p in picked]), np.array([p[1] for p in picked])
+
+
+def projections_made(monkeypatch, solve):
+    """The number of rows `_project_eig` projects while `solve()` runs, and its result."""
+    projected = []
+    project = tomo._project_eig
+    with monkeypatch.context() as patch:
+        patch.setattr(tomo, "_project_eig", lambda h: projected.append(len(h)) or project(h))
+        result = solve()
+    return sum(projected), result
+
+
+def test_bundled_runs_stay_out_of_apg(bundled_solves):
+    # Timing-free guard on the factored Newton phase.  Measured: 0 projections
+    # (13 of the 6,060 sets leave the interior phase; all finish factored).  A
+    # set that falls back to APG projects 24-51 times, so the bound admits two;
+    # the solver without the factored phase made 444 on these seeds.
+    solves, projected = bundled_solves
+    assert len(solves) == 20 and all(len(n) == 303 for n, _, _ in solves)
+    assert projected <= 100
+
+
+class TestFactoredNewton:
+    """The factored Newton phase on the sets the interior phase leaves."""
+
+    def test_boundary_sets_certified_without_apg(self, monkeypatch, left_interior):
+        n, dur = left_interior
+        assert len(n) >= 10
+        projected, results = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
+        assert projected == 0
+        for result in results:
+            assert result.converged and result.newton_steps < result.iterations
+            h = result.objective_history
+            assert all(a >= b for a, b in zip(h, h[1:]))
+
+    def test_agrees_with_apg_only_solve(self, monkeypatch, left_interior):
+        n, dur = left_interior
+        factored = tomo._mle_many(n, dur, TS36)
+        monkeypatch.setattr(tomo, "_factored_newton", lambda *args: None)
+        projected, apg = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
+        assert projected > 0
+        for a, b in zip(factored, apg):
+            assert a.converged and b.converged
+            assert np.abs(a.rho_hat - b.rho_hat).max() <= 1e-8
+
+    def test_sets_left_uncertified_finish_in_apg(self, monkeypatch, left_interior):
+        n, dur = left_interior
+        unbounded = tomo._mle_many(n, dur, TS36)
+        monkeypatch.setattr(tomo, "_MAX_FACTORED_STEPS", 1)
+        projected, results = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
+        assert projected > 0
+        for result, alone in zip(results, unbounded):
+            assert result.converged and result.iterations > result.newton_steps
+            h = result.objective_history
+            assert all(a >= b for a, b in zip(h, h[1:]))
+            assert np.abs(result.rho_hat - alone.rho_hat).max() <= 1e-8
+
+    @pytest.mark.parametrize("ts,unequal", [(TS36, False), (TS16, True)], ids=["36", "16-unequal"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_count_sets_certified_without_apg(self, monkeypatch, ts, unequal, rank):
+        durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
+        sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
+        projected, results = projections_made(monkeypatch, lambda: mle_reconstruct_many(sets, ts))
+        assert projected == 0
+        for result in results:
+            assert result.converged
+            h = result.objective_history
+            assert all(a >= b for a, b in zip(h, h[1:]))
 
 
 def random_count_set(rng, ts, exposure, pure):
