@@ -118,15 +118,11 @@ def transparency_fwhm(p: EitParams) -> float:
 
 
 def calibrate_gamma_gs() -> float:
-    """One-dimensional search for the ground-state decoherence that makes
-    experiment_eit_params() reproduce the measured 2.2 MHz transparency
-    window.  Returns gamma_gs (rad/s)."""
-    from scipy.optimize import minimize_scalar
-
-    def mismatch(log_gamma: float) -> float:
-        p = replace(experiment_eit_params(), gamma_gs_rad_per_s=math.exp(log_gamma))
-        return abs(transparency_fwhm(p) - 2.2e6)
-
-    res = minimize_scalar(mismatch, bounds=(math.log(1.0), math.log(2.0 * math.pi * 1e6)),
-                          method="bounded", options={"xatol": 1e-3})
-    return float(math.exp(res.x))
+    """Bisection in log gamma_gs, down to adjacent floats, on the signed
+    mismatch between the window of experiment_eit_params() and the measured
+    2.2 MHz; the window widens with gamma_gs.  Returns gamma_gs (rad/s)."""
+    lo, hi = math.log(1.0), math.log(2.0 * math.pi * 1e6)
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        fwhm = transparency_fwhm(replace(experiment_eit_params(), gamma_gs_rad_per_s=math.exp(mid)))
+        lo, hi = (mid, hi) if fwhm < 2.2e6 else (lo, mid)
+    return math.exp(lo)

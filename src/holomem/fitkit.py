@@ -3,10 +3,10 @@
   efficiency:  y(t) = eta0 * exp(-t / tau)
   visibility:  V(t) = 1 / (a + b * exp(2 t / tau))     (tau held fixed)
 
-Fitting uses a damped trust-region least-squares solver with numeric
-Jacobians; parameter uncertainties come from the local quadratic model of
-the weighted residual.  Data are sorted internally so results are
-bit-identical under reordering of the input points.
+Fitting uses Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431
+(1963)) with analytic Jacobians; parameter uncertainties come from the local
+quadratic model of the weighted residual.  Data are sorted internally so
+results are bit-identical under reordering of the input points.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .constants import CHSH_VISIBILITY
 
 MAX_ITERATIONS = 1000
+TOL = 1e-12
 
 
 class FitError(ValueError):
@@ -64,18 +65,33 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _solve(residual, x0, names):
-    # Imported here so that only fitting pays scipy's import cost.
-    from scipy.optimize import least_squares
-    res = least_squares(residual, x0, method="trf",
-                        ftol=1e-12, xtol=1e-12, gtol=1e-12,
-                        max_nfev=MAX_ITERATIONS * (len(x0) + 1))
-    cov = _covariance(res.jac)
-    params = dict(zip(names, (float(v) for v in res.x)))
+def _solve(model, x, names, data):
+    """Levenberg-Marquardt fit of model(x) -> (prediction, Jacobian) to data, all weighted
+    by 1/sigma, damping each parameter by its J^T J diagonal.  Stops at TOL on the relative
+    cost change, on each parameter's relative step, or on each |gradient| / |J column| |data|."""
+    pred, jac = model(x)
+    r = pred - data
+    cost, damping, gtol, converged = r @ r, 1e-3, TOL * np.linalg.norm(data), False
+    with np.errstate(all="ignore"):  # a trial step that overflows is rejected
+        for _ in range(MAX_ITERATIONS):
+            grad, jtj = jac.T @ r, jac.T @ jac
+            if converged or np.all(np.abs(grad) <= gtol * np.sqrt(np.diag(jtj))):
+                converged = True
+                break
+            step = -np.linalg.pinv(jtj + damping * np.diag(np.diag(jtj))) @ grad
+            pred, jac_new = model(x + step)
+            cost_new = (pred - data) @ (pred - data)
+            accept = bool(cost_new < cost and np.all(np.isfinite(jac_new)))
+            converged = bool(np.all(np.abs(step) <= TOL * np.abs(x))
+                             or accept and cost - cost_new <= TOL * cost)
+            if accept:
+                x, r, jac, cost = x + step, pred - data, jac_new, cost_new
+            damping *= 0.1 if accept else 10.0
+    cov = _covariance(jac)
+    params = dict(zip(names, (float(v) for v in x)))
     sigmas = dict(zip(names, (float(math.sqrt(max(c, 0.0))) for c in np.diag(cov))))
     return FitResult(params=params, uncertainties=sigmas, covariance=cov,
-                     residual_norm=float(np.linalg.norm(res.fun)),
-                     converged=bool(res.status > 0))
+                     residual_norm=float(math.sqrt(cost)), converged=converged)
 
 
 def fit_exponential(data) -> FitResult:
@@ -94,11 +110,12 @@ def fit_exponential(data) -> FitResult:
         if slope < 0.0:
             tau_guess = -1.0 / slope
 
-    def residual(x):
+    def model(x):
         eta0, tau = x
-        return (eta0 * np.exp(-t / tau) - y) / sigma
+        e = np.exp(-t / tau) / sigma
+        return eta0 * e, np.column_stack((e, eta0 * t * e / tau ** 2))
 
-    return _solve(residual, np.array([eta0_guess, tau_guess]), ("eta0", "tau"))
+    return _solve(model, np.array([eta0_guess, tau_guess]), ("eta0", "tau"), y / sigma)
 
 
 def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
@@ -116,20 +133,18 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
     a_guess = 1.0 / float(v[0])
     b_guess = max((1.0 / float(v[-1]) - a_guess) * math.exp(-2.0 * float(t[-1]) / tau_s), 0.0)
 
-    if float_tau:
-        def residual(x):
-            a, b, tau = x
-            return (1.0 / (a + b * np.exp(2.0 * t / tau)) - v) / sigma
-        result = _solve(residual, np.array([a_guess, b_guess, tau_s]), ("a", "b", "tau"))
-        tau_fit = result.params["tau"]
-    else:
-        def residual(x):
-            a, b = x
-            return (1.0 / (a + b * np.exp(2.0 * t / tau_s)) - v) / sigma
-        result = _solve(residual, np.array([a_guess, b_guess]), ("a", "b"))
-        tau_fit = tau_s
+    def model(x):
+        a, b = x[:2]
+        tau = x[2] if float_tau else tau_s
+        e = np.exp(2.0 * t / tau)
+        fit = 1.0 / (a + b * e)
+        dv = -fit ** 2 / sigma
+        return fit / sigma, np.column_stack((dv, dv * e, -2.0 * b * dv * e * t / tau ** 2)[:len(x)])
 
-    result.t_star_s = threshold_crossing(result.params["a"], result.params["b"], tau_fit)
+    names = ("a", "b", "tau")[:3 if float_tau else 2]
+    result = _solve(model, np.array([a_guess, b_guess, tau_s][:len(names)]), names, v / sigma)
+    result.t_star_s = threshold_crossing(result.params["a"], result.params["b"],
+                                         result.params.get("tau", tau_s))
     return result
 
 

@@ -117,11 +117,6 @@ def werner(p: float) -> np.ndarray:
     return p * bell_phi_plus() + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
 
-def purity(rho: np.ndarray) -> float:
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
-
-
 def partial_trace(rho: np.ndarray, subsystem: int) -> np.ndarray:
     """Reduced 2x2 state of qubit `subsystem` (1 or 2) of a two-qubit state."""
     rho = np.asarray(rho, dtype=complex)

@@ -70,8 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .measure import (AnalyzerSetting, CountRecord, born_probabilities, joint_projectors,
-                      setting_from_labels)
+from .measure import AnalyzerSetting, CountRecord, joint_projectors, setting_from_labels
 from .seeding import child_seed
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
@@ -166,11 +165,6 @@ def design_rank(ts: TomographySettings) -> int:
     """Rank of the projector design (Gram) matrix; 16 means complete."""
     flat = ts.projectors.reshape(len(ts.settings), 16)
     return int(np.linalg.matrix_rank(flat, tol=1e-10))
-
-
-def forward_probabilities(rho: np.ndarray, ts: TomographySettings) -> np.ndarray:
-    """Born-rule probabilities for every setting of the scheme, clamped to [0, 1]."""
-    return born_probabilities(rho, ts.projectors)
 
 
 def count_arrays(count_sets: list[list[CountRecord]],

@@ -14,7 +14,7 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 def exact_counts(rho: np.ndarray, ts: tomo.TomographySettings, exposure: float):
     """Noiseless synthetic count records: round(exposure * p_k) per setting."""
     return [measure.CountRecord(s.label, int(round(exposure * p)))
-            for s, p in zip(ts.settings, tomo.forward_probabilities(rho, ts))]
+            for s, p in zip(ts.settings, measure.born_probabilities(rho, ts.projectors))]
 
 
 @pytest.fixture

@@ -548,18 +548,28 @@ class TestCommands:
 
 
 # Run in a fresh interpreter, so modules the test session already loaded do
-# not count.  argv[1] is the directory holding the holomem package.
-_SIMULATE_NO_SCIPY = """
+# not count, with every scipy import raising ImportError.  argv[1] is the
+# directory holding the holomem package; argv[2] maps output paths to command
+# lines, in JSON.  Prints each command's exit code and the scipy imports tried.
+_WITHOUT_SCIPY = """
+import json
 import sys
+
+tried = []
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            tried.append(name)
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
 sys.path.insert(0, sys.argv[1])
 import holomem.cli as cli
-import yaml
-cfg = cli.default_config()
-cfg["n_mc_sets"] = 0
-with open(sys.argv[2], "w") as fh:
-    yaml.safe_dump(cfg, fh)
-rc = cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
-print(rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+codes = {out: cli.main([*argv, "--out", out]) for out, argv in json.loads(sys.argv[2]).items()}
+print(json.dumps({"codes": codes, "tried": tried}))
 """
 
 _EIT_INF_OD = """
@@ -569,36 +579,53 @@ import holomem.cli as cli
 sys.exit(cli.main(["eit", "--od", "inf", "--points", "3"]))
 """
 
-_FIT = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import holomem.cli as cli
-rc = cli.main(["fit", "--kind", "exp", "--out", sys.argv[2]])
-print(rc, "scipy.optimize" in sys.modules)
-"""
-
 
 class TestImports:
     SRC = str(Path(cli.__file__).resolve().parents[1])
 
-    def _run(self, code, *args):
-        proc = subprocess.run([sys.executable, "-c", code, self.SRC, *map(str, args)],
+    def _run_without_scipy(self, blocked, commands):
+        argv = {str(blocked / out): command for out, command in commands.items()}
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, self.SRC, json.dumps(argv)],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split(maxsplit=1)
+        assert json.loads(proc.stdout) == {"codes": dict.fromkeys(argv, cli.EXIT_OK),
+                                           "tried": []}, proc.stderr
 
     def test_simulate_never_imports_scipy(self, tmp_path):
-        out = tmp_path / "report.json"
-        rc, loaded = self._run(_SIMULATE_NO_SCIPY, tmp_path / "cfg.yaml", out)
-        assert int(rc) == cli.EXIT_OK
-        assert loaded.strip() == "[]"
-        assert json.loads(out.read_text())["analytic"]["eit_fwhm_hz"] > 0.0
+        self._run_without_scipy(tmp_path, {"report.json": ["simulate"]})
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["analytic"]["eit_fwhm_hz"] > 0.0
 
-    def test_fit_still_loads_scipy_and_works(self, tmp_path):
-        out = tmp_path / "fit.json"
-        rc, loaded = self._run(_FIT, out)
-        assert int(rc) == cli.EXIT_OK
-        assert loaded.strip() == "True"
-        payload = json.loads(out.read_text())
-        assert payload["converged"]
-        assert payload["params"]["tau"] == pytest.approx(2.8e-6, rel=0.1)
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(measure.counts_to_csv(measure.sample_counts(
+            qstate.bell_phi_plus(), list(TS36.settings), 50000, 0.04, seed=12)))
+        vis = tmp_path / "vis.csv"
+        vis.write_text("t_s,y,sigma\n" + "".join(
+            f"{t!r},{1.0 / (1.1 + 0.03 * math.exp(2.0 * t / 2.8e-6))!r},0.01\n"
+            for t in np.linspace(0.0, 3e-6, 8).tolist()))
+        commands = {"report.json": ["simulate"], "capacity.txt": ["capacity"],
+                    "eit.csv": ["eit", "--points", "5"], "chsh.txt": ["chsh", "--state", "bell"],
+                    "crosstalk.csv": ["crosstalk"], "exp.json": ["fit", "--kind", "exp"],
+                    "vis.json": ["fit", "--kind", "vis", "--tau-s", "2.8e-6", "--data", str(vis)],
+                    "tomo.json": ["tomo", "--counts", str(counts), "--mc-sets", "2"]}
+        blocked, here = tmp_path / "blocked", tmp_path / "here"
+        blocked.mkdir()
+        here.mkdir()
+        self._run_without_scipy(blocked, commands)
+        # Byte for byte what this scipy-loading session writes.
+        for out, command in commands.items():
+            assert cli.main([*command, "--out", str(here / out)]) == cli.EXIT_OK
+            assert (blocked / out).read_bytes() == (here / out).read_bytes(), out
+        read = {out: (blocked / out).read_text() for out in commands}
+        report = json.loads(read["report.json"])
+        assert report["analytic"]["eit_fwhm_hz"] == pytest.approx(2.2e6, rel=0.01)
+        assert read["capacity.txt"].strip() == "240.6"
+        assert read["eit.csv"].splitlines()[0] == "delta_hz,transmission,phase_rad"
+        assert float(read["chsh.txt"]) == pytest.approx(2 * math.sqrt(2), abs=1e-5)
+        assert len(read["crosstalk.csv"].splitlines()) > 1
+        exp, vis_fit = json.loads(read["exp.json"]), json.loads(read["vis.json"])
+        assert exp["converged"] and vis_fit["converged"]
+        assert exp["params"]["tau"] == pytest.approx(2.8e-6, rel=0.1)
+        assert vis_fit["params"] == pytest.approx({"a": 1.1, "b": 0.03}, rel=1e-6)
+        assert json.loads(read["tomo.json"])["fidelity_vs_target"] == pytest.approx(1.0, abs=0.03)

@@ -190,6 +190,17 @@ class TestCalibration:
         fwhm = eitline.transparency_fwhm(params(gamma_gs_rad_per_s=gamma))
         assert fwhm == pytest.approx(2.2e6, rel=5e-3)
 
+    def test_calibration_is_the_root_of_the_signed_mismatch(self):
+        def mismatch(log_gamma):
+            p = params(gamma_gs_rad_per_s=math.exp(log_gamma))
+            return eitline.transparency_fwhm(p) - 2.2e6
+
+        root = brentq(mismatch, 0.0, math.log(2.0 * math.pi * 1e6), xtol=1e-13, rtol=1e-15)
+        gamma = eitline.calibrate_gamma_gs()
+        assert gamma == pytest.approx(math.exp(root), rel=1e-9)
+        # The shipped constant came from a search stopped at xatol 1e-3 in log gamma.
+        assert abs(math.log(gamma / eitline.DEFAULT_GAMMA_GS_RAD_PER_S)) <= 1e-3
+
     def test_fwhm_increases_with_rabi(self):
         widths = [eitline.transparency_fwhm(params(rabi_rad_per_s=r * RABI))
                   for r in (0.8, 1.0, 1.3, 1.7)]

@@ -1,9 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
-from holomem import channel, fitkit, measure
+from holomem import channel, cli, fitkit, measure
 
 
 def decay_points(eta0, tau, times, rng=None, noise=0.0):
@@ -70,6 +74,22 @@ class TestExponentialFit:
         assert res.params["eta0"] == pytest.approx(0.1, rel=0.05)
         assert res.params["tau"] > 5e-6
 
+    def test_overflowing_trial_steps_are_rejected(self):
+        # Steep decays whose trial steps overflow exp(): in the model values
+        # (efficiency) and, with a lower cost, in the Jacobian (float tau).
+        t = np.linspace(0.0, 10e-6, 10)
+        y = 0.2 * np.exp(-t / 3e-7) + 1e-4
+        steep = list(zip(t.tolist(), y.tolist(), (0.05 * y + 1e-4).tolist()))
+        vis = [(3.18e-07, 0.00844), (5.63e-07, 0.000814), (2.37e-06, 0.0001),
+               (2.94e-06, 0.0001), (5.46e-06, 0.0001), (6.07e-06, 0.0001),
+               (6.51e-06, 0.0001), (6.58e-06, 0.0001), (7.86e-06, 0.0001), (8.78e-06, 0.0001)]
+        vis = [(ti, v, float(f"{0.05 * v + 1e-4:.3g}")) for ti, v in vis]
+        for res in (fitkit.fit_exponential(steep),
+                    fitkit.fit_visibility(vis, tau_s=2.8e-6, float_tau=True)):
+            assert res.converged is True
+            values = [*res.params.values(), *res.uncertainties.values(), res.residual_norm]
+            assert np.all(np.isfinite(values))
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(fitkit.FitError):
             fitkit.fit_exponential([(0.0, 1.0, 0.1), (1.0, 0.5, 0.1)])
@@ -119,6 +139,17 @@ class TestVisibilityFit:
         res = fitkit.fit_visibility(pts, tau_s=2.8e-6)
         assert res.t_star_s == math.inf
 
+    def test_flat_series_keeps_its_start(self):
+        # The start 1/a = V fits to rounding, so no step may be taken: one
+        # made of rounding noise once moved b from 0 to about 1e-19, which
+        # puts t_star near 60 us.
+        for level in np.linspace(0.72, 0.99, 28).round(2).tolist():
+            pts = [(t, level, 0.01) for t in np.linspace(0, 3e-6, 6)]
+            res = fitkit.fit_visibility(pts, tau_s=2.8e-6)
+            assert res.converged is True
+            assert res.params == {"a": 1.0 / level, "b": 0.0}
+            assert res.t_star_s == math.inf
+
     def test_threshold_crossing_closed_form(self):
         a, b, tau = 1.1, 0.05, 2.8e-6
         t_star = fitkit.threshold_crossing(a, b, tau)
@@ -133,3 +164,128 @@ class TestVisibilityFit:
             fitkit.fit_visibility(pts, tau_s=0.0)
         with pytest.raises(fitkit.FitError):
             fitkit.fit_visibility([(0.0, 0.9, 0.01), (1e-6, -0.1, 0.01)], tau_s=2.8e-6)
+
+
+def exp_set(seed):
+    """Twelve points of y = eta0 exp(-t/tau) over 8 us with 5% Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    eta0, tau = rng.uniform(0.1, 0.2), rng.uniform(2e-6, 4e-6)
+    return decay_points(eta0, tau, np.linspace(0.0, 8e-6, 12), rng, 0.05), (eta0, tau)
+
+
+def vis_set(seed):
+    """Fifteen points of V = 1/(a + b exp(2t/tau)) over 3 us, sigma 0.01."""
+    rng = random.Random(seed)
+    a, b, tau = rng.uniform(1.05, 1.3), rng.uniform(0.01, 0.05), rng.uniform(2e-6, 4e-6)
+    return [(t, 1.0 / (a + b * math.exp(2.0 * t / tau)) + 0.01 * rng.gauss(0.0, 1.0), 0.01)
+            for t in np.linspace(0.0, 3e-6, 15).tolist()], (a, b, tau)
+
+
+def exp_residual(data):
+    t, y, sigma = np.array(data).T
+    return lambda x: (x[0] * np.exp(-t / x[1]) - y) / sigma
+
+
+def vis_residual(data, tau_s=None):
+    """Weighted residual in (a, b), or in (a, b, tau) when tau_s is None."""
+    t, v, sigma = np.array(data).T
+    return lambda x: (1.0 / (x[0] + x[1] * np.exp(2.0 * t / (x[2] if tau_s is None else tau_s)))
+                      - v) / sigma
+
+
+def central_jacobian(residual, x):
+    """Central differences with relative steps 1e-6 |x_i|."""
+    cols = []
+    for i, h in enumerate(1e-6 * np.abs(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        cols.append((residual(up) - residual(down)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def scipy_fit(residual, x0):
+    """The former solver: scipy's trust-region least squares, 2-point Jacobian."""
+    return least_squares(residual, x0, method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                         max_nfev=fitkit.MAX_ITERATIONS * (len(x0) + 1))
+
+
+def bundled_fits():
+    data = cli._read_fit_csv(None)
+    return [(fitkit.fit_exponential(data), exp_residual(data)),
+            (fitkit.fit_visibility(data, tau_s=2.8e-6), vis_residual(data, 2.8e-6)),
+            (fitkit.fit_visibility(data, tau_s=2.8e-6, float_tau=True), vis_residual(data))]
+
+
+def seeded_fits(seeds=range(20)):
+    fits = []
+    for seed in seeds:
+        data, _ = exp_set(seed)
+        fits.append((fitkit.fit_exponential(data), exp_residual(data)))
+        data, (_, _, tau) = vis_set(seed)
+        fits.append((fitkit.fit_visibility(data, tau_s=tau), vis_residual(data, tau)))
+    return fits
+
+
+class TestOptimum:
+    @pytest.mark.parametrize("fits", [bundled_fits, seeded_fits], ids=["bundled", "seeded"])
+    def test_uncertainties_are_the_curvature_at_the_optimum(self, fits):
+        for res, residual in fits():
+            x = np.array(list(res.params.values()))
+            jac = central_jacobian(residual, x)
+            expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+            assert res.converged is True
+            assert list(res.uncertainties.values()) == pytest.approx(expected, rel=1e-6)
+            assert res.residual_norm == pytest.approx(np.linalg.norm(residual(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("fits", [bundled_fits, seeded_fits], ids=["bundled", "seeded"])
+    def test_scaled_gradient_vanishes(self, fits):
+        # A cosine c between r and a column J_i leaves about c^2 of the cost
+        # to gain: c <= 1e-6 keeps that within the 1e-12 relative cost change
+        # at which the fit stops.
+        for res, residual in fits():
+            x = np.array(list(res.params.values()))
+            jac, r = central_jacobian(residual, x), residual(x)
+            cosine = np.abs(jac.T @ r) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r))
+            assert cosine.max() <= 1e-6
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_at_least_as_good_as_scipy(self, seed):
+        exp_data, exp_truth = exp_set(seed)
+        vis_data, (a, b, tau) = vis_set(seed)
+        for res, residual, truth in (
+                (fitkit.fit_exponential(exp_data), exp_residual(exp_data), exp_truth),
+                (fitkit.fit_visibility(vis_data, tau_s=tau), vis_residual(vis_data, tau), (a, b))):
+            ref = scipy_fit(residual, np.array(truth))
+            assert res.residual_norm ** 2 <= (ref.fun @ ref.fun) * (1.0 + 1e-9)
+            for (name, value), other in zip(res.params.items(), ref.x):
+                assert abs(value - other) <= 0.05 * res.uncertainties[name]
+
+    def test_bundled_float_tau_cost_not_above_scipy(self):
+        data = cli._read_fit_csv(None)
+        res = fitkit.fit_visibility(data, tau_s=2.8e-6, float_tau=True)
+        t, v, _ = np.array(sorted(data)).T
+        a0 = 1.0 / v[0]
+        x0 = np.array([a0, max((1.0 / v[-1] - a0) * math.exp(-2.0 * t[-1] / 2.8e-6), 0.0), 2.8e-6])
+        ref = scipy_fit(vis_residual(data), x0)
+        assert res.residual_norm ** 2 <= ref.fun @ ref.fun
+
+    def test_float_tau_sweep_against_scipy(self):
+        # Both solvers from the same start.  Over seeds 0-999 the fit ends
+        # above scipy on 3 sets (0.3 %): two stop elsewhere in the flat
+        # tau -> infinity valley of the model (+1.4e-6, +9.6e-6), and in one
+        # the first steps carry tau across the pole at 0 (+1.8 %).  Here: 146
+        # lower, 1 higher, 53 equal within 1e-9.
+        lower = higher = 0
+        for seed in range(200):
+            data, (_, _, tau) = vis_set(seed)
+            res = fitkit.fit_visibility(data, tau_s=tau, float_tau=True)
+            v0, v1 = data[0][1], data[-1][1]
+            x0 = np.array([1.0 / v0, max((1.0 / v1 - 1.0 / v0) * math.exp(-6e-6 / tau), 0.0), tau])
+            ref = scipy_fit(vis_residual(data), x0)
+            rel = res.residual_norm ** 2 / (ref.fun @ ref.fun) - 1.0
+            assert res.converged is True and rel <= 0.05
+            lower += rel < -1e-9
+            higher += rel > 1e-9
+        assert higher <= 2 and lower >= 100

@@ -38,7 +38,7 @@ class TestSchemes:
 
     def test_forward_probabilities_match_born_rule(self, rng):
         rho = random_density_matrix(rng)
-        probs = tomo.forward_probabilities(rho, TS36)
+        probs = measure.born_probabilities(rho, TS36.projectors)
         for p, s in zip(probs, TS36.settings):
             assert p == pytest.approx(measure.coincidence_prob(rho, s), abs=1e-12)
 
@@ -48,7 +48,7 @@ class TestLinearInversion:
     def test_exact_recovery_from_noiseless_counts(self, ts, rng):
         for _ in range(50):
             rho = random_density_matrix(rng)
-            probs = tomo.forward_probabilities(rho, ts)
+            probs = measure.born_probabilities(rho, ts.projectors)
             # Bypass integer rounding: feed exact expected counts scaled up.
             counts = [measure.CountRecord(s.label, int(round(p * 10 ** 12)))
                       for s, p in zip(ts.settings, probs)]
@@ -64,7 +64,7 @@ class TestLinearInversion:
 
     def test_handles_unequal_durations(self):
         rho = qstate.bell_phi_plus()
-        probs = tomo.forward_probabilities(rho, TS16)
+        probs = measure.born_probabilities(rho, TS16.projectors)
         # Varied durations outside the H/V group; the group itself keeps a
         # common duration so the exposure estimate stays exact.
         durations = [1.0 + 0.5 * (i % 3) for i in range(len(TS16.settings))]
@@ -146,7 +146,7 @@ class TestMle:
                                             3000, 0.5, seed=s) for s in range(4)]
         for counts, result in zip(count_sets, mle_reconstruct_many(count_sets, TS36)):
             n = np.array([float(r.counts) for r in counts])
-            c = np.clip(tomo.forward_probabilities(result.rho_hat, TS36), 1e-300, None)
+            c = np.clip(measure.born_probabilities(result.rho_hat, TS36.projectors), 1e-300, None)
             mu = n.sum() * c / c.sum()
             expected = float(np.dot(n, np.log(mu)) - mu.sum())
             assert result.log_likelihood == pytest.approx(expected, rel=1e-12)
@@ -163,7 +163,8 @@ class TestMle:
         count_sets = []
         while len(count_sets) < 40:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            probs = tomo.forward_probabilities(np.outer(v, v.conj()) / np.vdot(v, v).real, ts)
+            rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+            probs = measure.born_probabilities(rho, ts.projectors)
             counts = [measure.CountRecord(s.label, int(k))
                       for s, k in zip(ts.settings, rng.poisson(30 * np.clip(probs, 0.0, None)))]
             if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
@@ -249,7 +250,7 @@ def profiled_objective(rho, counts, ts):
     """Negative profiled log-likelihood f = -sum n ln c + n_tot ln sum c."""
     n = np.array([float(r.counts) for r in counts])
     d = np.array([r.duration_s for r in counts])
-    c = np.clip(tomo.forward_probabilities(rho, ts) * d / d.mean(), 1e-300, None)
+    c = np.clip(measure.born_probabilities(rho, ts.projectors) * d / d.mean(), 1e-300, None)
     return float(-np.dot(n, np.log(c)) + n.sum() * np.log(c.sum()))
 
 
@@ -329,7 +330,7 @@ class TestReferenceAgreement:
 
     def test_sixteen_settings_unequal_durations(self):
         rho = channel.input_state(channel.experiment_source_params())
-        probs = tomo.forward_probabilities(rho, TS16)
+        probs = measure.born_probabilities(rho, TS16.projectors)
         durations = [1.0 + 0.5 * (i % 3) for i in range(len(TS16.settings))]
         count_sets = []
         for seed in range(8):
@@ -386,7 +387,8 @@ def low_count_sets(ts, rank, durations, rng, count=20, exposure=30):
     while len(sets) < count:
         g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
         rho = g @ g.conj().T
-        probs = np.clip(tomo.forward_probabilities(rho / np.trace(rho).real, ts), 0.0, None)
+        probs = np.clip(measure.born_probabilities(rho / np.trace(rho).real, ts.projectors),
+                        0.0, None)
         counts = [measure.CountRecord(s.label, int(k), d) for s, k, d in
                   zip(ts.settings, rng.poisson(exposure * probs * durations), durations)]
         if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
@@ -711,7 +713,7 @@ class TestFactoredNewton:
 def random_count_set(rng, ts, exposure, pure):
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rho = np.outer(v, v.conj()) / np.vdot(v, v).real if pure else random_density_matrix(rng)
-    probs = np.clip(tomo.forward_probabilities(rho, ts), 0.0, None)
+    probs = np.clip(measure.born_probabilities(rho, ts.projectors), 0.0, None)
     counts = [measure.CountRecord(s.label, int(k))
               for s, k in zip(ts.settings, rng.poisson(exposure * probs))]
     assume(sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")) > 0)
