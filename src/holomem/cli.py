@@ -544,7 +544,7 @@ def _cmd_tomo(args) -> int:
         payload["mc"] = _mc_payload(mcs[0])
     _write_out(_json_text(payload), args.out)
     if not result.converged:
-        raise NonConvergenceError("tomography MLE hit the iteration cap")
+        raise NonConvergenceError("tomography MLE did not converge")
     return EXIT_OK
 
 

@@ -5,8 +5,9 @@
 
 Fitting uses Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431
 (1963)) with analytic Jacobians; parameter uncertainties come from the local
-quadratic model of the weighted residual.  Data are sorted internally so
-results are bit-identical under reordering of the input points.
+quadratic model of the weighted residual, and are inf for a parameter that
+model cannot identify.  Data are sorted internally so results are
+bit-identical under reordering of the input points.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .constants import CHSH_VISIBILITY
 
 MAX_ITERATIONS = 1000
 TOL = 1e-12
+# Eigenvalues of J^T J scaled to unit diagonal at or below this fraction of
+# the largest count as zero: forming J^T J moves each by up to about 3 eps of
+# the largest, so a kept one is known to within 7 %.
+SINGULAR = 1e-14
 
 
 class FitError(ValueError):
@@ -56,13 +61,19 @@ def _prepare(data, min_points: int):
 
 
 def _covariance(jac: np.ndarray) -> np.ndarray:
+    """(J^T J)^-1 over the eigenvalues of the unit-diagonal scaled J^T J above SINGULAR
+    times the largest.  A parameter with a component along a dropped eigenvector is not
+    identified: its row and column are inf."""
     jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
-    # Symmetrize against roundoff.
-    return (cov + cov.T) / 2.0
+    scale = np.sqrt(np.diag(jtj))
+    scale[scale == 0.0] = 1.0
+    lam, vec = np.linalg.eigh(jtj / np.outer(scale, scale))
+    kept = lam > SINGULAR * lam[-1]
+    w = vec[:, kept] / np.sqrt(lam[kept]) / scale[:, None]
+    cov = w @ w.T
+    lost = np.sum(vec[:, ~kept] ** 2, axis=1) > SINGULAR
+    cov[lost, :] = cov[:, lost] = np.inf
+    return cov
 
 
 def _solve(model, x, names, data):
@@ -89,7 +100,7 @@ def _solve(model, x, names, data):
             damping *= 0.1 if accept else 10.0
     cov = _covariance(jac)
     params = dict(zip(names, (float(v) for v in x)))
-    sigmas = dict(zip(names, (float(math.sqrt(max(c, 0.0))) for c in np.diag(cov))))
+    sigmas = dict(zip(names, (float(math.sqrt(c)) for c in np.diag(cov))))
     return FitResult(params=params, uncertainties=sigmas, covariance=cov,
                      residual_norm=float(math.sqrt(cost)), converged=converged)
 

@@ -8,8 +8,8 @@ objective reduces to f = -sum n_k ln c_k + n_tot ln(sum c_k) with
 c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 
 B count sets are solved at once, as a (B, 4, 4) stack of states, with
-batched matrix products, in up to three phases from the clamped
-linear-inversion start; each phase sees only the sets the one before left.
+batched matrix products, in up to two phases from the clamped
+linear-inversion start; the second sees only the sets the first left.
 Count sets travel as (B, K) count and duration arrays in setting order;
 `CountRecord` lists (a count CSV) enter only through `count_arrays`.
 
@@ -37,22 +37,22 @@ J_k = 2 d_k Pi_k A and s = sum_k J_k / C.  rho does not change along A X
 restricted to the complement of those 17 directions and pseudo-inverted over
 its eigendecomposition, using |eigenvalue| and dropping those below
 _FACTOR_CUTOFF times the largest.  Each step halves its length until f does
-not rise.  A set leaves for APG when its step would be shorter than 2^-8 or
-after _MAX_FACTORED_STEPS steps.
+not rise.  A step that no halving down to 2^-8 can accept raises the set's
+Levenberg damping mu from 0: every kept |eigenvalue| is raised by mu times
+the largest, which turns the step toward -grad f.  Accepted steps lower mu
+again.  Since the 4x4 factor has full width, a rank-deficient local minimum of the
+factored problem is a global one (Burer & Monteiro, Math. Program. 103, 427
+(2005); Journee et al., SIAM J. Optim. 20, 2327 (2010)), so the damped
+phase does not stall short of the optimum.  A set still uncertified after
+_MAX_FACTORED_STEPS steps is returned with converged=False.
 
-Accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017))
-takes every set the factored phase left, from its iterate.  Each
-step moves along -grad f from a momentum point and projects onto the
-unit-trace positive matrices, projecting the eigenvalues onto the simplex.
-Every set keeps its own step size, found by backtracking on the curvature
-along the step, and its own momentum, which restarts when a step would
-raise f or runs against the gradient.  So the recorded f never rises, and
-each set's iterates depend only on its own counts and durations (up to
-rounding in the batched products).  reconstruct_with_mc therefore solves
-the point estimates and all their Monte Carlo resamples in one call.
+The recorded f never rises, and each set's iterates depend only on its own
+counts and durations (up to rounding in the batched products).
+reconstruct_with_mc therefore solves the point estimates and all their
+Monte Carlo resamples in one call.
 
-Stopping rule, checked after every step of each phase (_MAX_ITER caps all
-three together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
+Stopping rule, checked after every step of both phases (_MAX_ITER caps
+both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
 when G is positive semidefinite.  A set stops once the smallest eigenvalue
 of G is at least -_GTOL, computed by eigvalsh only where a vectorised LDL^H
@@ -105,11 +105,10 @@ class TomographyResult:
     converged: bool
     iterations: int
     # The leading part of `iterations` taken in the interior Newton phase; the
-    # rest are factored-Newton steps, then APG steps.
+    # rest are damped factored-Newton steps.
     newton_steps: int
     # Objective value (negative profiled log-likelihood) at the start and
-    # after each accepted step; nonincreasing (a change within the rounding
-    # of the projection is recorded as none).
+    # after each accepted step; nonincreasing.
     objective_history: list[float] = field(repr=False, default_factory=list)
 
 
@@ -210,7 +209,7 @@ def linear_inversion(counts: list[CountRecord], ts: TomographySettings) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Batched MLE: accelerated projected gradient over density matrices
+# Batched MLE: damped Newton over density matrices and their factors
 # ---------------------------------------------------------------------------
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -230,18 +229,6 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
             col, pivot = a[:, k + 1:, k], a[:, k, k, None].real
             a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / pivot)[:, None, :]
     return np.all(np.diagonal(a, axis1=1, axis2=2).real > 0.0, axis=1)
-
-
-def _project_eig(h: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest density matrices to a (B, 4, 4) Hermitian stack:
-    the eigenvalues are projected onto the probability simplex."""
-    vals, vecs = np.linalg.eigh(h)
-    desc = vals[:, ::-1]
-    ranks = np.arange(1, vals.shape[1] + 1)
-    excess = (np.cumsum(desc, axis=1) - 1.0) / ranks
-    support = np.sum(desc > excess, axis=1)
-    shift = excess[np.arange(len(vals)), support - 1]
-    return _from_eig(np.maximum(vals - shift[:, None], 0.0), vecs)
 
 
 def _certified(g: np.ndarray) -> np.ndarray:
@@ -324,29 +311,27 @@ class _Problem:
         return np.where(np.isnan(out), np.inf, out)
 
 
-# Iteration cap, counting all phases; only a set that reaches it is flagged
-# converged=False.
+# Iteration cap, counting both phases.  A set that reaches it, or that ends
+# _MAX_FACTORED_STEPS factored steps uncertified, is flagged converged=False.
 _MAX_ITER = 10_000
 # Converged when the smallest eigenvalue of the normalized gradient is at
 # least -_GTOL (see the module docstring).
 _GTOL = 1e-9
-# Step halvings after which an extrapolated point is abandoned for x.
-_MAX_HALVINGS = 40
-# Shortest damped Newton step; a set whose step must be shorter leaves the
-# interior or the factored Newton phase.
+# Shortest damped Newton step: a set whose step must be shorter leaves the
+# interior phase, or raises its damping in the factored phase.
 _MIN_NEWTON_STEP = 2.0 ** -8
 # Factored Newton: Hessian eigenvalues count in the pseudo-inverse when their
-# magnitude exceeds _FACTOR_CUTOFF times the largest; a set leaves for APG
-# after _MAX_FACTORED_STEPS steps.
+# magnitude exceeds _FACTOR_CUTOFF times the largest.  A set's damping mu is
+# _DAMPING_START after its first step no halving can accept, and is multiplied
+# by _DAMPING_RAISE after each further one and divided by _DAMPING_LOWER after
+# an accepted step.  A set stops after _MAX_FACTORED_STEPS steps.
 _FACTOR_CUTOFF = 1e-10
-_MAX_FACTORED_STEPS = 20
+_DAMPING_START = 1e-6
+_DAMPING_RAISE = 100.0
+_DAMPING_LOWER = 10.0
+_MAX_FACTORED_STEPS = 200
 # i B_m spans the anti-Hermitian 4x4 matrices X; A -> A exp(X) leaves rho unchanged.
 _GAUGE = 1j * _PAULI_BASIS
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a b) for stacks of Hermitian matrices."""
-    return np.real(np.einsum("bij,bji->b", a, b))
 
 
 def _real(a: np.ndarray) -> np.ndarray:
@@ -357,12 +342,13 @@ def _real(a: np.ndarray) -> np.ndarray:
 
 
 def _factored_direction(prob: _Problem, a: np.ndarray, c: np.ndarray, g: np.ndarray,
-                        rows) -> np.ndarray:
-    """The Newton step dA at (B, 4, 4) factors A with rates c and gradient g.
+                        rows, mu: np.ndarray) -> np.ndarray:
+    """The Newton step dA at (B, 4, 4) factors A with rates c, gradient g and damping mu.
 
     The Hessian is restricted to the complement of the directions A X and A,
     along which rho does not change, and pseudo-inverted over its
-    eigendecomposition with |eigenvalues| above the relative cutoff."""
+    eigendecomposition with |eigenvalues| above the relative cutoff, each
+    raised by mu times the largest."""
     orbit = np.concatenate([a[:, None], a[:, None] @ _GAUGE], axis=1).reshape(-1, 16)
     q, r = np.linalg.qr(_real(orbit).reshape(len(a), 17, 32).swapaxes(1, 2))
     # A rank-deficient A spans fewer directions; drop the columns QR filled in.
@@ -371,8 +357,9 @@ def _factored_direction(prob: _Problem, a: np.ndarray, c: np.ndarray, g: np.ndar
     p = np.eye(32) - q @ q.swapaxes(1, 2)
     lam, vec = np.linalg.eigh(p @ prob.factor_hessian(a, c, g, rows) @ p)
     size = np.abs(lam)
-    keep = size > _FACTOR_CUTOFF * size.max(axis=1, keepdims=True)
-    inv = np.where(keep, 1.0 / np.where(keep, size, 1.0), 0.0)
+    top = size.max(axis=1, keepdims=True)
+    keep = size > _FACTOR_CUTOFF * top
+    inv = np.where(keep, 1.0 / np.where(keep, size + mu[:, None] * top, 1.0), 0.0)
     grad = _real(2.0 * g @ a)
     step = -((vec * inv[:, None, :]) @ (vec.swapaxes(1, 2) @ grad[:, :, None]))[:, :, 0]
     return (step[:, :16] + 1j * step[:, 16:]).reshape(-1, 4, 4)
@@ -386,6 +373,7 @@ def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.nd
     each step (see the module docstring)."""
     vals, vecs = np.linalg.eigh(x[rows])
     a = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    mu = np.zeros(len(rows))
     active = np.ones(len(rows), dtype=bool)
     for _ in range(_MAX_FACTORED_STEPS):
         active &= ~converged[rows] & (iterations[rows] < _MAX_ITER)
@@ -393,7 +381,7 @@ def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.nd
         if not len(live):
             break
         at = rows[live]
-        da = _factored_direction(prob, a[live], c_x[at], g_x[at], at)
+        da = _factored_direction(prob, a[live], c_x[at], g_x[at], at, mu[live])
         t = 1.0
         pending = np.arange(len(live))
         while len(pending):
@@ -406,11 +394,14 @@ def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.nd
             new = old[ok] + d[ok]
             new /= np.linalg.norm(new, axis=(1, 2))[:, None, None]
             a[live[pending[ok]]] = new
+            mu[live[pending[ok]]] /= _DAMPING_LOWER
             accept(r[ok], new @ new.conj().swapaxes(1, 2), gain[ok])
             pending = pending[~ok]
             t *= 0.5
             if t < _MIN_NEWTON_STEP:
-                active[live[pending]] = False
+                failed = live[pending]
+                mu[failed] = np.where(mu[failed] > 0.0, mu[failed] * _DAMPING_RAISE,
+                                      _DAMPING_START)
                 break
 
 
@@ -418,13 +409,12 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
     """Solve the (B, K) count sets at once; see the module docstring."""
     x = _start_states(n, dur, ts)
     prob = _Problem(n, dur, ts)
-    b = len(n)
-    everyone = np.arange(b)
+    everyone = np.arange(len(n))
     c_x = prob.rates(x, everyone)
     g_x = prob.gradient(c_x, everyone)
     f = prob.value(c_x, everyone)
     history = [[float(v)] for v in f * prob.n_tot]
-    iterations = np.zeros(b, dtype=int)
+    iterations = np.zeros(len(n), dtype=int)
     converged = _certified(g_x)
 
     def accept(moved, z, gain):
@@ -441,7 +431,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
         converged[moved] = _certified(g_x[moved])
 
     # Damped Newton in the coordinates v while the Hessian is positive
-    # definite and steps stay long; then factored Newton, then APG.
+    # definite and steps stay long; then factored Newton.
     newton = ~converged
     while newton.any():
         rows = np.flatnonzero(newton)
@@ -475,78 +465,6 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
     left = np.flatnonzero(~converged & (iterations < _MAX_ITER))
     if len(left):
         _factored_newton(prob, left, x, c_x, g_x, iterations, converged, accept)
-
-    x_prev = x.copy()
-    theta = np.ones(b)
-    step = np.ones(b)
-    active = ~converged & (iterations < _MAX_ITER)
-
-    while active.any():
-        rows = np.flatnonzero(active)
-        th = theta[rows]
-        th_next = (1.0 + np.sqrt(1.0 + 4.0 * th * th)) / 2.0
-        beta = ((th - 1.0) / th_next)[:, None, None]
-        y = x[rows] + beta * (x[rows] - x_prev[rows])
-        c_y = prob.rates(y, rows)
-        # A plain step starts from x itself.  An extrapolated point outside
-        # the likelihood's domain restarts the momentum, giving a plain step.
-        outside = np.any(prob.observed[rows] & (c_y <= 0.0), axis=1)
-        th_next[outside] = 1.0
-        plain = outside | (th == 1.0)
-        y[plain], c_y[plain] = x[rows[plain]], c_x[rows[plain]]
-        g_y = prob.gradient(c_y, rows)
-        g_y[plain] = g_x[rows[plain]]
-
-        # Backtracking: halve each set's step t until the curvature along
-        # the step is at most 1/t.  The test compares gradients, which stay
-        # accurate near the optimum where differences of f are rounding.
-        z, c_z, g_z = np.empty_like(y), np.empty_like(c_y), np.empty_like(g_y)
-        pending = np.arange(len(rows))
-        halvings = np.zeros(len(rows), dtype=int)
-        while len(pending):
-            at = rows[pending]
-            t = step[at]
-            z_try = _project_eig(y[pending] - t[:, None, None] * g_y[pending])
-            c_try = prob.rates(z_try, at)
-            g_try = prob.gradient(c_try, at)
-            delta = z_try - y[pending]
-            curvature = _inner(g_try - g_y[pending], delta)
-            ok = np.isfinite(curvature) & (curvature <= np.sum(np.abs(delta) ** 2, axis=(1, 2)) / t)
-            done = pending[ok]
-            z[done], c_z[done], g_z[done] = z_try[ok], c_try[ok], g_try[ok]
-            pending = pending[~ok]
-            step[rows[pending]] *= 0.5
-            halvings[pending] += 1
-            # The projection of an extrapolated point can leave the domain
-            # for every step size; such a set takes a plain step, once.
-            stuck = pending[halvings[pending] == _MAX_HALVINGS]
-            y[stuck], c_y[stuck], g_y[stuck] = x[rows[stuck]], c_x[rows[stuck]], g_x[rows[stuck]]
-            plain[stuck], th_next[stuck] = True, 1.0
-            step[rows[stuck]] *= 2.0 ** _MAX_HALVINGS
-
-        # A plain step passing the test cannot raise f beyond the rounding
-        # of the projection (eps times the gradient), which exceeds the true
-        # change near an optimum on the boundary; it is kept and recorded as
-        # no change.  A momentum step that raises f is dropped, and the next
-        # step is plain.
-        gain = prob.change(c_x[rows], prob.rates(z - x[rows], rows), rows)
-        slack = 16.0 * np.finfo(float).eps * np.linalg.norm(g_y, axis=(1, 2))
-        better = gain <= np.where(plain, slack, 0.0)
-        moved = rows[better]
-        x_prev[rows] = x[rows]
-        x[moved], c_x[moved], g_x[moved] = z[better], c_z[better], g_z[better]
-        f[moved] += np.minimum(gain[better], 0.0)
-        for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
-            history[r].append(value)
-        # Gradient restart (O'Donoghue & Candes): momentum that points
-        # against the projected gradient step is dropped as well.
-        uphill = _inner(y - z, z - x_prev[rows]) > 0.0
-        theta[rows] = np.where(better & ~uphill, th_next, 1.0)
-        step[rows] *= np.where(better, 2.0, 0.5)
-        iterations[rows] += 1
-
-        converged[moved] = _certified(g_x[moved])
-        active[rows] = ~converged[rows] & (iterations[rows] < _MAX_ITER)
 
     rho_hat = qstate.check_density_matrix(_hermitian_part(x), atol=qstate.CHANNEL_ATOL)
     # Report the actual Poissonian log-likelihood at the profiled exposure.

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -158,8 +160,7 @@ class TestMle:
 
     @pytest.mark.parametrize("ts", [TS36, TS16], ids=["36", "16"])
     def test_low_count_pure_states_converge(self, ts, rng):
-        # Optima on the boundary of the state space, where the change of f
-        # per step falls below the rounding of the projection.
+        # Optima on the boundary of the state space.
         count_sets = []
         while len(count_sets) < 40:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -351,20 +352,6 @@ def hermitian_stack(rng, vals):
     return (u * vals[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
-def eigen_projection(h):
-    """Reference projection: per matrix, eigh and the sort-based simplex
-    projection of the eigenvalues (Duchi et al., ICML 2008)."""
-    out = []
-    for m in h:
-        vals, vecs = np.linalg.eigh(m)
-        u = np.sort(vals)[::-1]
-        cum = np.cumsum(u)
-        keep = max(j for j in range(1, 5) if u[j - 1] - (cum[j - 1] - 1.0) / j > 0)
-        theta = (cum[keep - 1] - 1.0) / keep
-        out.append((vecs * np.maximum(vals - theta, 0.0)) @ vecs.conj().T)
-    return np.array(out)
-
-
 def bundled_mle_inputs(monkeypatch, cfg):
     """The (n, dur) arrays of the one batched solve inside run_simulate."""
     seen = []
@@ -407,7 +394,7 @@ DECAY_SCAN_1000 = {"master_seed": 1000, "n_mc_sets": 0,
 
 
 class TestKernels:
-    """The LDL^H positive-definiteness test, the projection and the certificate prefilter."""
+    """The LDL^H positive-definiteness test and the certificate prefilter."""
 
     def test_positive_definite_matches_eigvalsh(self):
         rng = np.random.default_rng(4)
@@ -427,20 +414,6 @@ class TestKernels:
         assert np.all((pd == (lam[:, 0] > 0)) | near)
         assert pd[~near].sum() > 400 and (~pd[~near]).sum() > 400
 
-    def test_projection_matches_eigen_reference(self):
-        rng = np.random.default_rng(5)
-        states = np.array([0.5 * random_density_matrix(rng) + np.eye(4) / 8 for _ in range(300)])
-        noise = hermitian_stack(rng, 0.02 * rng.uniform(-1, 1, size=(300, 4)))
-        interior = states + noise + rng.uniform(-1, 1, size=(300, 1, 1)) * np.eye(4)
-        # One eigenvalue far below the others: the simplex drops it.
-        boundary = hermitian_stack(rng, np.column_stack([np.full(300, -3.0),
-                                                         rng.uniform(-1, 1, size=(300, 3))]))
-        for h in (interior, boundary):
-            rho = tomo._project_eig(h)
-            assert np.abs(rho - eigen_projection(h)).max() <= 1e-14
-            assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-14
-            assert np.linalg.eigvalsh(rho).min() >= -1e-14
-
     @pytest.mark.parametrize("overrides", [{}, DECAY_SCAN_1000],
                              ids=["bundled", "decay-scan-1000"])
     def test_same_iterations_as_eigen_only_solver(self, monkeypatch, overrides):
@@ -449,7 +422,7 @@ class TestKernels:
         self.check_against_eigen_only_solver(monkeypatch, n, dur)
 
     def test_boundary_sets_same_iterations_as_eigen_only_solver(self, monkeypatch):
-        # The bundled sets finish in the Newton phase; these reach APG.
+        # The bundled sets finish in the Newton phase; these reach the factored phase.
         sets = low_count_sets(TS36, 1, [1.0] * len(TS36.settings), np.random.default_rng(5))
         self.check_against_eigen_only_solver(monkeypatch, *tomo.count_arrays(sets, TS36))
 
@@ -466,7 +439,7 @@ class TestKernels:
 
 
 class TestNewton:
-    """The damped Newton phase and its hand-over to APG."""
+    """The damped Newton phase and its hand-over to the factored phase."""
 
     @pytest.mark.parametrize("overrides", [{}, DECAY_SCAN_1000],
                              ids=["bundled", "decay-scan-1000"])
@@ -480,7 +453,7 @@ class TestNewton:
     @pytest.mark.parametrize("ts,unequal", [(TS36, False), (TS16, False), (TS16, True)],
                              ids=["36", "16", "16-unequal"])
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_boundary_optima_reach_apg(self, ts, unequal, rank):
+    def test_boundary_optima_reach_factored_phase(self, ts, unequal, rank):
         durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
         count_sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
         results = mle_reconstruct_many(count_sets, ts)
@@ -613,101 +586,139 @@ def drawn_resamples(monkeypatch, n, seeds, n_sets):
 @pytest.fixture(scope="module")
 def bundled_solves():
     """run_simulate's batched solve at master seeds 7000-7019 of the bundled
-    scenario: each solve's (n, dur, results), and the rows APG projected."""
-    solves, projected = [], []
-    solve, project = tomo._mle_many, tomo._project_eig
+    scenario: each solve's (n, dur, results)."""
+    solves = []
+    solve = tomo._mle_many
 
     def spy_solve(n, dur, ts):
         results = solve(n, dur, ts)
         solves.append((n, dur, results))
         return results
 
-    def spy_project(h):
-        projected.append(len(h))
-        return project(h)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tomo, "_mle_many", spy_solve)
-        patch.setattr(tomo, "_project_eig", spy_project)
         for seed in range(7000, 7020):
             cli.run_simulate(cli.load_scenario({**cli.default_config(), "master_seed": seed}))
-    return solves, sum(projected)
+    return solves
 
 
 @pytest.fixture(scope="module")
 def left_interior(bundled_solves):
     """(n, dur) of the bundled count sets the interior Newton phase left uncertified."""
-    picked = [(n[i], dur[i]) for n, dur, results in bundled_solves[0]
+    picked = [(n[i], dur[i]) for n, dur, results in bundled_solves
               for i, r in enumerate(results) if r.newton_steps < r.iterations]
     return np.array([p[0] for p in picked]), np.array([p[1] for p in picked])
 
 
-def projections_made(monkeypatch, solve):
-    """The number of rows `_project_eig` projects while `solve()` runs, and its result."""
-    projected = []
-    project = tomo._project_eig
-    with monkeypatch.context() as patch:
-        patch.setattr(tomo, "_project_eig", lambda h: projected.append(len(h)) or project(h))
-        result = solve()
-    return sum(projected), result
+def count_records(n, dur):
+    """The 36-setting count records of one row of counts and durations."""
+    return [measure.CountRecord(s.label, int(k), float(d)) for s, k, d in zip(TS36.settings, n, dur)]
 
 
-def test_bundled_runs_stay_out_of_apg(bundled_solves):
-    # Timing-free guard on the factored Newton phase.  Measured: 0 projections
-    # (13 of the 6,060 sets leave the interior phase; all finish factored).  A
-    # set that falls back to APG projects 24-51 times, so the bound admits two;
-    # the solver without the factored phase made 444 on these seeds.
-    solves, projected = bundled_solves
-    assert len(solves) == 20 and all(len(n) == 303 for n, _, _ in solves)
-    assert projected <= 100
+def nonincreasing(result):
+    h = result.objective_history
+    return all(a >= b for a, b in zip(h, h[1:]))
+
+
+def test_bundled_runs_finish_in_few_factored_steps(bundled_solves):
+    # Timing-free guard on the factored Newton phase.  Measured: 13 of the
+    # 6,060 sets leave the interior phase and take 3-8 factored steps; the
+    # bound admits twice that.
+    assert len(bundled_solves) == 20 and all(len(n) == 303 for n, _, _ in bundled_solves)
+    results = [r for _, _, solve in bundled_solves for r in solve]
+    assert all(r.converged for r in results)
+    assert max(r.iterations - r.newton_steps for r in results) <= 16
+
+
+# Cells (scheme, rank, counts scale, unequal durations) of sweep_sets in
+# which a factored phase without damping, capped at 20 steps, leaves a set
+# uncertified (with the former gradient fallback it took 21-64 steps).
+SWEEP_CELLS = [(36, 1, 30, False), (36, 1, 30000, True), (36, 2, 30000, True),
+               (36, 3, 30, True), (16, 1, 30000, True), (16, 2, 30, False),
+               (16, 2, 30000, False)]
+
+
+def sweep_sets(scheme, rank, level, unequal, count=250):
+    """(ts, n, dur) of `count` seeded count sets of random rank-`rank` states
+    at `level` times each probability, with unit or uniform(0.5, 2) durations."""
+    ts = tomo.make_settings(scheme)
+    k = len(ts.settings)
+    hv = np.array([s.label in ("HH", "HV", "VH", "VV") for s in ts.settings])
+    rng = np.random.default_rng([scheme, rank, level, unequal])
+    n, dur = [], []
+    while len(n) < count:
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        rho = g @ g.conj().T
+        probs = np.clip(measure.born_probabilities(rho / np.trace(rho).real, ts.projectors),
+                        0.0, None)
+        d = rng.uniform(0.5, 2.0, k) if unequal else np.ones(k)
+        counts = rng.poisson(level * probs * d)
+        if counts[hv].sum():
+            n.append(counts)
+            dur.append(d)
+    return ts, np.array(n, dtype=float), np.array(dur)
+
+
+def normalized_gradient(rho, n, dur, ts):
+    """G = grad f / n_tot = sum_k d_k (1 / C - nu_k / c_k) Pi_k with c_k = d_k Tr(rho Pi_k),
+    over the observed settings for the nu_k / c_k term."""
+    d = dur / dur.mean()
+    c = d * measure.born_probabilities(rho, ts.projectors)
+    ratio = np.divide(n / n.sum(), c, out=np.zeros_like(c), where=n > 0)
+    return np.einsum("k,kij->ij", d * (1.0 / c.sum() - ratio), ts.projectors)
 
 
 class TestFactoredNewton:
-    """The factored Newton phase on the sets the interior phase leaves."""
+    """The damped factored Newton phase on the sets the interior phase leaves."""
 
-    def test_boundary_sets_certified_without_apg(self, monkeypatch, left_interior):
+    def test_boundary_sets_certified_without_apg(self, left_interior):
         n, dur = left_interior
         assert len(n) >= 10
-        projected, results = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
-        assert projected == 0
-        for result in results:
+        for result in tomo._mle_many(n, dur, TS36):
             assert result.converged and result.newton_steps < result.iterations
-            h = result.objective_history
-            assert all(a >= b for a, b in zip(h, h[1:]))
+            assert nonincreasing(result)
 
-    def test_agrees_with_apg_only_solve(self, monkeypatch, left_interior):
+    def test_agrees_with_reference_mle(self, left_interior):
         n, dur = left_interior
-        factored = tomo._mle_many(n, dur, TS36)
-        monkeypatch.setattr(tomo, "_factored_newton", lambda *args: None)
-        projected, apg = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
-        assert projected > 0
-        for a, b in zip(factored, apg):
-            assert a.converged and b.converged
-            assert np.abs(a.rho_hat - b.rho_hat).max() <= 1e-8
+        TestReferenceAgreement().check_sets([count_records(row, drow) for row, drow in zip(n, dur)],
+                                            TS36, qstate.bell_phi_plus())
 
-    def test_sets_left_uncertified_finish_in_apg(self, monkeypatch, left_interior):
+    def test_step_cap_flags_nonconvergence(self, monkeypatch, tmp_path, left_interior):
         n, dur = left_interior
-        unbounded = tomo._mle_many(n, dur, TS36)
         monkeypatch.setattr(tomo, "_MAX_FACTORED_STEPS", 1)
-        projected, results = projections_made(monkeypatch, lambda: tomo._mle_many(n, dur, TS36))
-        assert projected > 0
-        for result, alone in zip(results, unbounded):
-            assert result.converged and result.iterations > result.newton_steps
-            h = result.objective_history
-            assert all(a >= b for a, b in zip(h, h[1:]))
-            assert np.abs(result.rho_hat - alone.rho_hat).max() <= 1e-8
+        for result in tomo._mle_many(n, dur, TS36):
+            assert not result.converged and result.newton_steps < result.iterations
+            assert nonincreasing(result)
+        seeds = list(range(len(n)))
+        points, mcs = tomo.reconstruct_with_mc(n, dur, TS36, qstate.bell_phi_plus(), 20, seeds)
+        assert not any(r.converged for r in points)
+        for row, drow, seed, mc in zip(n, dur, seeds, mcs):
+            draws = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (20, 36))
+            alone = tomo._mle_many(draws.astype(float), np.repeat(drow[None], 20, axis=0), TS36)
+            assert mc.n_nonconverged == sum(not r.converged for r in alone)
+        assert sum(mc.n_nonconverged for mc in mcs) > 0
+        path = tmp_path / "counts.csv"
+        path.write_text(measure.counts_to_csv(count_records(n[0], dur[0])))
+        out = tmp_path / "out.json"
+        assert cli.main(["tomo", "--counts", str(path), "--out", str(out)]) == cli.EXIT_NONCONVERGENCE
+        assert json.loads(out.read_text())["converged"] is False
+
+    @pytest.mark.parametrize("cell", SWEEP_CELLS, ids=lambda c: "-".join(map(str, c)))
+    def test_regression_sweep_certified(self, cell):
+        ts, n, dur = sweep_sets(*cell)
+        for result, row, drow in zip(tomo._mle_many(n, dur, ts), n, dur):
+            assert result.converged and nonincreasing(result)
+            g = normalized_gradient(result.rho_hat, row, drow, ts)
+            assert np.linalg.eigvalsh(g)[0] >= -tomo._GTOL
+            assert result.iterations - result.newton_steps <= 25
 
     @pytest.mark.parametrize("ts,unequal", [(TS36, False), (TS16, True)], ids=["36", "16-unequal"])
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_low_count_sets_certified_without_apg(self, monkeypatch, ts, unequal, rank):
+    def test_low_count_sets_certified_without_apg(self, ts, unequal, rank):
         durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
         sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
-        projected, results = projections_made(monkeypatch, lambda: mle_reconstruct_many(sets, ts))
-        assert projected == 0
-        for result in results:
-            assert result.converged
-            h = result.objective_history
-            assert all(a >= b for a, b in zip(h, h[1:]))
+        for result in mle_reconstruct_many(sets, ts):
+            assert result.converged and nonincreasing(result)
 
 
 def random_count_set(rng, ts, exposure, pure):
