@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qstate
+from . import fitkit, qstate
 from .constants import CHSH_VISIBILITY
 
 class ChannelError(ValueError):
@@ -158,10 +158,7 @@ def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
     (CHSH_VISIBILITY); +inf if it never does."""
     if visibility_decay(p, v0, 0.0) <= CHSH_VISIBILITY:
         return 0.0
-    a, b = visibility_decay_coeffs(p, v0)
-    if b <= 0.0:
-        return math.inf  # no decay: never crosses
-    return p.tau_s / 2.0 * math.log((1.0 / CHSH_VISIBILITY - a) / b)
+    return fitkit.threshold_crossing(*visibility_decay_coeffs(p, v0), p.tau_s)
 
 
 def calibrated_channel_params(source: SourceParams | None = None,

@@ -317,8 +317,9 @@ def run_simulate(sc: Scenario) -> dict:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
     scales = np.minimum([sc.input_coinc_prob, *coinc_probs.tolist()], 1.0)
     n = measure.sample_count_arrays(true_states, ts.projectors, sc.n_trials, scales, count_seeds)
-    results, mcs = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, bell, sc.n_mc_sets,
-                                            mc_seeds)
+    results, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
+                                                      mc_seeds)
+    mcs = _mc_blocks(bell, stack, failed) if sc.n_mc_sets else []
     for label, result in zip(labels, results):
         if not result.converged:
             raise NonConvergenceError(f"tomography failed to converge for {label}")
@@ -328,7 +329,7 @@ def run_simulate(sc: Scenario) -> dict:
         "mle_fidelity_vs_true": f_true,
         "mle_iterations": result.iterations,
         "total_counts": total,
-        **({"mc": _mc_payload(mcs[i])} if mcs else {}),
+        **({"mc": mcs[i]} if mcs else {}),
     } for i, (total, result, f_bell, f_true) in enumerate(zip(
         n.sum(axis=1).tolist(), results, qstate.fidelity(bell, rho_hats).tolist(),
         qstate.fidelity(rho_hats, true_states).tolist()))]
@@ -356,10 +357,13 @@ def run_simulate(sc: Scenario) -> dict:
     }
 
 
-def _mc_payload(mc: tomo.McSummary) -> dict:
-    """The "mc" block of a report track and of `tomo` output."""
-    return {"mean": mc.fidelity_mean, "std": mc.fidelity_std,
-            "n_sets": mc.n_sets, "nonconverged": mc.n_nonconverged}
+def _mc_blocks(target: np.ndarray, stack: np.ndarray, failed: np.ndarray) -> list[dict]:
+    """The "mc" block of each report track or of `tomo` output: the fidelity
+    mean and spread of a (B, n_sets, 4, 4) resample stack versus `target`,
+    with n_sets >= 2, and the count of non-converged resamples."""
+    fid = qstate.fidelity(target, stack.reshape(-1, 4, 4)).reshape(stack.shape[:2])
+    return [{"mean": float(f.mean()), "std": float(f.std(ddof=1)), "n_sets": len(f),
+             "nonconverged": int(k)} for f, k in zip(fid, failed)]
 
 
 def _finite(obj):
@@ -532,7 +536,7 @@ def _cmd_tomo(args) -> int:
         with open(args.target) as fh:
             target = qstate.density_from_json(json.load(fh))
     seed = args.seed if args.seed is not None else 0
-    (result,), mcs = tomo.reconstruct_with_mc(n, dur, ts, target, args.mc_sets, [seed])
+    (result,), stack, failed = tomo.reconstruct_with_mc(n, dur, ts, args.mc_sets, [seed])
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
         "fidelity_vs_target": qstate.fidelity(target, result.rho_hat),
@@ -540,8 +544,8 @@ def _cmd_tomo(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
     }
-    if mcs:
-        payload["mc"] = _mc_payload(mcs[0])
+    if args.mc_sets:
+        (payload["mc"],) = _mc_blocks(target, stack, failed)
     _write_out(_json_text(payload), args.out)
     if not result.converged:
         raise NonConvergenceError("tomography MLE did not converge")

@@ -49,7 +49,8 @@ _MAX_FACTORED_STEPS steps is returned with converged=False.
 The recorded f never rises, and each set's iterates depend only on its own
 counts and durations (up to rounding in the batched products).
 reconstruct_with_mc therefore solves the point estimates and all their
-Monte Carlo resamples in one call.
+Monte Carlo resamples in one call, and returns the resample states as a
+stack; cli reduces them to a fidelity mean and spread.
 
 Stopping rule, checked after every step of both phases (_MAX_ITER caps
 both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
@@ -110,17 +111,6 @@ class TomographyResult:
     # Objective value (negative profiled log-likelihood) at the start and
     # after each accepted step; nonincreasing.
     objective_history: list[float] = field(repr=False, default_factory=list)
-
-
-@dataclass
-class McSummary:
-    """Monte Carlo fidelity distribution over resampled data sets."""
-
-    n_sets: int
-    fidelity_mean: float
-    fidelity_std: float
-    samples: list[float] = field(repr=False, default_factory=list)
-    n_nonconverged: int = 0
 
 
 # Two-qubit Pauli-product basis, B_0 = I (Tr(B_m B_n) = 4 delta_mn).
@@ -483,17 +473,16 @@ def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings) -> Tomogr
     return _mle_many(*count_arrays([counts], ts), ts)[0]
 
 
-def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
-                        target: np.ndarray, n_sets: int,
-                        seeds: list[int]) -> tuple[list[TomographyResult], list[McSummary]]:
-    """Point estimates of (B, K) count and duration arrays and, for n_sets >= 2,
-    each set's Monte Carlo fidelity summary versus `target`, from one batched solve.
+def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, n_sets: int,
+                        seeds: list[int]) -> tuple[list[TomographyResult], np.ndarray, np.ndarray]:
+    """Point estimates of (B, K) count and duration arrays, their Monte Carlo
+    resample estimates as a (B, n_sets, 4, 4) stack, and each set's (B,) count
+    of non-converged resamples, from one batched solve.
 
     The resamples of set j are one (n_sets, K) draw counts_k ~ Poisson(n_k)
     from a generator seeded with child seed 0 of seeds[j] (one seed per set),
-    so they do not depend on the other sets; resample i is row i, and the
-    fidelities are recorded in that order.  With n_sets = 0 the summary list
-    is empty.
+    so they do not depend on the other sets; resample i of set j is [j, i].
+    n_sets is 0 (an empty stack) or at least 2.
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
@@ -506,18 +495,16 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
     results = _mle_many(np.concatenate([n, resampled]),
                         np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts)
     points, draws = results[:len(n)], results[len(n):]
-    if not draws:
-        return points, []
-    fid = qstate.fidelity(target, np.stack([r.rho_hat for r in draws])).reshape(len(n), n_sets)
-    failed = np.array([not r.converged for r in draws]).reshape(len(n), n_sets).sum(axis=1)
-    return points, [McSummary(n_sets, float(f.mean()), float(f.std(ddof=1)), f.tolist(), int(k))
-                    for f, k in zip(fid, failed)]
+    stack = np.array([r.rho_hat for r in draws]).reshape(len(n), n_sets, 4, 4)
+    failed = np.array([not r.converged for r in draws], dtype=int).reshape(len(n), n_sets)
+    return points, stack, failed.sum(axis=1)
 
 
 def monte_carlo_fidelity(counts: list[CountRecord], ts: TomographySettings,
-                         target: np.ndarray, n_sets: int, seed: int) -> McSummary:
-    """Poissonian-resampling uncertainty on the fidelity versus `target`:
-    reconstruct_with_mc for one count set, with n_sets >= 2."""
+                         target: np.ndarray, n_sets: int, seed: int) -> np.ndarray:
+    """The (n_sets,) fidelities to `target` of the Monte Carlo resample
+    estimates of one count set (reconstruct_with_mc), with n_sets >= 2."""
     if n_sets < 2:
         raise TomographyError(f"n_sets must be >= 2, got {n_sets}")
-    return reconstruct_with_mc(*count_arrays([counts], ts), ts, target, n_sets, [seed])[1][0]
+    stack = reconstruct_with_mc(*count_arrays([counts], ts), ts, n_sets, [seed])[1]
+    return qstate.fidelity(target, stack[0])

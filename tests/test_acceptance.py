@@ -110,10 +110,11 @@ def test_criterion_7_tomography_consistency():
     counts = measure.sample_counts(rho_out, list(ts.settings), 1000, 1.0, seed=5)
     mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(),
                                    n_sets=100, seed=7)
-    assert 0.005 <= mc.fidelity_std <= 0.02
+    std = mc.std(ddof=1)
+    assert 0.005 <= std <= 0.02
     report(f"criterion 7: tomography — worst noiseless-recovery fidelity "
-           f"{worst:.6f} > 0.999 over 50 states; MC std {mc.fidelity_std:.4f} "
-           f"in [0.005, 0.02] over {mc.n_sets} sets")
+           f"{worst:.6f} > 0.999 over 50 states; MC std {std:.4f} "
+           f"in [0.005, 0.02] over {len(mc)} sets")
 
 
 def test_criterion_8_fit_recovery():

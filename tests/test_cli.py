@@ -442,8 +442,35 @@ class TestCommands:
             assert cli.main(argv) == cli.EXIT_VALIDATION
         qstate.check_density_matrix(qstate.density_from_json(payload["rho_hat"]),
                                     atol=qstate.CHANNEL_ATOL)
-        mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(), 4, 0)
-        assert payload["mc"] == cli._mc_payload(mc)
+        _, (stack,), (failed,) = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], ts), ts,
+                                                          4, [0])
+        mc = qstate.fidelity(qstate.bell_phi_plus(), stack)
+        assert payload["mc"] == {"mean": float(mc.mean()), "std": float(mc.std(ddof=1)),
+                                 "n_sets": 4, "nonconverged": int(failed)}
+
+    def test_tomo_target_from_json(self, tmp_path, capsys):
+        target = qstate.werner(0.8)
+        counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
+        path = tmp_path / "counts.csv"
+        path.write_text(measure.counts_to_csv(counts))
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(qstate.density_to_json(target)))
+        payloads = {}
+        for name in (str(target_path), "bell"):
+            argv = ["tomo", "--counts", str(path), "--target", name, "--mc-sets", "6",
+                    "--seed", "4"]
+            assert cli.main(argv) == cli.EXIT_OK
+            payloads[name] = json.loads(capsys.readouterr().out)
+        payload, bell = payloads[str(target_path)], payloads["bell"]
+        (point,), stack, _ = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
+                                                      6, [4])
+        fid = qstate.fidelity(target, stack[0])
+        assert payload["fidelity_vs_target"] == qstate.fidelity(target, point.rho_hat)
+        assert (payload["mc"]["mean"], payload["mc"]["std"]) == (fid.mean(), fid.std(ddof=1))
+        assert payload["rho_hat"] == bell["rho_hat"]
+        for key in ("mean", "std"):
+            assert payload["mc"][key] != bell["mc"][key]
+        assert payload["fidelity_vs_target"] != bell["fidelity_vs_target"]
 
     def test_tomo_rejects_infinite_duration(self, tmp_path, capsys):
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)

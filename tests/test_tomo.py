@@ -194,8 +194,8 @@ class TestMonteCarlo:
                                       n_sets=12, seed=21)
         b = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
                                       n_sets=12, seed=21)
-        assert a.samples == b.samples
-        assert a.fidelity_mean == b.fidelity_mean
+        assert a.tobytes() == b.tobytes()
+        assert a.mean() == b.mean()
 
     def test_batch_composition_does_not_change_results(self):
         # A set's estimate depends on its own counts only, not on which
@@ -208,8 +208,8 @@ class TestMonteCarlo:
         alone = [qstate.fidelity(tomo.mle_reconstruct(s, TS36).rho_hat, bell) for s in sets]
         odd = [qstate.fidelity(r.rho_hat, bell)
                for r in mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
-        np.testing.assert_allclose(alone, mc.samples, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(odd, mc.samples[1::2], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(alone, mc, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(odd, mc[1::2], rtol=0, atol=1e-6)
 
     def test_spread_shrinks_with_exposure(self):
         rho = qstate.werner(0.85)
@@ -219,18 +219,22 @@ class TestMonteCarlo:
                                            exposure, 1.0, seed=13)
             mc = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
                                            n_sets=30, seed=17)
-            stds.append(mc.fidelity_std)
+            stds.append(mc.std(ddof=1))
         assert stds[1] < stds[0] / 3.0
 
     def test_summary_consistency(self):
+        # The report's "mc" block summarizes the fidelities of the resample stack.
+        bell = qstate.bell_phi_plus()
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        mc = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
-                                       n_sets=10, seed=3)
-        assert mc.n_sets == 10 and len(mc.samples) == 10
-        assert mc.fidelity_mean == pytest.approx(np.mean(mc.samples))
-        assert mc.fidelity_std == pytest.approx(np.std(mc.samples, ddof=1))
-        assert all(0.0 <= f <= 1.0 for f in mc.samples)
+        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, n_sets=10, seed=3)
+        _, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
+                                                    10, [3])
+        (block,) = cli._mc_blocks(bell, stack, failed)
+        assert block["n_sets"] == 10 and mc.shape == (10,)
+        assert block["mean"] == pytest.approx(np.mean(mc))
+        assert block["std"] == pytest.approx(np.std(mc, ddof=1))
+        assert all(0.0 <= f <= 1.0 for f in mc)
 
     def test_requires_at_least_two_sets(self):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
@@ -326,8 +330,8 @@ class TestReferenceAgreement:
         bell = qstate.bell_phi_plus()
         ref = self.check_sets(resampled_sets(counts, seed_mc, 20), TS36, bell)
         mc = tomo.monte_carlo_fidelity(counts, TS36, bell, 20, seed_mc)
-        assert mc.fidelity_mean == pytest.approx(ref.mean(), abs=1e-5)
-        assert mc.fidelity_std == pytest.approx(ref.std(ddof=1), abs=1e-5)
+        assert mc.mean() == pytest.approx(ref.mean(), abs=1e-5)
+        assert mc.std(ddof=1) == pytest.approx(ref.std(ddof=1), abs=1e-5)
 
     def test_sixteen_settings_unequal_durations(self):
         rho = channel.input_state(channel.experiment_source_params())
@@ -507,22 +511,24 @@ class TestReconstructWithMc:
                       for label, rho, p in tracks]
         seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label, _, _ in tracks]
         bell = qstate.bell_phi_plus()
-        points, mcs = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS36), TS36, bell,
-                                               sc.n_mc_sets, seeds)
-        assert len(points) == len(mcs) == 3
-        for counts, seed, mc in zip(count_sets, seeds, mcs):
-            alone = tomo.monte_carlo_fidelity(counts, TS36, bell, sc.n_mc_sets, seed)
-            assert (mc.n_sets, mc.n_nonconverged) == (alone.n_sets, alone.n_nonconverged)
-            assert abs(mc.fidelity_mean - alone.fidelity_mean) < 1e-12
-            assert abs(mc.fidelity_std - alone.fidelity_std) < 1e-12
-            np.testing.assert_allclose(mc.samples, alone.samples, rtol=0, atol=1e-12)
+        points, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS36),
+                                                         TS36, sc.n_mc_sets, seeds)
+        assert len(points) == len(failed) == 3 and stack.shape == (3, sc.n_mc_sets, 4, 4)
+        for counts, seed, states, k in zip(count_sets, seeds, stack, failed):
+            _, (alone,), (k_alone,) = tomo.reconstruct_with_mc(
+                *tomo.count_arrays([counts], TS36), TS36, sc.n_mc_sets, [seed])
+            mc, alone = qstate.fidelity(bell, states), qstate.fidelity(bell, alone)
+            assert k == k_alone
+            assert abs(mc.mean() - alone.mean()) < 1e-12
+            assert abs(mc.std(ddof=1) - alone.std(ddof=1)) < 1e-12
+            np.testing.assert_allclose(mc, alone, rtol=0, atol=1e-12)
 
     def test_without_resamples_is_the_plain_batch(self):
         count_sets = [measure.sample_counts(qstate.werner(p), list(TS16.settings), 4000, 0.5, s)
                       for s, p in enumerate((0.6, 0.9))]
-        points, mcs = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS16), TS16,
-                                               qstate.bell_phi_plus(), 0, [1, 2])
-        assert mcs == []
+        points, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS16),
+                                                         TS16, 0, [1, 2])
+        assert stack.shape == (2, 0, 4, 4) and failed.tolist() == [0, 0]
         for a, b in zip(points, mle_reconstruct_many(count_sets, TS16)):
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
@@ -554,8 +560,7 @@ class TestReconstructWithMc:
     def test_rejects_bad_arguments(self, n_sets, seeds):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
         with pytest.raises(ValueError):
-            tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
-                                     qstate.bell_phi_plus(), n_sets, seeds)
+            tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36, n_sets, seeds)
 
 
     @pytest.mark.parametrize("n,dur", [(np.ones((2, 16)), np.ones((2, 16))),
@@ -563,7 +568,7 @@ class TestReconstructWithMc:
                                        (np.ones(36), np.ones(36))], ids=["K", "B", "1-D"])
     def test_rejects_arrays_not_matching_the_scheme(self, n, dur):
         with pytest.raises(tomo.TomographyError, match="mismatch"):
-            tomo.reconstruct_with_mc(n, dur, TS36, qstate.bell_phi_plus(), 0, [0, 1])
+            tomo.reconstruct_with_mc(n, dur, TS36, 0, [0, 1])
 
 
 def drawn_resamples(monkeypatch, n, seeds, n_sets):
@@ -578,8 +583,7 @@ def drawn_resamples(monkeypatch, n, seeds, n_sets):
     with monkeypatch.context() as patch:
         patch.setattr(tomo, "_mle_many", capture)
         with pytest.raises(Drawn) as drawn:
-            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, qstate.bell_phi_plus(), n_sets,
-                                     seeds)
+            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, n_sets, seeds)
     return drawn.value.args[0]
 
 
@@ -690,13 +694,13 @@ class TestFactoredNewton:
             assert not result.converged and result.newton_steps < result.iterations
             assert nonincreasing(result)
         seeds = list(range(len(n)))
-        points, mcs = tomo.reconstruct_with_mc(n, dur, TS36, qstate.bell_phi_plus(), 20, seeds)
+        points, _, failed = tomo.reconstruct_with_mc(n, dur, TS36, 20, seeds)
         assert not any(r.converged for r in points)
-        for row, drow, seed, mc in zip(n, dur, seeds, mcs):
+        for row, drow, seed, k in zip(n, dur, seeds, failed):
             draws = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (20, 36))
             alone = tomo._mle_many(draws.astype(float), np.repeat(drow[None], 20, axis=0), TS36)
-            assert mc.n_nonconverged == sum(not r.converged for r in alone)
-        assert sum(mc.n_nonconverged for mc in mcs) > 0
+            assert k == sum(not r.converged for r in alone)
+        assert failed.sum() > 0
         path = tmp_path / "counts.csv"
         path.write_text(measure.counts_to_csv(count_records(n[0], dur[0])))
         out = tmp_path / "out.json"
