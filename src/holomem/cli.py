@@ -1,6 +1,6 @@
 """Scenario runner and command-line interface.
 
-Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz, _k)
+Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz)
 to rule out microsecond/second and Hz/rad-s mixups.  One table, SCHEMA,
 defines the format: load_scenario walks it to build the model objects and
 the validated config tree (config units, defaults filled in), and rejects
@@ -162,7 +162,6 @@ SCHEMA = (
         Field("cloud_length_m", _float),
         Field("cloud_sigma_m", _floats(3), convert=tuple),
         Field("atom_count", _int),
-        Field("temperature_k", _float),
         Field("signal_angles_deg", _floats(), arg="signal_angles_rad",
               convert=lambda degrees: tuple(map(math.radians, degrees))),
     )),

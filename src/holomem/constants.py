@@ -1,10 +1,7 @@
-"""Physical constants used by the geometry and line-shape modules (SI), and
-the visibility threshold shared by the decay model and its fit."""
+"""The D1 natural linewidth used by the line-shape module (SI), and the
+visibility threshold shared by the decay model and its fit."""
 
 import math
-
-BOLTZMANN_J_PER_K = 1.380649e-23
-RB87_MASS_KG = 1.44316060e-25
 
 # Natural linewidth of the Rb-87 D1 line (FWHM), rad/s.
 GAMMA_D1_RAD_PER_S = 2.0 * 3.141592653589793 * 5.75e6

@@ -109,15 +109,16 @@ def fit_exponential(data) -> FitResult:
     """Fit y = eta0 exp(-t/tau) to (t, y, sigma) triples.
 
     Initialization: eta0 from the largest y; tau from a log-linear
-    regression over the positive-y points (falls back to the time span for
-    flat data, where tau is unidentifiable and its uncertainty blows up).
+    regression over the positive-y points, each weighted by y/sigma, the
+    inverse of its log-space sigma (falls back to the time span for flat
+    data, where tau is unidentifiable and its uncertainty blows up).
     """
     t, y, sigma = _prepare(data, min_points=3)
     eta0_guess = float(y.max())
     pos = y > 0.0
     tau_guess = float(t.max() - t.min()) or 1.0
     if pos.sum() >= 2 and np.ptp(t[pos]) > 0.0:
-        slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
+        slope = np.polyfit(t[pos], np.log(y[pos]), 1, w=y[pos] / sigma[pos])[0]
         if slope < 0.0:
             tau_guess = -1.0 / slope
 

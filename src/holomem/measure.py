@@ -36,8 +36,6 @@ Convention = Literal["mirrored", "textbook"]
 # CHSH analyzer angles (phi1, phi1', phi2, phi2') used in the experiment.
 CHSH_ANGLES_RAD = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
-TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
 
 class MeasureError(ValueError):
     """Invalid measurement setting or record."""
@@ -126,10 +124,10 @@ def correlation(rho: np.ndarray, phi1_rad: float, phi2_rad: float,
     return float(_correlations(rho, [phi1_rad], [phi2_rad], convention)[0])
 
 
-def chsh_s(rho: np.ndarray, angles_rad: tuple[float, float, float, float] = CHSH_ANGLES_RAD,
-           convention: Convention = "mirrored") -> float | np.ndarray:
-    """CHSH combination |-E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2')|."""
-    p1, p1p, p2, p2p = angles_rad
+def chsh_s(rho: np.ndarray, convention: Convention = "mirrored") -> float | np.ndarray:
+    """CHSH combination |-E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2')| at
+    CHSH_ANGLES_RAD."""
+    p1, p1p, p2, p2p = CHSH_ANGLES_RAD
     e = _correlations(rho, [p1, p1, p1p, p1p], [p2, p2p, p2, p2p], convention)
     return np.abs(-e[..., 0] + e[..., 1] + e[..., 2] + e[..., 3])[()]
 
@@ -202,9 +200,19 @@ def counts_to_csv(records: list[CountRecord]) -> str:
 
 
 def counts_from_csv(text: str) -> list[CountRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["setting_label", "counts", "duration_s"]:
+    """Count records of a count CSV; a bad row raises MeasureError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != ["setting_label", "counts", "duration_s"]:
         raise MeasureError("count CSV must start with header setting_label,counts,duration_s")
-    return [CountRecord(setting_label=label, counts=int(counts),
-                        duration_s=float(duration))
-            for label, counts, duration in rows[1:]]
+    records = []
+    for row in reader:
+        where = f"count CSV line {reader.line_num}"
+        if len(row) != 3:
+            raise MeasureError(f"{where}: expected 3 fields setting_label,counts,duration_s, "
+                               f"got {len(row)}")
+        try:
+            records.append(CountRecord(setting_label=row[0], counts=int(row[1]),
+                                       duration_s=float(row[2])))
+        except ValueError as exc:
+            raise MeasureError(f"{where}: {exc}") from None
+    return records

@@ -42,17 +42,6 @@ KETS_BY_LABEL = {
 }
 
 
-def ket(amps) -> np.ndarray:
-    """Return a validated, normalized state vector."""
-    psi = np.asarray(amps, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(psi.view(float))):
-        raise StateError("ket amplitudes must be finite")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > CONSTRUCTION_ATOL:
-        raise StateError(f"ket norm {norm!r} differs from 1 beyond tolerance")
-    return psi
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two kets or two matrices."""
     a = np.asarray(a, dtype=complex)
@@ -117,19 +106,6 @@ def werner(p: float) -> np.ndarray:
     return p * bell_phi_plus() + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
 
-def partial_trace(rho: np.ndarray, subsystem: int) -> np.ndarray:
-    """Reduced 2x2 state of qubit `subsystem` (1 or 2) of a two-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise StateError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        return np.einsum("ikjk->ij", r)
-    if subsystem == 2:
-        return np.einsum("kikj->ij", r)
-    raise StateError(f"subsystem must be 1 or 2, got {subsystem}")
-
-
 # ---------------------------------------------------------------------------
 # Fidelity
 # ---------------------------------------------------------------------------
@@ -185,9 +161,13 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 
 def density_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    """Parse the wire format; a missing key or a mistyped value raises StateError."""
+    try:
+        n = int(obj["dim"])
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StateError(f"malformed JSON density matrix: {type(exc).__name__} {exc}") from None
     if re.size != n * n or im.size != n * n:
         raise StateError(f"JSON density matrix needs {n * n} entries per part")
     rho = (re + 1j * im).reshape(n, n)

@@ -1,5 +1,5 @@
-"""Holographic memory geometry: spin-wave wave vectors, register crosstalk,
-mode capacity, and a motional-dephasing diagnostic.
+"""Holographic memory geometry: spin-wave wave vectors, register crosstalk
+and mode capacity.
 
 Conventions: the control beam propagates along +z; signal beams lie in the
 x-z plane at angles theta_i relative to the control.  A spin wave stores a
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .constants import BOLTZMANN_J_PER_K, RB87_MASS_KG
 
 # Crosstalk Monte Carlo never instantiates more atoms than this; the
 # estimator standard error scales as 1/sqrt(n_sample).
@@ -32,8 +30,8 @@ class MemoryGeometry:
     """Beam and atomic-cloud geometry of the multimode memory.
 
     Waists are beam diameters (as quoted for the experiment), lengths in
-    meters, angles in radians, temperature in kelvin.  cloud_sigma_m is the
-    per-axis rms size (x, y, z) of the Gaussian atom cloud.
+    meters, angles in radians.  cloud_sigma_m is the per-axis rms size
+    (x, y, z) of the Gaussian atom cloud.
     """
 
     wavelength_m: float
@@ -42,7 +40,6 @@ class MemoryGeometry:
     cloud_length_m: float
     cloud_sigma_m: tuple[float, float, float]
     atom_count: int
-    temperature_k: float
     signal_angles_rad: tuple[float, ...]
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class MemoryGeometry:
             raise GeometryError(f"cloud_sigma_m must be 3 positive values, got {self.cloud_sigma_m}")
         if self.atom_count < 1:
             raise GeometryError(f"atom_count must be >= 1, got {self.atom_count}")
-        if not self.temperature_k > 0.0:
-            raise GeometryError(f"temperature_k must be positive, got {self.temperature_k}")
         if len(set(self.signal_angles_rad)) != len(self.signal_angles_rad):
             raise GeometryError("signal angles must be pairwise distinct")
 
@@ -78,10 +73,6 @@ class SpinWaveMode:
     @property
     def q(self) -> np.ndarray:
         return np.asarray(self.q_rad_per_m, dtype=float)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.q))
 
 
 def spin_wave_vectors(g: MemoryGeometry) -> list[SpinWaveMode]:
@@ -143,18 +134,3 @@ def mode_capacity(g: MemoryGeometry) -> float:
     """Geometric-mean Fresnel-number capacity estimate w_c w_s / (lambda L)."""
     return g.control_waist_m * g.signal_waist_m / (g.wavelength_m * g.cloud_length_m)
 
-
-def motional_dephasing_time(m: SpinWaveMode, g: MemoryGeometry) -> float:
-    """Thermal-motion dephasing time 1/(|q| v_rms), seconds.
-
-    For the experimental geometry this is ~1e-4 s, two orders above the
-    observed storage lifetime, confirming motion is not the limiting
-    mechanism.  Returns +inf for a copropagating (q = 0) mode.
-    """
-    if not g.temperature_k > 0.0:
-        raise GeometryError("temperature must be positive")
-    q_mag = m.magnitude
-    if q_mag == 0.0:
-        return math.inf
-    v_rms = math.sqrt(BOLTZMANN_J_PER_K * g.temperature_k / RB87_MASS_KG)
-    return 1.0 / (q_mag * v_rms)

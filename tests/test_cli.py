@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import subprocess
@@ -179,6 +181,77 @@ def test_config_round_trip_is_fixed_point(cfg):
     tree = cli.scenario_to_config(sc)
     assert cli.load_scenario(tree) == sc
     assert cli.scenario_to_config(cli.load_scenario(tree)) == tree
+
+
+# One valid alternative value per config key, each of which must change an
+# output of `capacity`, `chsh --state input`, `crosstalk` or `simulate` (other
+# than the report's embedded config).  atom_count shows only below
+# registers.MAX_SAMPLE_ATOMS, in the crosstalk overlaps and their stderr.
+ALTERNATIVES = {
+    "master_seed": 1,
+    "tomo_scheme": 16,
+    "n_trials": 100000,
+    "n_mc_sets": 50,
+    "input_coinc_prob": 0.05,
+    "storage_times_s": [0.0, 2.0e-6],
+    "geometry.wavelength_m": 780.0e-9,
+    "geometry.control_waist_m": 900.0e-6,
+    "geometry.signal_waist_m": 500.0e-6,
+    "geometry.cloud_length_m": 3.0e-3,
+    "geometry.cloud_sigma_m": [0.4e-3, 0.5e-3, 1.0e-3],
+    "geometry.atom_count": 5000,
+    "geometry.signal_angles_deg": [-1.0, -0.6, 0.6, 1.2],
+    "eit.od": 20.0,
+    "eit.rabi_hz": 8.0e6,
+    "eit.gamma_e_hz": 6.0e6,
+    "eit.gamma_gs_hz": 1.0e4,
+    "source.ratio_hv": 12.0,
+    "source.ratio_pm": 20.0,
+    "source.pair_rate_hz": 30.0,
+    "channel.eta0": 0.2,
+    "channel.tau_s": 3.0e-6,
+    "channel.bg_coinc": 1.0e-3,
+}
+# Keys that no output reads yet: SourceParams.pair_rate_hz is validated and
+# embedded in the report, and nothing else reads it.  A key leaves this set
+# when it is retired or starts to count.
+INERT_KEYS = {"source.pair_rate_hz"}
+
+
+def command_outputs(cfg: dict, tmp_path):
+    """Yield the stdout of each output command on cfg; for simulate, the report
+    without its embedded config."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    for argv in (["capacity"], ["chsh", "--state", "input"], ["crosstalk"], ["simulate"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_OK
+        if argv == ["simulate"]:
+            report = json.loads(out.getvalue())
+            del report["config"]
+            yield report
+        else:
+            yield out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return list(command_outputs(cli.default_config(), tmp_path_factory.mktemp("default")))
+
+
+class TestEveryKeyCounts:
+    def test_alternatives_cover_every_key(self):
+        assert sorted(ALTERNATIVES) == sorted(".".join(path) for path, _ in SCHEMA_FIELDS)
+
+    @pytest.mark.parametrize("key", sorted(ALTERNATIVES))
+    def test_key_changes_an_output(self, key, default_outputs, tmp_path):
+        cfg, path = cli.default_config(), tuple(key.split("."))
+        assert mapping_of(cfg, path)[path[-1]] != ALTERNATIVES[key]
+        mapping_of(cfg, path)[path[-1]] = ALTERNATIVES[key]
+        # Lazily, so that the first output that differs ends the check.
+        changed = any(out != ref for out, ref in zip(command_outputs(cfg, tmp_path),
+                                                     default_outputs))
+        assert changed is (key not in INERT_KEYS)
 
 
 def _reject_constant(name):
@@ -472,6 +545,20 @@ class TestCommands:
             assert payload["mc"][key] != bell["mc"][key]
         assert payload["fidelity_vs_target"] != bell["fidelity_vs_target"]
 
+    @pytest.mark.parametrize("target", [{"dim": 4}, [1.0, 0.0], {"dim": None, "re": [], "im": []}],
+                             ids=["no-re", "list", "null-dim"])
+    def test_tomo_rejects_malformed_target(self, target, tmp_path, capsys):
+        counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
+        path = tmp_path / "counts.csv"
+        path.write_text(measure.counts_to_csv(counts))
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(target))
+        argv = ["tomo", "--counts", str(path), "--target", str(target_path)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed JSON density matrix: ")
+        assert captured.out == ""
+
     def test_tomo_rejects_infinite_duration(self, tmp_path, capsys):
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
         text = measure.counts_to_csv(counts).replace(",1.0\n", ",inf\n", 1)
@@ -523,6 +610,14 @@ class TestCommands:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["capacity", "--config", "/nonexistent.yaml"]) == cli.EXIT_VALIDATION
+
+    def test_retired_temperature_key_is_unknown(self, tmp_path, capsys):
+        cfg = cli.default_config()
+        cfg["geometry"]["temperature_k"] = 140e-6
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: geometry.temperature_k: unknown field\n"
 
     def test_config_not_a_mapping(self, tmp_path, capsys):
         path = tmp_path / "empty.yaml"

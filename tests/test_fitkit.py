@@ -25,6 +25,13 @@ def decay_points(eta0, tau, times, rng=None, noise=0.0):
     return pts
 
 
+def steep_decay(tau, offset):
+    """Ten points of y = 0.2 exp(-t/tau) + offset over 10 us, sigma 0.05 y + 1e-4."""
+    t = np.linspace(0.0, 10e-6, 10)
+    y = 0.2 * np.exp(-t / tau) + offset
+    return list(zip(t.tolist(), y.tolist(), (0.05 * y + 1e-4).tolist()))
+
+
 class TestExponentialFit:
     def test_noiseless_recovery(self):
         pts = decay_points(0.15, 2.8e-6, np.linspace(0, 8e-6, 10))
@@ -77,20 +84,32 @@ class TestExponentialFit:
 
     def test_overflowing_trial_steps_are_rejected(self):
         # Steep decays whose trial steps overflow exp(): in the model values
-        # (efficiency) and, with a lower cost, in the Jacobian (float tau).
-        t = np.linspace(0.0, 10e-6, 10)
-        y = 0.2 * np.exp(-t / 3e-7) + 1e-4
-        steep = list(zip(t.tolist(), y.tolist(), (0.05 * y + 1e-4).tolist()))
+        # (efficiency, tau 0.1 us) and, with a lower cost, in the Jacobian
+        # (float tau).  The tau 0.3 us efficiency set overflows no step.
         vis = [(3.18e-07, 0.00844), (5.63e-07, 0.000814), (2.37e-06, 0.0001),
                (2.94e-06, 0.0001), (5.46e-06, 0.0001), (6.07e-06, 0.0001),
                (6.51e-06, 0.0001), (6.58e-06, 0.0001), (7.86e-06, 0.0001), (8.78e-06, 0.0001)]
         vis = [(ti, v, float(f"{0.05 * v + 1e-4:.3g}")) for ti, v in vis]
-        for res in (fitkit.fit_exponential(steep),
+        for res in (fitkit.fit_exponential(steep_decay(3e-7, 1e-4)),
+                    fitkit.fit_exponential(steep_decay(1e-7, 3e-5)),
                     fitkit.fit_visibility(vis, tau_s=2.8e-6, float_tau=True)):
             assert res.converged is True
             assert np.all(np.isfinite([*res.params.values(), res.residual_norm]))
             # inf where J^T J cannot identify a parameter, never 0 or nan.
             assert all(s > 0.0 for s in res.uncertainties.values())
+
+    @pytest.mark.parametrize("tau,offset", [(3e-7, 1e-4), (1e-7, 3e-5)])
+    def test_steep_decay_reaches_the_scipy_optimum(self, tau, offset):
+        # The flat tail must not pull the start into the tau -> 0 valley.
+        # scipy stops within 1e-5 relative of this cost and 0.01 sigma_tau
+        # of this tau.
+        data = steep_decay(tau, offset)
+        res = fitkit.fit_exponential(data)
+        ref = scipy_fit(exp_residual(data), np.array([0.2, tau]))
+        assert res.converged is True
+        assert res.residual_norm <= np.linalg.norm(ref.fun) * (1.0 + 1e-9)
+        assert res.residual_norm == pytest.approx(np.linalg.norm(ref.fun), rel=1e-5)
+        assert abs(res.params["tau"] - ref.x[1]) <= 0.01 * res.uncertainties["tau"]
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(fitkit.FitError):

@@ -119,7 +119,6 @@ class TestChsh:
     def test_bell_saturates_tsirelson(self):
         s = measure.chsh_s(qstate.bell_phi_plus())
         assert s == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-        assert s == pytest.approx(measure.TSIRELSON_BOUND, abs=1e-12)
 
     def test_textbook_convention_nulls_at_these_angles(self):
         # Sanity check that the angle set demands the mirrored analyzers.
@@ -245,9 +244,8 @@ class TestAgainstKronReference:
                        - reference_chsh(rho, measure.CHSH_ANGLES_RAD, convention)) <= 1e-14
         for _ in range(100):
             rho = random_state(rng, int(rng.integers(1, 5)))
-            angles = tuple(rng.uniform(-math.pi, math.pi, 4))
-            assert abs(measure.chsh_s(rho, angles, convention)
-                       - reference_chsh(rho, angles, convention)) <= 1e-14
+            assert abs(measure.chsh_s(rho, convention)
+                       - reference_chsh(rho, measure.CHSH_ANGLES_RAD, convention)) <= 1e-14
 
     def test_visibility(self, rng):
         states = reference_states(rng) + [random_state(rng, int(rng.integers(1, 5)))
@@ -276,6 +274,19 @@ class TestCsv:
     def test_rejects_missing_header(self):
         with pytest.raises(measure.MeasureError):
             measure.counts_from_csv("HH,120,1.0\n")
+
+    @pytest.mark.parametrize("row,message", [
+        ("HV,7", "expected 3 fields setting_label,counts,duration_s, got 2"),
+        ("HV,7,1.0,2", "expected 3 fields setting_label,counts,duration_s, got 4"),
+        ("", "expected 3 fields setting_label,counts,duration_s, got 0"),
+        ("HV,7.5,1.0", "invalid literal for int"),
+        ("HV,-7,1.0", "counts must be >= 0"),
+        ("HV,7,soon", "could not convert string to float"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        text = "setting_label,counts,duration_s\nHH,120,1.0\n" + row + "\nVV,3,1.0\n"
+        with pytest.raises(measure.MeasureError, match=f"^count CSV line 3: {message}"):
+            measure.counts_from_csv(text)
 
     def test_record_validation(self):
         with pytest.raises(measure.MeasureError):

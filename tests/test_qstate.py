@@ -129,22 +129,6 @@ class TestAlgebra:
         with pytest.raises(qstate.StateError):
             qstate.tensor(qstate.KET_H, np.eye(2))
 
-    def test_partial_trace_bell_marginals(self):
-        for sub in (1, 2):
-            np.testing.assert_allclose(
-                qstate.partial_trace(qstate.bell_phi_plus(), sub), np.eye(2) / 2, atol=1e-12)
-
-    def test_partial_trace_product_state(self):
-        r1 = np.diag([0.7, 0.3]).astype(complex)
-        r2 = np.diag([0.2, 0.8]).astype(complex)
-        prod = qstate.tensor(r1, r2)
-        np.testing.assert_allclose(qstate.partial_trace(prod, 1), r1, atol=1e-12)
-        np.testing.assert_allclose(qstate.partial_trace(prod, 2), r2, atol=1e-12)
-
-    def test_partial_trace_bad_subsystem(self):
-        with pytest.raises(qstate.StateError):
-            qstate.partial_trace(qstate.bell_phi_plus(), 3)
-
     def test_purity_bounds(self, rng):
         rho = qstate.werner(0.0)
         assert np.trace(rho @ rho).real == pytest.approx(0.25, abs=1e-12)
@@ -152,11 +136,6 @@ class TestAlgebra:
             rho = random_density_matrix(rng)
             p = np.trace(rho @ rho).real
             assert 0.25 - 1e-12 <= p <= 1.0 + 1e-12
-
-    def test_ket_normalization_check(self):
-        with pytest.raises(qstate.StateError):
-            qstate.ket([1.0, 1.0])
-        np.testing.assert_allclose(qstate.ket([1.0, 0.0]), qstate.KET_H)
 
 
 class TestJson:
