@@ -34,19 +34,15 @@ class ModelInfeasibleError(ChannelError):
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Entangled-pair source quality: HH:HV and ++:+- count ratios and the
-    pair production rate."""
+    """Entangled-pair source quality: the HH:HV and ++:+- count ratios."""
 
     ratio_hv: float
     ratio_pm: float
-    pair_rate_hz: float
 
     def __post_init__(self):
         if not self.ratio_hv > 1.0 or not self.ratio_pm > 1.0:
             raise ChannelError(
                 f"count ratios must exceed 1, got ({self.ratio_hv}, {self.ratio_pm})")
-        if not self.pair_rate_hz > 0.0:
-            raise ChannelError(f"pair rate must be positive, got {self.pair_rate_hz}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,6 @@ class ChannelParams:
             raise ChannelError(f"background must be >= 0, got {self.bg_coinc}")
         if self.eta0 == 0.0 and self.bg_coinc == 0.0:
             raise ChannelError("zero coincidence probability: eta0 and background both zero")
-
-
-def experiment_source_params() -> SourceParams:
-    """Measured source quality: 14.3:1 (H/V) and 23.1:1 (+/-) ratios at a
-    33/s pair production rate."""
-    return SourceParams(ratio_hv=14.3, ratio_pm=23.1, pair_rate_hz=33.0)
 
 
 @functools.cache
@@ -161,14 +151,11 @@ def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
     return fitkit.threshold_crossing(*visibility_decay_coeffs(p, v0), p.tau_s)
 
 
-def calibrated_channel_params(source: SourceParams | None = None,
-                              eta0: float = 0.15,
-                              tau_s: float = 2.8e-6) -> ChannelParams:
-    """Shipped default channel: measured eta0 and tau, with bg_coinc chosen
-    so the simulated output fidelity vs |phi+> after 1 us of storage equals
-    the measured 0.81 (the background rate itself was not reported).
+def calibrated_channel_params(source: SourceParams, eta0: float, tau_s: float) -> ChannelParams:
+    """The channel of eta0 and tau with bg_coinc chosen so that the output
+    fidelity vs |phi+> of the source state after 1 us of storage equals the
+    measured 0.81 (the background rate itself was not reported).
     """
-    source = source or experiment_source_params()
     rho_in = input_state(source)
     f_in = float(np.real(np.trace(qstate.bell_phi_plus() @ rho_in)))
     frac = (0.81 - 0.25) / (f_in - 0.25)

@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -102,7 +102,7 @@ def _rad_per_s(hz: float) -> float:
 
 def _channel_params(source, eta0, tau_s, bg_coinc) -> channel.ChannelParams:
     if bg_coinc == CALIBRATED:
-        return channel.calibrated_channel_params(source=source, eta0=eta0, tau_s=tau_s)
+        return channel.calibrated_channel_params(source, eta0, tau_s)
     return channel.ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg_coinc)
 
 
@@ -176,7 +176,6 @@ SCHEMA = (
     Section("source", channel.SourceParams, (
         Field("ratio_hv", _float),
         Field("ratio_pm", _float),
-        Field("pair_rate_hz", _float),
     )),
     Section("channel", _channel_params, (
         Field("eta0", _float),
@@ -219,22 +218,9 @@ def _parse(rows, raw, path: str) -> tuple[dict, dict]:
     return args, tree
 
 
-@dataclass(frozen=True)
-class Scenario:
-    geometry: registers.MemoryGeometry
-    eit: eitline.EitParams
-    source: channel.SourceParams
-    channel: channel.ChannelParams
-    storage_times_s: tuple[float, ...]
-    tomo_scheme: str
-    n_trials: int
-    n_mc_sets: int
-    master_seed: int
-    # Detected coincidence probability per trial for the input (no-storage)
-    # measurement; ~1.3/s observed at a 33/s production rate.
-    input_coinc_prob: float
-    # The validated config tree this Scenario was loaded from.
-    config: dict
+# One attribute per top-level SCHEMA row, and the validated config tree.
+Scenario = make_dataclass("Scenario", [row.key for row in SCHEMA] + ["config"], frozen=True,
+                          namespace={"__module__": __name__})
 
 
 def load_scenario(cfg: dict) -> Scenario:
@@ -426,11 +412,11 @@ def _cmd_eit(args) -> int:
                 else _rad_per_s(args.gamma_gs_hz))
     p = eitline.EitParams(od=args.od, rabi_rad_per_s=_rad_per_s(args.rabi_hz),
                           gamma_gs_rad_per_s=gamma_gs)
-    if not 0.0 < args.span_hz < math.inf:
-        raise ConfigError("--span-hz", f"must be finite and positive, got {args.span_hz}")
+    span = _rad_per_s(args.span_hz)
+    if not 0.0 < span < math.inf:
+        raise ConfigError("--span-hz", f"must be positive and finite in rad/s, got {args.span_hz}")
     if args.points <= 0:
         raise ConfigError("--points", f"must be a positive integer, got {args.points}")
-    span = args.span_hz * 2.0 * math.pi
     deltas = np.linspace(-span, span, args.points)
     buf = io.StringIO()
     buf.write("delta_hz,transmission,phase_rad\n")
@@ -619,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -42,13 +42,14 @@ class EitParams:
     def __post_init__(self):
         if not 0.0 < self.od < math.inf:
             raise EitError(f"optical depth must be finite and positive, got {self.od}")
-        if not self.rabi_rad_per_s >= 0.0:
-            raise EitError(f"Rabi frequency must be >= 0, got {self.rabi_rad_per_s}")
+        if not 0.0 <= self.rabi_rad_per_s < math.inf:
+            raise EitError(f"Rabi frequency must be finite and >= 0, got {self.rabi_rad_per_s}")
         if not 0.0 < self.gamma_e_rad_per_s < math.inf:
             raise EitError("excited-state decay must be finite and positive, "
                            f"got {self.gamma_e_rad_per_s}")
-        if not self.gamma_gs_rad_per_s >= 0.0:
-            raise EitError(f"ground-state decoherence must be >= 0, got {self.gamma_gs_rad_per_s}")
+        if not 0.0 <= self.gamma_gs_rad_per_s < math.inf:
+            raise EitError("ground-state decoherence must be finite and >= 0, "
+                           f"got {self.gamma_gs_rad_per_s}")
 
 
 def experiment_eit_params() -> EitParams:

@@ -137,8 +137,8 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
     fit it jointly).  Also reports t_star, where the curve crosses the
     CHSH-violation threshold 1/sqrt(2).
     """
-    if not tau_s > 0.0:
-        raise FitError(f"tau must be positive, got {tau_s}")
+    if not 0.0 < tau_s < math.inf:
+        raise FitError(f"tau must be finite and positive, got {tau_s}")
     t, v, sigma = _prepare(data, min_points=2 if not float_tau else 3)
     if np.any(v <= 0.0):
         raise FitError("visibility values must be positive for this model")
@@ -151,7 +151,10 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
         e = np.exp(2.0 * t / tau)
         fit = 1.0 / (a + b * e)
         dv = -fit ** 2 / sigma
-        return fit / sigma, np.column_stack((dv, dv * e, -2.0 * b * dv * e * t / tau ** 2)[:len(x)])
+        cols = [dv, dv * e]
+        if float_tau:  # a fixed tau of 1e300 would overflow tau ** 2
+            cols.append(-2.0 * b * dv * e * t / tau ** 2)
+        return fit / sigma, np.column_stack(cols)
 
     names = ("a", "b", "tau")[:3 if float_tau else 2]
     result = _solve(model, np.array([a_guess, b_guess, tau_s][:len(names)]), names, v / sigma)

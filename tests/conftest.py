@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from holomem import measure, tomo
+from holomem import cli, measure, tomo
+
+# The bundled scenario: the one statement of the reference source, channel and
+# geometry that tests read.
+BUNDLED = cli.load_scenario(cli.default_config())
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from holomem import channel, cli, eitline, fitkit, measure, qstate, registers, tomo
-from conftest import exact_counts, random_density_matrix
+from conftest import BUNDLED, exact_counts, random_density_matrix
 
 from test_fitkit import decay_points
 from test_registers import geometry
@@ -59,7 +59,7 @@ def test_criterion_4_eit_calibration():
 
 
 def test_criterion_5_source_model():
-    rho = channel.input_state(channel.experiment_source_params())
+    rho = channel.input_state(BUNDLED.source)
     p_hh = measure.coincidence_prob(rho, measure.setting_from_labels("H", "H"))
     p_hv = measure.coincidence_prob(rho, measure.setting_from_labels("H", "V"))
     p_pp = measure.coincidence_prob(rho, measure.setting_from_labels("+", "+"))
@@ -75,8 +75,8 @@ def test_criterion_5_source_model():
 
 
 def test_criterion_6_storage_behavior():
-    p = channel.calibrated_channel_params()
-    rho_in = channel.input_state(channel.experiment_source_params())
+    p = BUNDLED.channel
+    rho_in = channel.input_state(BUNDLED.source)
     rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
     f = qstate.fidelity(qstate.bell_phi_plus(), rho_out)
     f_proc = qstate.fidelity(rho_in, rho_out)
@@ -104,8 +104,8 @@ def test_criterion_7_tomography_consistency():
 
     # Monte Carlo spread at experiment-scale statistics (of order a
     # thousand coincidences in each complete basis group).
-    p = channel.calibrated_channel_params()
-    rho_in = channel.input_state(channel.experiment_source_params())
+    p = BUNDLED.channel
+    rho_in = channel.input_state(BUNDLED.source)
     rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
     counts = measure.sample_counts(rho_out, list(ts.settings), 1000, 1.0, seed=5)
     mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(),
@@ -128,8 +128,8 @@ def test_criterion_8_fit_recovery():
             hits += 1
     assert hits >= int(0.9 * n_seeds)
 
-    p = channel.calibrated_channel_params()
-    rho_in = channel.input_state(channel.experiment_source_params())
+    p = BUNDLED.channel
+    rho_in = channel.input_state(BUNDLED.source)
     v0 = measure.mean_visibility(rho_in)
     a_true, b_true = channel.visibility_decay_coeffs(p, v0)
     pts = [(t, channel.visibility_decay(p, v0, t), 0.01)
@@ -162,7 +162,7 @@ def test_criterion_9_property_suites():
     assert dev < 3.0 * stderr
 
     # Channel outputs stay physical over random inputs and times.
-    p = channel.calibrated_channel_params()
+    p = BUNDLED.channel
     for _ in range(25):
         rho = random_density_matrix(rng)
         t = rng.uniform(0.0, 10e-6)

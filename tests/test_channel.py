@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holomem import channel, cli, measure, qstate
-from conftest import random_density_matrix
+from conftest import BUNDLED, random_density_matrix
 
 
 def weights_oracle(r1: float, r2: float) -> tuple[float, float, float]:
@@ -17,7 +17,7 @@ def weights_oracle(r1: float, r2: float) -> tuple[float, float, float]:
 
 class TestInputState:
     def test_experimental_ratios_reproduced(self):
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         p_hh = measure.coincidence_prob(rho, measure.setting_from_labels("H", "H"))
         p_hv = measure.coincidence_prob(rho, measure.setting_from_labels("H", "V"))
         p_pp = measure.coincidence_prob(rho, measure.setting_from_labels("+", "+"))
@@ -30,30 +30,29 @@ class TestInputState:
         assert (a, b, c) == (pytest.approx(0.893, abs=5e-4),
                              pytest.approx(0.024, abs=5e-4),
                              pytest.approx(0.083, abs=5e-4))
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         expected = (a * qstate.bell_phi_plus() + b * qstate.bell_psi_plus()
                     + c * np.eye(4) / 4)
         np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     def test_noiseless_limit(self):
-        src = channel.SourceParams(ratio_hv=1e9, ratio_pm=1e9, pair_rate_hz=33.0)
+        src = channel.SourceParams(ratio_hv=1e9, ratio_pm=1e9)
         np.testing.assert_allclose(channel.input_state(src), qstate.bell_phi_plus(), atol=1e-6)
 
     def test_output_passes_invariants(self):
-        qstate.check_density_matrix(channel.input_state(channel.experiment_source_params()))
+        qstate.check_density_matrix(channel.input_state(BUNDLED.source))
 
     def test_infeasible_ratios_named_error(self):
         with pytest.raises(channel.ModelInfeasibleError, match="psi\\+ weight b"):
-            channel.input_state(channel.SourceParams(ratio_hv=1e6, ratio_pm=1.01,
-                                                     pair_rate_hz=33.0))
+            channel.input_state(channel.SourceParams(ratio_hv=1e6, ratio_pm=1.01))
 
     def test_ratio_validation(self):
         with pytest.raises(channel.ChannelError):
-            channel.SourceParams(ratio_hv=0.9, ratio_pm=23.1, pair_rate_hz=33.0)
+            channel.SourceParams(ratio_hv=0.9, ratio_pm=23.1)
 
     def test_built_once_per_source_and_read_only(self):
-        rho = channel.input_state(channel.experiment_source_params())
-        assert channel.input_state(channel.experiment_source_params()) is rho
+        rho = channel.input_state(BUNDLED.source)
+        assert channel.input_state(cli.load_scenario(cli.default_config()).source) is rho
         with pytest.raises(ValueError, match="read-only"):
             rho[0, 0] = 0.0
 
@@ -80,27 +79,27 @@ class TestStoreRetrieve:
         assert channel.efficiency(p, 2.8e-6) == pytest.approx(0.0552, abs=1e-4)
 
     def test_calibrated_fidelity_at_one_microsecond(self):
-        p = channel.calibrated_channel_params()
-        rho_in = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho_in = channel.input_state(BUNDLED.source)
         rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
         f = qstate.fidelity(qstate.bell_phi_plus(), rho_out)
         assert 0.79 <= f <= 0.83
 
     def test_outputs_pass_invariants(self, rng):
-        p = channel.calibrated_channel_params()
+        p = BUNDLED.channel
         for t in (0.0, 0.5e-6, 1e-6, 3e-6, 10e-6):
             rho_out, _, _ = channel.store_retrieve(random_density_matrix(rng), t, p)
             qstate.check_density_matrix(rho_out, atol=qstate.CHANNEL_ATOL)
 
     def test_signal_fraction_monotone_nonincreasing(self):
-        p = channel.calibrated_channel_params()
-        rho = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho = channel.input_state(BUNDLED.source)
         fracs = [channel.store_retrieve(rho, t, p)[2] for t in np.linspace(0, 10e-6, 40)]
         assert all(a >= b - 1e-15 for a, b in zip(fracs, fracs[1:]))
 
     def test_coincidence_ratio_grows_with_time(self):
-        p = channel.calibrated_channel_params()
-        rho = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho = channel.input_state(BUNDLED.source)
         c0 = channel.store_retrieve(rho, 0.0, p)[1]
         ratios = [c0 / channel.store_retrieve(rho, t, p)[1]
                   for t in np.linspace(0, 10e-6, 40)]
@@ -108,7 +107,7 @@ class TestStoreRetrieve:
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     def test_rejects_negative_time(self):
-        p = channel.calibrated_channel_params()
+        p = BUNDLED.channel
         with pytest.raises(channel.ChannelError):
             channel.store_retrieve(qstate.bell_phi_plus(), -1.0, p)
 
@@ -131,8 +130,8 @@ class TestProcessFidelity:
         assert qstate.fidelity(rho, rho_out) == pytest.approx(1.0, abs=1e-10)
 
     def test_calibrated_pipeline_matches_report(self):
-        p = channel.calibrated_channel_params()
-        rho_in = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho_in = channel.input_state(BUNDLED.source)
         rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
         assert 0.96 <= qstate.fidelity(rho_in, rho_out) <= 1.0
 
@@ -155,8 +154,8 @@ class TestVisibilityDecay:
                 assert abs(v * (a + b * math.exp(2 * t / p.tau_s)) - 1.0) < 1e-12
 
     def test_threshold_crossing_time(self):
-        p = channel.calibrated_channel_params()
-        rho_in = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho_in = channel.input_state(BUNDLED.source)
         v0 = measure.mean_visibility(rho_in)
         t_star = channel.visibility_threshold_time(p, v0)
         assert 1.4e-6 <= t_star <= 1.8e-6
@@ -172,7 +171,7 @@ class TestVisibilityDecay:
         assert channel.visibility_threshold_time(p, 0.9) == 0.0
 
     def test_v0_validation(self):
-        p = channel.calibrated_channel_params()
+        p = BUNDLED.channel
         with pytest.raises(channel.ChannelError):
             channel.visibility_decay(p, 0.0, 1e-6)
         with pytest.raises(channel.ChannelError):
@@ -181,7 +180,7 @@ class TestVisibilityDecay:
 
 class TestParams:
     def test_calibrated_values(self):
-        p = channel.calibrated_channel_params()
+        p = BUNDLED.channel
         assert p.eta0 == 0.15
         assert p.tau_s == 2.8e-6
         assert 0.0 < p.bg_coinc < 0.01

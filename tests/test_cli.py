@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, registers, tomo
 from holomem.seeding import child_seed
+from conftest import BUNDLED
 
 TS36 = tomo.make_settings(36)
 
@@ -128,6 +129,19 @@ class TestSchema:
         assert self.rejected_at(cfg) == where
 
 
+def test_readme_lists_every_default():
+    """The README table of optional keys is the SCHEMA fields with defaults."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("Optional keys and their defaults:")[1].split("\n\n")[1]
+    rows = [[cell.strip(" `") for cell in line.split("|")[1:3]]
+            for line in table.splitlines()[2:]]
+    fields = {".".join(path): field for path, field in SCHEMA_FIELDS
+              if field.default is not cli.REQUIRED}
+    assert sorted(key for key, _ in rows) == sorted(fields)
+    for key, default in rows:
+        assert fields[key].kind(default, key) == fields[key].default, key
+
+
 DEFAULT_CONFIG = cli.default_config()
 
 
@@ -207,15 +221,10 @@ ALTERNATIVES = {
     "eit.gamma_gs_hz": 1.0e4,
     "source.ratio_hv": 12.0,
     "source.ratio_pm": 20.0,
-    "source.pair_rate_hz": 30.0,
     "channel.eta0": 0.2,
     "channel.tau_s": 3.0e-6,
     "channel.bg_coinc": 1.0e-3,
 }
-# Keys that no output reads yet: SourceParams.pair_rate_hz is validated and
-# embedded in the report, and nothing else reads it.  A key leaves this set
-# when it is retired or starts to count.
-INERT_KEYS = {"source.pair_rate_hz"}
 
 
 def command_outputs(cfg: dict, tmp_path):
@@ -249,9 +258,8 @@ class TestEveryKeyCounts:
         assert mapping_of(cfg, path)[path[-1]] != ALTERNATIVES[key]
         mapping_of(cfg, path)[path[-1]] = ALTERNATIVES[key]
         # Lazily, so that the first output that differs ends the check.
-        changed = any(out != ref for out, ref in zip(command_outputs(cfg, tmp_path),
-                                                     default_outputs))
-        assert changed is (key not in INERT_KEYS)
+        assert any(out != ref for out, ref in zip(command_outputs(cfg, tmp_path),
+                                                  default_outputs))
 
 
 def _reject_constant(name):
@@ -399,11 +407,27 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [["--rabi-hz", "nan"], ["--gamma-gs-hz", "nan"],
                                       ["--span-hz", "nan"], ["--span-hz", "inf"],
-                                      ["--span-hz", "0"], ["--span-hz=-1e6"]])
+                                      ["--span-hz", "0"], ["--span-hz=-1e6"],
+                                      ["--rabi-hz", "inf"], ["--gamma-gs-hz", "inf"],
+                                      ["--span-hz", "1e308"]])
     def test_eit_rejects_nan_and_bad_span(self, argv, capsys):
         assert cli.main(["eit", "--points", "5", *argv]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["eit", "--rabi-hz", "1e160"], ["simulate"]],
+                             ids=["eit", "simulate"])
+    def test_overflow_is_one_error_line(self, argv, tmp_path, capsys):
+        # A finite rate of 1e160 Hz passes validation; its square does not fit a float.
+        cfg = cli.default_config()
+        cfg["eit"]["rabi_hz"] = 1.0e160
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        extra = ["--config", str(path)] if argv == ["simulate"] else []
+        assert cli.main([*argv, *extra]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: numeric overflow: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_eit_points_must_be_positive(self, points, capsys):
@@ -499,7 +523,7 @@ class TestCommands:
         assert json.loads(out_c.read_text())["config"]["master_seed"] == 99
 
     def test_tomo_subcommand(self, tmp_path, capsys):
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         ts = tomo.make_settings(36)
         counts = measure.sample_counts(rho, list(ts.settings), 50000, 0.04, seed=12)
         path = tmp_path / "counts.csv"
@@ -611,13 +635,17 @@ class TestCommands:
     def test_missing_config_file(self, capsys):
         assert cli.main(["capacity", "--config", "/nonexistent.yaml"]) == cli.EXIT_VALIDATION
 
-    def test_retired_temperature_key_is_unknown(self, tmp_path, capsys):
-        cfg = cli.default_config()
-        cfg["geometry"]["temperature_k"] = 140e-6
+    # Keys that no output read, with the values they held.
+    RETIRED_KEYS = {"geometry.temperature_k": 140e-6, "source.pair_rate_hz": 33.0}
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_key_is_unknown(self, key, tmp_path, capsys):
+        cfg, (section, name) = cli.default_config(), key.split(".")
+        cfg[section][name] = self.RETIRED_KEYS[key]
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: geometry.temperature_k: unknown field\n"
+        assert capsys.readouterr().err == f"error: {key}: unknown field\n"
 
     def test_config_not_a_mapping(self, tmp_path, capsys):
         path = tmp_path / "empty.yaml"

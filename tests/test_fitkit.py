@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from holomem import channel, cli, fitkit, measure
+from conftest import BUNDLED
 
 
 def decay_points(eta0, tau, times, rng=None, noise=0.0):
@@ -132,8 +133,8 @@ class TestExponentialFit:
 class TestVisibilityFit:
     def test_round_trip_against_channel_model(self):
         # Generate V(t) from the channel closed form and recover (a, b).
-        p = channel.calibrated_channel_params()
-        rho_in = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho_in = channel.input_state(BUNDLED.source)
         v0 = measure.mean_visibility(rho_in)
         a_true, b_true = channel.visibility_decay_coeffs(p, v0)
         times = np.linspace(0, 3e-6, 15)
@@ -147,13 +148,21 @@ class TestVisibilityFit:
             channel.visibility_threshold_time(p, v0), rel=1e-6)
 
     def test_float_tau_variant(self):
-        p = channel.calibrated_channel_params()
-        rho_in = channel.input_state(channel.experiment_source_params())
+        p = BUNDLED.channel
+        rho_in = channel.input_state(BUNDLED.source)
         v0 = measure.mean_visibility(rho_in)
         times = np.linspace(0, 3e-6, 15)
         pts = [(t, channel.visibility_decay(p, v0, t), 0.01) for t in times]
         res = fitkit.fit_visibility(pts, tau_s=2.0e-6, float_tau=True)
         assert res.params["tau"] == pytest.approx(p.tau_s, rel=1e-3)
+
+    def test_fixed_tau_beyond_float_square_returns(self):
+        # tau ** 2 overflows a float here; a fixed tau needs no tau column.
+        res = fitkit.fit_visibility([(0.0, 0.9, 0.01), (1e-6, 0.8, 0.01)], tau_s=1e300)
+        assert res.converged is True
+        # exp(2t/tau) = 1, so only a + b is identified: the flat level 0.85.
+        assert 1.0 / (res.params["a"] + res.params["b"]) == pytest.approx(0.85, rel=1e-6)
+        assert res.uncertainties == {"a": math.inf, "b": math.inf}
 
     def test_never_crossing_gives_inf(self):
         pts = [(t, 0.95, 0.01) for t in np.linspace(0, 3e-6, 6)]
@@ -181,8 +190,9 @@ class TestVisibilityFit:
 
     def test_validation(self):
         pts = [(0.0, 0.9, 0.01), (1e-6, 0.8, 0.01)]
-        with pytest.raises(fitkit.FitError):
-            fitkit.fit_visibility(pts, tau_s=0.0)
+        for tau_s in (0.0, math.inf):
+            with pytest.raises(fitkit.FitError, match="tau must be finite and positive"):
+                fitkit.fit_visibility(pts, tau_s=tau_s)
         with pytest.raises(fitkit.FitError):
             fitkit.fit_visibility([(0.0, 0.9, 0.01), (1e-6, -0.1, 0.01)], tau_s=2.8e-6)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holomem import channel, measure, qstate, tomo
-from conftest import random_density_matrix
+from conftest import BUNDLED, random_density_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,8 @@ def random_state(rng, rank=None):
 
 def reference_states(rng):
     """Named states that include zero-probability settings and the model's own."""
-    rho_in = channel.input_state(channel.experiment_source_params())
-    stored = channel.store_retrieve(rho_in, 1e-6, channel.calibrated_channel_params())[0]
+    rho_in = channel.input_state(BUNDLED.source)
+    stored = channel.store_retrieve(rho_in, 1e-6, BUNDLED.channel)[0]
     return [qstate.bell_phi_plus(), qstate.bell_psi_plus(), qstate.werner(0.5),
             np.eye(4, dtype=complex) / 4, rho_in, stored, random_state(rng, 1),
             random_state(rng, 2), random_state(rng)]
@@ -134,7 +134,7 @@ class TestChsh:
         assert measure.chsh_s(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_input_state_value(self):
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         assert measure.chsh_s(rho) == pytest.approx(2.54, abs=0.10)
 
 
@@ -147,7 +147,7 @@ class TestVisibility:
 
     def test_input_state_basis_visibilities(self):
         # Oracle: V = (r - 1)/(r + 1) from the source count ratios.
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         assert measure.visibility(rho, "HV") == pytest.approx(13.3 / 15.3, abs=1e-9)
         assert measure.visibility(rho, "PM") == pytest.approx(22.1 / 24.1, abs=1e-9)
 

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from holomem import channel, cli, measure, qstate, tomo
 from holomem.seeding import child_seed
-from conftest import exact_counts, random_density_matrix
+from conftest import BUNDLED, exact_counts, random_density_matrix
 
 
 TS36 = tomo.make_settings(36)
@@ -334,7 +334,7 @@ class TestReferenceAgreement:
         assert mc.std(ddof=1) == pytest.approx(ref.std(ddof=1), abs=1e-5)
 
     def test_sixteen_settings_unequal_durations(self):
-        rho = channel.input_state(channel.experiment_source_params())
+        rho = channel.input_state(BUNDLED.source)
         probs = measure.born_probabilities(rho, TS16.projectors)
         durations = [1.0 + 0.5 * (i % 3) for i in range(len(TS16.settings))]
         count_sets = []
