@@ -10,7 +10,7 @@ probability.
 
 That mixture is affine in the signal fraction f, so `store_retrieve` maps a
 vector of storage times to a (T, 4, 4) stack at once; `simulate` samples
-every track of it into one (B, K) count array, with no `CountRecord`.
+every track of it into one (B, K) count array.
 """
 
 from __future__ import annotations

@@ -230,14 +230,23 @@ def load_scenario(cfg: dict) -> Scenario:
     return Scenario(config=tree, **args)
 
 
-# libyaml's parser, where PyYAML was built with it, gives the same trees as
-# the pure-Python SafeLoader about ten times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader, on libyaml where PyYAML has it (about ten times faster), that
+    rejects a key written twice in one mapping, whose last value PyYAML keeps."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if (key.tag, str(key.value)) in seen:
+                raise yaml.MarkedYAMLError(problem=f"duplicate key {key.value!r}",
+                                           problem_mark=key.start_mark)
+            seen.add((key.tag, str(key.value)))
+        return super().construct_mapping(node, deep)
 
 
 def default_config() -> dict:
     text = resources.files("holomem.data").joinpath("default_scenario.yaml").read_text()
-    return yaml.load(text, Loader=_YAML_LOADER)
+    return yaml.load(text, Loader=_YamlLoader)
 
 
 def scenario_to_config(sc: Scenario) -> dict:
@@ -255,9 +264,9 @@ def run_simulate(sc: Scenario) -> dict:
     rho_in = channel.input_state(sc.source)
     bell = qstate.bell_phi_plus()
     ts = tomo.make_settings(sc.tomo_scheme)
-    modes = registers.spin_wave_vectors(sc.geometry)
+    q = registers.spin_wave_vectors(sc.geometry)
     max_xtalk = max((registers.expected_crosstalk(a, b, sc.geometry)
-                     for i, a in enumerate(modes) for b in modes[i + 1:]), default=0.0)
+                     for i, a in enumerate(q) for b in q[i + 1:]), default=0.0)
 
     rho_out, coinc_probs, fracs = channel.store_retrieve(rho_in, sc.storage_times_s, sc.channel)
     # Tracks in report order: the input, then one per storage time.
@@ -380,7 +389,7 @@ def _read_config(path: str | None) -> dict:
         return default_config()
     with open(path) as fh:
         try:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            return yaml.load(fh, Loader=_YamlLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(path, str(exc)) from None
 
@@ -446,12 +455,12 @@ def _cmd_chsh(args) -> int:
 def _cmd_crosstalk(args) -> int:
     g = load_scenario(_read_config(args.config)).geometry
     seed = args.seed if args.seed is not None else 0
-    modes = registers.spin_wave_vectors(g)
-    overlaps = registers.crosstalk_matrix(modes, g, seed=child_seed(seed, "crosstalk", 0))
+    q = registers.spin_wave_vectors(g)
+    overlaps = registers.crosstalk_matrix(q, g, seed=child_seed(seed, "crosstalk", 0))
     buf = io.StringIO()
     buf.write("i,j,overlap_re,overlap_im,expected,stderr\n")
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes[i + 1:], start=i + 1):
+    for i, a in enumerate(q):
+        for j, b in enumerate(q[i + 1:], start=i + 1):
             ov = overlaps[i, j]
             buf.write(f"{i},{j},{ov.real:.6e},{ov.imag:.6e},"
                       f"{registers.expected_crosstalk(a, b, g):.6e},"
@@ -514,14 +523,16 @@ def _cmd_tomo(args) -> int:
     _check(MC_SETS_RULE, args.mc_sets, "--mc-sets")
     ts = tomo.make_settings(args.scheme)
     with open(args.counts) as fh:
-        n, dur = tomo.count_arrays([measure.counts_from_csv(fh.read())], ts)
+        n, dur = measure.counts_from_csv(fh.read(), ts.settings)
     if args.target == "bell":
         target = qstate.bell_phi_plus()
     else:
         with open(args.target) as fh:
             target = qstate.density_from_json(json.load(fh))
+        if target.shape != (4, 4):
+            raise qstate.StateError(f"malformed JSON density matrix: dim {len(target)} is not 4")
     seed = args.seed if args.seed is not None else 0
-    (result,), stack, failed = tomo.reconstruct_with_mc(n, dur, ts, args.mc_sets, [seed])
+    (result,), stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
         "fidelity_vs_target": qstate.fidelity(target, result.rho_hat),

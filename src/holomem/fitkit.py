@@ -80,10 +80,10 @@ def _solve(model, x, names, data):
     """Levenberg-Marquardt fit of model(x) -> (prediction, Jacobian) to data, all weighted
     by 1/sigma, damping each parameter by its J^T J diagonal.  Stops at TOL on the relative
     cost change, on each parameter's relative step, or on each |gradient| / |J column| |data|."""
-    pred, jac = model(x)
-    r = pred - data
-    cost, damping, gtol, converged = r @ r, 1e-3, TOL * np.linalg.norm(data), False
-    with np.errstate(all="ignore"):  # a trial step that overflows is rejected
+    with np.errstate(all="ignore"):  # a start or a trial step that overflows is handled
+        pred, jac = model(x)
+        r = pred - data
+        cost, damping, gtol, converged = r @ r, 1e-3, TOL * np.linalg.norm(data), False
         for _ in range(MAX_ITERATIONS):
             grad, jtj = jac.T @ r, jac.T @ jac
             if converged or np.all(np.abs(grad) <= gtol * np.sqrt(np.diag(jtj))):

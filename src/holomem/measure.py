@@ -7,7 +7,7 @@ Born-rule probabilities Tr(rho Pi_k) over a (K, 4, 4) projector stack (such as
 state or a (B, 4, 4) stack, as are `chsh_s` and the visibilities.  Analyzers at
 (phi1, phi2) correlate as E = Tr(rho sigma(phi1) x sigma(phi2)), with
 sigma(phi) = cos 2phi Z + sin 2phi X.  Counts travel as (B, K) integer arrays;
-`CountRecord` lives only at the count CSV and `tomo` boundary.
+only the count CSV functions know the file format.
 
 Sign convention: with the textbook correlation E = cos 2(phi1 - phi2) for
 |phi+>, the quoted S combination at angles (0, 45, 22.5, 67.5) degrees
@@ -38,7 +38,7 @@ CHSH_ANGLES_RAD = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 
 class MeasureError(ValueError):
-    """Invalid measurement setting or record."""
+    """Invalid measurement setting or count CSV."""
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,6 @@ class AnalyzerSetting:
     @property
     def joint_projector(self) -> np.ndarray:
         return joint_projectors([self])[0]
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence counts accumulated for one analyzer setting."""
-
-    setting_label: str
-    counts: int
-    duration_s: float = 1.0
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise MeasureError(f"counts must be >= 0, got {self.counts}")
-        if not 0.0 < self.duration_s < math.inf:
-            raise MeasureError(f"duration must be finite and positive, got {self.duration_s}")
-        if "\r" in self.setting_label:  # the count CSV cannot carry it
-            raise MeasureError(f"setting label {self.setting_label!r} contains a carriage return")
 
 
 @functools.cache
@@ -180,39 +163,49 @@ def sample_count_arrays(rho: np.ndarray, projectors: np.ndarray, n_trials: int,
 
 
 def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting], n_trials: int,
-                  coinc_prob_scale: float, seed: int) -> list[CountRecord]:
-    """sample_count_arrays for one state and seed, as count records."""
-    counts = sample_count_arrays(np.asarray(rho)[None], joint_projectors(settings), n_trials,
-                                 [coinc_prob_scale], [seed])[0]
-    return [CountRecord(setting_label=s.label, counts=c) for s, c in zip(settings, counts.tolist())]
+                  coinc_prob_scale: float, seed: int) -> np.ndarray:
+    """sample_count_arrays for one state and seed: its (K,) row."""
+    return sample_count_arrays(np.asarray(rho)[None], joint_projectors(settings), n_trials,
+                               [coinc_prob_scale], [seed])[0]
 
 
 # ---------------------------------------------------------------------------
-# CSV wire format: setting_label,counts,duration_s
+# CSV wire format: setting_label,counts,duration_s, one row per setting in order
 # ---------------------------------------------------------------------------
 
-def counts_to_csv(records: list[CountRecord]) -> str:
+def counts_to_csv(settings, n, dur) -> str:
+    """The count CSV of (K,) counts and durations over the settings, in order."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["setting_label", "counts", "duration_s"])
-    w.writerows([r.setting_label, r.counts, repr(r.duration_s)] for r in records)
+    w.writerows([s.label, int(k), repr(float(d))] for s, k, d in zip(settings, n, dur, strict=True))
     return buf.getvalue()
 
 
-def counts_from_csv(text: str) -> list[CountRecord]:
-    """Count records of a count CSV; a bad row raises MeasureError naming its line."""
+def counts_from_csv(text: str, settings) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) float counts and durations of a count CSV whose rows follow the
+    settings; a bad row raises MeasureError naming its line."""
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != ["setting_label", "counts", "duration_s"]:
         raise MeasureError("count CSV must start with header setting_label,counts,duration_s")
-    records = []
+    rows = []
     for row in reader:
-        where = f"count CSV line {reader.line_num}"
-        if len(row) != 3:
-            raise MeasureError(f"{where}: expected 3 fields setting_label,counts,duration_s, "
-                               f"got {len(row)}")
         try:
-            records.append(CountRecord(setting_label=row[0], counts=int(row[1]),
-                                       duration_s=float(row[2])))
-        except ValueError as exc:
-            raise MeasureError(f"{where}: {exc}") from None
-    return records
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields setting_label,counts,duration_s, "
+                                 f"got {len(row)}")
+            if len(rows) < len(settings) and row[0] != settings[len(rows)].label:
+                raise ValueError(f"label {row[0]!r} does not match setting "
+                                 f"{settings[len(rows)].label!r}")
+            k, d = int(row[1]), float(row[2])
+            if k < 0:
+                raise ValueError(f"counts must be >= 0, got {k}")
+            if not 0.0 < d < math.inf:
+                raise ValueError(f"duration must be finite and positive, got {d}")
+            rows.append((float(k), d))
+        except (ValueError, OverflowError) as exc:
+            raise MeasureError(f"count CSV line {reader.line_num}: {exc}") from None
+    if len(rows) != len(settings):
+        raise MeasureError(f"count CSV line {reader.line_num}: {len(rows)} rows for "
+                           f"{len(settings)} settings")
+    return tuple(np.array(rows).reshape(-1, 2).T)

@@ -161,11 +161,13 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 
 def density_from_json(obj: dict) -> np.ndarray:
-    """Parse the wire format; a missing key or a mistyped value raises StateError."""
+    """Parse the wire format; a missing key, a mistyped value or dim < 1 raises StateError."""
     try:
         n = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
+        if n < 1:
+            raise ValueError(f"dim must be positive, got {n}")
     except (KeyError, TypeError, ValueError) as exc:
         raise StateError(f"malformed JSON density matrix: {type(exc).__name__} {exc}") from None
     if re.size != n * n or im.size != n * n:

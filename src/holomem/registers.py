@@ -3,8 +3,8 @@ and mode capacity.
 
 Conventions: the control beam propagates along +z; signal beams lie in the
 x-z plane at angles theta_i relative to the control.  A spin wave stores a
-phase pattern exp(i q.x) with q = k_signal - k_control.  The registers share
-the same atoms, so one sampled cloud per call serves every register overlap.
+phase pattern exp(i q.x) with q = k_signal - k_control (rad/m).  The registers
+share the same atoms, so one sampled cloud per call serves every overlap.
 """
 
 from __future__ import annotations
@@ -60,41 +60,22 @@ class MemoryGeometry:
             raise GeometryError("signal angles must be pairwise distinct")
 
 
-@dataclass(frozen=True)
-class SpinWaveMode:
-    """A stored spin-wave register, identified by its wave vector (rad/m)."""
-
-    q_rad_per_m: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.q_rad_per_m) != 3 or any(not math.isfinite(v) for v in self.q_rad_per_m):
-            raise GeometryError(f"wave vector must be 3 finite components, got {self.q_rad_per_m}")
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.asarray(self.q_rad_per_m, dtype=float)
-
-
-def spin_wave_vectors(g: MemoryGeometry) -> list[SpinWaveMode]:
-    """Spin-wave wave vectors q_i = k_signal,i - k_control, one per angle."""
+def spin_wave_vectors(g: MemoryGeometry) -> np.ndarray:
+    """(M, 3) spin-wave wave vectors q_i = k_signal,i - k_control, one per angle."""
     k = 2.0 * math.pi / g.wavelength_m
-    modes = []
-    for theta in g.signal_angles_rad:
-        q = (k * math.sin(theta), 0.0, k * (math.cos(theta) - 1.0))
-        modes.append(SpinWaveMode(q_rad_per_m=q))
-    return modes
+    return np.array([(k * math.sin(theta), 0.0, k * (math.cos(theta) - 1.0))
+                     for theta in g.signal_angles_rad]).reshape(-1, 3)
 
 
-def crosstalk_matrix(modes: list[SpinWaveMode], g: MemoryGeometry,
-                     seed: int) -> np.ndarray:
-    """Monte Carlo overlaps C[a, b] = (1/n) sum_j exp(i (q_b - q_a).x_j) of
-    all register pairs over one cloud of n = min(atom_count, MAX_SAMPLE_ATOMS)
+def crosstalk_matrix(q: np.ndarray, g: MemoryGeometry, seed: int) -> np.ndarray:
+    """Monte Carlo overlaps C[a, b] = (1/n) sum_j exp(i (q_b - q_a).x_j) of all pairs
+    of the (M, 3) wave vectors q over one cloud of n = min(atom_count, MAX_SAMPLE_ATOMS)
     atoms, summed as W^H W over blocks of _BLOCK_ATOMS with W = exp(i x.(q_b - q_0)).
     The normal stream is sequential, so the positions do not depend on the
-    block size.  C is Hermitian, identical modes give exactly 1, and each other
+    block size.  C is Hermitian, identical vectors give exactly 1, and each other
     entry is unbiased with standard error at most crosstalk_stderr(g).
     """
-    q = np.array([m.q for m in modes], dtype=float).reshape(-1, 3)
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
     dq = (q - q[:1]).T
     n = min(g.atom_count, MAX_SAMPLE_ATOMS)
     rng = np.random.default_rng(seed)
@@ -109,11 +90,10 @@ def crosstalk_matrix(modes: list[SpinWaveMode], g: MemoryGeometry,
     return gram
 
 
-def crosstalk(m1: SpinWaveMode, m2: SpinWaveMode, g: MemoryGeometry,
-              seed: int) -> complex:
+def crosstalk(q1: np.ndarray, q2: np.ndarray, g: MemoryGeometry, seed: int) -> complex:
     """Monte Carlo overlap of two registers, the two-mode case of
-    crosstalk_matrix.  Identical modes give exactly 1."""
-    return complex(crosstalk_matrix([m1, m2], g, seed)[0, 1])
+    crosstalk_matrix.  Identical wave vectors give exactly 1."""
+    return complex(crosstalk_matrix([q1, q2], g, seed)[0, 1])
 
 
 def crosstalk_stderr(g: MemoryGeometry) -> float:
@@ -121,13 +101,10 @@ def crosstalk_stderr(g: MemoryGeometry) -> float:
     return 1.0 / math.sqrt(min(g.atom_count, MAX_SAMPLE_ATOMS))
 
 
-def expected_crosstalk(m1: SpinWaveMode, m2: SpinWaveMode,
-                       g: MemoryGeometry) -> float:
-    """Analytic expectation of the overlap: the Gaussian characteristic
-    function exp(-sum_a dq_a^2 sigma_a^2 / 2)."""
-    dq = m2.q - m1.q
-    sigma = np.asarray(g.cloud_sigma_m, dtype=float)
-    return float(np.exp(-0.5 * np.sum((dq * sigma) ** 2)))
+def expected_crosstalk(q1: np.ndarray, q2: np.ndarray, g: MemoryGeometry) -> float:
+    """Analytic expectation of the overlap of wave vectors q1 and q2: the
+    Gaussian characteristic function exp(-sum_a dq_a^2 sigma_a^2 / 2)."""
+    return float(np.exp(-0.5 * np.sum((np.subtract(q2, q1) * g.cloud_sigma_m) ** 2)))
 
 
 def mode_capacity(g: MemoryGeometry) -> float:

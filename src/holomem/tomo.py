@@ -10,8 +10,8 @@ c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 B count sets are solved at once, as a (B, 4, 4) stack of states, with
 batched matrix products, in up to two phases from the clamped
 linear-inversion start; the second sees only the sets the first left.
-Count sets travel as (B, K) count and duration arrays in setting order;
-`CountRecord` lists (a count CSV) enter only through `count_arrays`.
+Count sets travel as (B, K) count and duration arrays in setting order; the
+one-set entries take (K,) arrays.
 
 Damped Newton.  In the orthonormal coordinates v_m = Tr(E_m rho), with
 E_m = B_m / 2 for the 15 traceless Pauli products B_m, f / n_tot is smooth
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .measure import AnalyzerSetting, CountRecord, joint_projectors, setting_from_labels
+from .measure import AnalyzerSetting, joint_projectors, setting_from_labels
 from .seeding import child_seed
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
@@ -156,19 +156,12 @@ def design_rank(ts: TomographySettings) -> int:
     return int(np.linalg.matrix_rank(flat, tol=1e-10))
 
 
-def count_arrays(count_sets: list[list[CountRecord]],
-                 ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
-    """(B, K) counts and durations of count record sets aligned with the scheme."""
-    for counts in count_sets:
-        if len(counts) != len(ts.settings):
-            raise TomographyError(f"{len(counts)} count records for {len(ts.settings)} settings")
-        for rec, s in zip(counts, ts.settings):
-            if rec.setting_label != s.label:
-                raise TomographyError(
-                    f"count record {rec.setting_label!r} does not match setting {s.label!r}")
-    n = np.array([[float(r.counts) for r in counts] for counts in count_sets])
-    dur = np.array([[r.duration_s for r in counts] for counts in count_sets])
-    return n.reshape(-1, len(ts.settings)), dur.reshape(-1, len(ts.settings))
+def _count_sets(n, dur, ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
+    """(B, K) float counts and durations, checked against the scheme."""
+    n, dur = np.asarray(n, dtype=float), np.asarray(dur, dtype=float)
+    if n.ndim != 2 or n.shape != dur.shape or n.shape[1] != len(ts.settings):
+        raise TomographyError(f"counts {n.shape} and durations {dur.shape} mismatch the scheme")
+    return n, dur
 
 
 def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
@@ -192,10 +185,10 @@ def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
     return ts.inversion_offset + np.einsum("bk,kij->bij", probs, ts.inversion)
 
 
-def linear_inversion(counts: list[CountRecord], ts: TomographySettings) -> np.ndarray:
-    """Least-squares state estimate: Hermitian, unit trace, possibly
-    non-positive.  Exact on noiseless probabilities."""
-    return _linear_inversion_many(*count_arrays([counts], ts), ts)[0]
+def linear_inversion(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
+    """Least-squares state estimate of (K,) counts and durations: Hermitian,
+    unit trace, possibly non-positive.  Exact on noiseless probabilities."""
+    return _linear_inversion_many(*_count_sets([n], [dur], ts), ts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +460,11 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
                              objective_history=history[r]) for r in everyone]
 
 
-def mle_reconstruct(counts: list[CountRecord], ts: TomographySettings) -> TomographyResult:
-    """Poissonian maximum-likelihood state reconstruction of one count set
-    from its clamped linear-inversion start (see the module docstring)."""
-    return _mle_many(*count_arrays([counts], ts), ts)[0]
+def mle_reconstruct(n: np.ndarray, dur: np.ndarray,
+                    ts: TomographySettings) -> TomographyResult:
+    """Poissonian maximum-likelihood state reconstruction of (K,) counts and
+    durations from their clamped linear-inversion start (see the module docstring)."""
+    return _mle_many(*_count_sets([n], [dur], ts), ts)[0]
 
 
 def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, n_sets: int,
@@ -486,9 +480,7 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
-    n, dur = np.asarray(n, dtype=float), np.asarray(dur, dtype=float)
-    if n.shape != dur.shape or n.shape[1:] != (len(ts.settings),):
-        raise TomographyError(f"counts {n.shape} and durations {dur.shape} mismatch")
+    n, dur = _count_sets(n, dur, ts)
     resampled = np.array(
         [np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (n_sets, len(row)))
          for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])
@@ -500,11 +492,10 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     return points, stack, failed.sum(axis=1)
 
 
-def monte_carlo_fidelity(counts: list[CountRecord], ts: TomographySettings,
+def monte_carlo_fidelity(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,
                          target: np.ndarray, n_sets: int, seed: int) -> np.ndarray:
     """The (n_sets,) fidelities to `target` of the Monte Carlo resample
-    estimates of one count set (reconstruct_with_mc), with n_sets >= 2."""
+    estimates of (K,) counts and durations (reconstruct_with_mc), with n_sets >= 2."""
     if n_sets < 2:
         raise TomographyError(f"n_sets must be >= 2, got {n_sets}")
-    stack = reconstruct_with_mc(*count_arrays([counts], ts), ts, n_sets, [seed])[1]
-    return qstate.fidelity(target, stack[0])
+    return qstate.fidelity(target, reconstruct_with_mc([n], [dur], ts, n_sets, [seed])[1][0])

@@ -15,10 +15,9 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def exact_counts(rho: np.ndarray, ts: tomo.TomographySettings, exposure: float):
-    """Noiseless synthetic count records: round(exposure * p_k) per setting."""
-    return [measure.CountRecord(s.label, int(round(exposure * p)))
-            for s, p in zip(ts.settings, measure.born_probabilities(rho, ts.projectors))]
+def exact_counts(rho: np.ndarray, ts: tomo.TomographySettings, exposure: float) -> np.ndarray:
+    """Noiseless synthetic (K,) counts: round(exposure * p_k) per setting."""
+    return np.round(exposure * measure.born_probabilities(rho, ts.projectors))
 
 
 @pytest.fixture

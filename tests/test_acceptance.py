@@ -98,7 +98,7 @@ def test_criterion_7_tomography_consistency():
     for _ in range(50):
         rho = random_density_matrix(rng)
         counts = exact_counts(rho, ts, 10 ** 6)
-        result = tomo.mle_reconstruct(counts, ts)
+        result = tomo.mle_reconstruct(counts, np.ones(36), ts)
         worst = min(worst, qstate.fidelity(result.rho_hat, rho))
     assert worst > 0.999
 
@@ -108,7 +108,7 @@ def test_criterion_7_tomography_consistency():
     rho_in = channel.input_state(BUNDLED.source)
     rho_out, _, _ = channel.store_retrieve(rho_in, 1e-6, p)
     counts = measure.sample_counts(rho_out, list(ts.settings), 1000, 1.0, seed=5)
-    mc = tomo.monte_carlo_fidelity(counts, ts, qstate.bell_phi_plus(),
+    mc = tomo.monte_carlo_fidelity(counts, np.ones(36), ts, qstate.bell_phi_plus(),
                                    n_sets=100, seed=7)
     std = mc.std(ddof=1)
     assert 0.005 <= std <= 0.02
@@ -154,8 +154,7 @@ def test_criterion_9_property_suites():
     # Crosstalk sampling matches the Gaussian characteristic function.
     sigma = 0.5e-3
     g = geometry(cloud_sigma_m=(sigma, sigma, sigma))
-    m1 = registers.SpinWaveMode((0.0, 0.0, 0.0))
-    m2 = registers.SpinWaveMode((1.0 / sigma, 0.0, 0.0))
+    m1, m2 = np.zeros(3), np.array([1.0 / sigma, 0.0, 0.0])
     samples = np.array([registers.crosstalk(m1, m2, g, seed=s) for s in range(30)])
     stderr = samples.std(ddof=1) / math.sqrt(len(samples))
     dev = abs(samples.mean() - registers.expected_crosstalk(m1, m2, g))

@@ -21,6 +21,11 @@ from conftest import BUNDLED
 TS36 = tomo.make_settings(36)
 
 
+def counts_csv(counts) -> str:
+    """The count CSV of 36-setting counts, each over a duration of 1 s."""
+    return measure.counts_to_csv(TS36.settings, counts, np.ones(len(counts)))
+
+
 def small_config() -> dict:
     """A fast variant of the bundled scenario for end-to-end tests."""
     cfg = cli.default_config()
@@ -485,6 +490,13 @@ class TestCommands:
         assert payload["converged"]
         assert payload["params"]["tau"] == pytest.approx(2.8e-6, rel=0.1)
 
+    @pytest.mark.parametrize("tau", ["1e300", "1e200"])
+    def test_fit_float_tau_huge_start_is_quiet(self, tau, capsys):
+        # The start was evaluated outside the solver's errstate, so tau ** 2
+        # overflowed with a RuntimeWarning (an error under the test filters).
+        assert cli.main(["fit", "--kind", "vis", "--float-tau", "--tau-s", tau]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_fit_visibility_requires_tau(self, capsys):
         assert cli.main(["fit", "--kind", "vis"]) == cli.EXIT_VALIDATION
 
@@ -527,7 +539,7 @@ class TestCommands:
         ts = tomo.make_settings(36)
         counts = measure.sample_counts(rho, list(ts.settings), 50000, 0.04, seed=12)
         path = tmp_path / "counts.csv"
-        path.write_text(measure.counts_to_csv(counts))
+        path.write_text(counts_csv(counts))
         assert cli.main(["tomo", "--counts", str(path), "--mc-sets", "4"]) == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"]
@@ -539,7 +551,7 @@ class TestCommands:
             assert cli.main(argv) == cli.EXIT_VALIDATION
         qstate.check_density_matrix(qstate.density_from_json(payload["rho_hat"]),
                                     atol=qstate.CHANNEL_ATOL)
-        _, (stack,), (failed,) = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], ts), ts,
+        _, (stack,), (failed,) = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), ts,
                                                           4, [0])
         mc = qstate.fidelity(qstate.bell_phi_plus(), stack)
         assert payload["mc"] == {"mean": float(mc.mean()), "std": float(mc.std(ddof=1)),
@@ -549,7 +561,7 @@ class TestCommands:
         target = qstate.werner(0.8)
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
         path = tmp_path / "counts.csv"
-        path.write_text(measure.counts_to_csv(counts))
+        path.write_text(counts_csv(counts))
         target_path = tmp_path / "target.json"
         target_path.write_text(json.dumps(qstate.density_to_json(target)))
         payloads = {}
@@ -559,7 +571,7 @@ class TestCommands:
             assert cli.main(argv) == cli.EXIT_OK
             payloads[name] = json.loads(capsys.readouterr().out)
         payload, bell = payloads[str(target_path)], payloads["bell"]
-        (point,), stack, _ = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
+        (point,), stack, _ = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), TS36,
                                                       6, [4])
         fid = qstate.fidelity(target, stack[0])
         assert payload["fidelity_vs_target"] == qstate.fidelity(target, point.rho_hat)
@@ -569,12 +581,15 @@ class TestCommands:
             assert payload["mc"][key] != bell["mc"][key]
         assert payload["fidelity_vs_target"] != bell["fidelity_vs_target"]
 
-    @pytest.mark.parametrize("target", [{"dim": 4}, [1.0, 0.0], {"dim": None, "re": [], "im": []}],
-                             ids=["no-re", "list", "null-dim"])
+    @pytest.mark.parametrize("target", [{"dim": 4}, [1.0, 0.0], {"dim": None, "re": [], "im": []},
+                                        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]],
+                                         "im": [[0.0, 0.0], [0.0, 0.0]]},
+                                        {"dim": 0, "re": [], "im": []}],
+                             ids=["no-re", "list", "null-dim", "dim-2", "dim-0"])
     def test_tomo_rejects_malformed_target(self, target, tmp_path, capsys):
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
         path = tmp_path / "counts.csv"
-        path.write_text(measure.counts_to_csv(counts))
+        path.write_text(counts_csv(counts))
         target_path = tmp_path / "target.json"
         target_path.write_text(json.dumps(target))
         argv = ["tomo", "--counts", str(path), "--target", str(target_path)]
@@ -583,9 +598,26 @@ class TestCommands:
         assert captured.err.startswith("error: malformed JSON density matrix: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: [rows[0], "HH,-1,1.0", *rows[2:]],
+         "count CSV line 2: counts must be >= 0, got -1"),
+        (lambda rows: [rows[0], rows[2], rows[1], *rows[3:]],
+         "count CSV line 2: label 'HV' does not match setting 'HH'"),
+        (lambda rows: rows[:-1], "count CSV line 36: 35 rows for 36 settings"),
+        (lambda rows: [*rows, rows[-1]], "count CSV line 38: 37 rows for 36 settings"),
+        (lambda rows: [rows[0], "HH," + "9" * 400 + ",1.0", *rows[2:]],
+         "count CSV line 2: int too large to convert to float"),
+    ], ids=["negative-count", "swapped-labels", "missing-row", "extra-row", "huge-count"])
+    def test_tomo_names_the_line_of_a_bad_csv(self, edit, message, tmp_path, capsys):
+        counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(row + "\n" for row in edit(counts_csv(counts).splitlines())))
+        assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_tomo_rejects_infinite_duration(self, tmp_path, capsys):
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
-        text = measure.counts_to_csv(counts).replace(",1.0\n", ",inf\n", 1)
+        text = counts_csv(counts).replace(",1.0\n", ",inf\n", 1)
         path = tmp_path / "counts.csv"
         path.write_text(text)
         assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_VALIDATION
@@ -605,7 +637,7 @@ class TestCommands:
         cfg["storage_times_s"] = [0.0]
         (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(cfg))
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
-        (tmp_path / "counts.csv").write_text(measure.counts_to_csv(counts))
+        (tmp_path / "counts.csv").write_text(counts_csv(counts))
         return {"--config": str(tmp_path / "scenario.yaml"), "--out": str(tmp_path / "out"),
                 "--seed": "4", "tomo": ["--counts", str(tmp_path / "counts.csv")]}
 
@@ -663,9 +695,26 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
 
+    @pytest.mark.parametrize("command", [["simulate"], ["capacity"]])
+    @pytest.mark.parametrize("nested", [False, True], ids=["top-level", "nested"])
+    def test_duplicate_yaml_key_exits_validation(self, command, nested, tmp_path, capsys):
+        # PyYAML alone keeps the last value of a repeated key.
+        text = yaml.safe_dump(cli.default_config())
+        text = text.replace("geometry:\n", "geometry:\n  atom_count: 5\n") if nested \
+            else text + "n_trials: 7\n"
+        key = "atom_count" if nested else "n_trials"
+        line = [i for i, row in enumerate(text.splitlines(), start=1)
+                if row.strip().startswith(f"{key}:")][1]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert cli.main([*command, "--config", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: duplicate key '{key}'\n")
+        assert f"line {line}, column" in err
+
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     def test_libyaml_loader_gives_the_pure_python_tree(self):
-        assert cli._YAML_LOADER is yaml.CSafeLoader
+        assert issubclass(cli._YamlLoader, yaml.CSafeLoader)
         bundled = (Path(cli.__file__).parent / "data" / "default_scenario.yaml").read_text()
         scan = cli.default_config()
         scan["n_mc_sets"] = 0
@@ -673,7 +722,7 @@ class TestCommands:
         for text in (bundled, yaml.safe_dump(scan, sort_keys=True)):
             # Compared as JSON text, so that 1 and 1.0 or True and 1 differ.
             fast, pure = (yaml.load(text, Loader=loader)
-                          for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+                          for loader in (cli._YamlLoader, yaml.SafeLoader))
             assert json.dumps(fast, sort_keys=True) == json.dumps(pure, sort_keys=True)
         assert cli.default_config() == yaml.safe_load(bundled)
 
@@ -748,7 +797,7 @@ class TestImports:
 
     def test_every_command_runs_without_scipy(self, tmp_path):
         counts = tmp_path / "counts.csv"
-        counts.write_text(measure.counts_to_csv(measure.sample_counts(
+        counts.write_text(counts_csv(measure.sample_counts(
             qstate.bell_phi_plus(), list(TS36.settings), 50000, 0.04, seed=12)))
         vis = tmp_path / "vis.csv"
         vis.write_text("t_s,y,sigma\n" + "".join(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,14 +163,15 @@ class TestSampleCounts:
         settings = measure.basis_settings("HV")
         a = measure.sample_counts(rho, settings, 10000, 0.5, seed=42)
         b = measure.sample_counts(rho, settings, 10000, 0.5, seed=42)
-        assert [r.counts for r in a] == [r.counts for r in b]
+        assert a.dtype == np.int64 and a.shape == (4,)
+        assert a.tolist() == b.tolist()
 
     def test_seed_changes_counts(self):
         rho = qstate.werner(0.8)
         settings = measure.basis_settings("HV")
         a = measure.sample_counts(rho, settings, 10000, 0.5, seed=1)
         b = measure.sample_counts(rho, settings, 10000, 0.5, seed=2)
-        assert [r.counts for r in a] != [r.counts for r in b]
+        assert a.tolist() != b.tolist()
 
     def test_poisson_mean_matches_born_rule(self):
         rho = qstate.werner(0.7)
@@ -178,7 +180,7 @@ class TestSampleCounts:
         sums = np.zeros(len(settings))
         n_rep = 200
         for s in range(n_rep):
-            sums += [r.counts for r in measure.sample_counts(rho, settings, n, scale, seed=s)]
+            sums += measure.sample_counts(rho, settings, n, scale, seed=s)
         means = sums / n_rep
         for m, setting in zip(means, settings):
             mu = n * scale * measure.coincidence_prob(rho, setting)
@@ -211,7 +213,7 @@ class TestAgainstKronReference:
             scale = (1.0, 0.5, 0.04, 1e-3, float(rng.uniform(1e-4, 1.0)))[case % 5]
             n_trials = (1, 1000, 120_000, 10 ** 7)[case % 4]
             seed = int(rng.integers(2 ** 32))
-            got = [r.counts for r in measure.sample_counts(rho, settings, n_trials, scale, seed)]
+            got = measure.sample_counts(rho, settings, n_trials, scale, seed).tolist()
             if got != kron_counts(rho, settings, n_trials, scale, seed):
                 mismatches.append((case, scale, n_trials, seed))
         assert mismatches == []
@@ -219,9 +221,9 @@ class TestAgainstKronReference:
     def test_zero_probability_settings_are_sampled(self):
         # Bell |phi+> never gives HV or VH: mu = 0 draws 0 and keeps the stream.
         settings = self.SETTING_SETS["HV"]
-        got = measure.sample_counts(qstate.bell_phi_plus(), settings, 10 ** 6, 1.0, seed=5)
-        assert [r.counts for r in got][1:3] == [0, 0]
-        assert [r.counts for r in got] == kron_counts(qstate.bell_phi_plus(), settings,
+        got = measure.sample_counts(qstate.bell_phi_plus(), settings, 10 ** 6, 1.0, seed=5).tolist()
+        assert got[1:3] == [0, 0]
+        assert got == kron_counts(qstate.bell_phi_plus(), settings,
                                                       10 ** 6, 1.0, 5)
 
     def test_coincidence_prob(self, rng):
@@ -264,16 +266,22 @@ class TestAgainstKronReference:
             measure.mean_visibility(rho)
 
 
+# The settings HH, HV and VV, the rows of the CSV cases below.
+CSV_SETTINGS = [measure.setting_from_labels(*labels) for labels in ("HH", "HV", "VV")]
+CSV_HEADER = "setting_label,counts,duration_s\n"
+
+
 class TestCsv:
     def test_round_trip(self):
-        records = [measure.CountRecord("HH", 120, 1.0),
-                   measure.CountRecord("HV", 7, 2.5)]
-        text = measure.counts_to_csv(records)
-        assert measure.counts_from_csv(text) == records
+        settings = CSV_SETTINGS[:2]
+        text = measure.counts_to_csv(settings, np.array([120, 7]), np.array([1.0, 2.5]))
+        assert text == CSV_HEADER + "HH,120,1.0\nHV,7,2.5\n"
+        n, dur = measure.counts_from_csv(text, settings)
+        assert n.tolist() == [120.0, 7.0] and dur.tolist() == [1.0, 2.5]
 
     def test_rejects_missing_header(self):
         with pytest.raises(measure.MeasureError):
-            measure.counts_from_csv("HH,120,1.0\n")
+            measure.counts_from_csv("HH,120,1.0\n", CSV_SETTINGS[:1])
 
     @pytest.mark.parametrize("row,message", [
         ("HV,7", "expected 3 fields setting_label,counts,duration_s, got 2"),
@@ -282,34 +290,44 @@ class TestCsv:
         ("HV,7.5,1.0", "invalid literal for int"),
         ("HV,-7,1.0", "counts must be >= 0"),
         ("HV,7,soon", "could not convert string to float"),
+        ("HV,-1,1.0", "counts must be >= 0, got -1"),
+        ("HV,1,0.0", "duration must be finite and positive, got 0.0"),
+        ("HV,1,inf", "duration must be finite and positive, got inf"),
+        # csv writes a lone carriage return unquoted; quoted, it reads back.
+        ('"H\rV",1,1.0', "label 'H\\rV' does not match setting 'HV'"),
+        ("VV,3,1.0", "label 'VV' does not match setting 'HV'"),
     ])
     def test_bad_row_names_its_line(self, row, message):
-        text = "setting_label,counts,duration_s\nHH,120,1.0\n" + row + "\nVV,3,1.0\n"
-        with pytest.raises(measure.MeasureError, match=f"^count CSV line 3: {message}"):
-            measure.counts_from_csv(text)
+        text = CSV_HEADER + "HH,120,1.0\n" + row + "\nVV,3,1.0\n"
+        with pytest.raises(measure.MeasureError, match=f"^count CSV line 3: {re.escape(message)}"):
+            measure.counts_from_csv(text, CSV_SETTINGS)
 
-    def test_record_validation(self):
-        with pytest.raises(measure.MeasureError):
-            measure.CountRecord("HH", -1)
-        with pytest.raises(measure.MeasureError):
-            measure.CountRecord("HH", 1, duration_s=0.0)
+    @pytest.mark.parametrize("rows,message", [
+        (["HH,120,1.0", "HV,7,1.0"], "count CSV line 3: 2 rows for 3 settings"),
+        (["HH,120,1.0", "HV,7,1.0", "VV,3,1.0", "VV,3,1.0"],
+         "count CSV line 5: 4 rows for 3 settings"),
+        ([], "count CSV line 1: 0 rows for 3 settings"),
+    ], ids=["too-few", "too-many", "header-only"])
+    def test_row_count_must_match_settings(self, rows, message):
+        text = CSV_HEADER + "".join(row + "\n" for row in rows)
+        with pytest.raises(measure.MeasureError, match=f"^{message}$"):
+            measure.counts_from_csv(text, CSV_SETTINGS)
 
-    def test_infinite_duration_rejected(self):
-        with pytest.raises(measure.MeasureError, match="duration must be finite and positive"):
-            measure.CountRecord("HH", 1, duration_s=math.inf)
 
-    def test_carriage_return_label_rejected(self):
-        # csv writes a lone carriage return unquoted, so it could not be read back.
-        with pytest.raises(measure.MeasureError, match="carriage return"):
-            measure.CountRecord("H\rH", 1)
+def _count_rows(ts):
+    """Counts from 0 to 2**64, as floats, and positive finite durations over ts's settings."""
+    k = len(ts.settings)
+    return st.tuples(st.just(ts.settings),
+                     st.lists(st.integers(0, 2 ** 64), min_size=k, max_size=k),
+                     st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                              min_size=k, max_size=k))
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-@given(st.lists(st.builds(measure.CountRecord,
-                          setting_label=st.text().filter(lambda label: "\r" not in label),
-                          counts=st.integers(0, 2 ** 64),
-                          duration_s=st.floats(min_value=0.0, exclude_min=True,
-                                               allow_infinity=False)),
-                max_size=40))
-def test_counts_csv_round_trip(records):
-    assert measure.counts_from_csv(measure.counts_to_csv(records)) == records
+@given(st.sampled_from([tomo.make_settings(16), tomo.make_settings(36)]).flatmap(_count_rows))
+def test_counts_csv_round_trip(case):
+    # int(float) is exact, so each count is written and read back unchanged.
+    settings, counts, durations = case
+    n, dur = np.array(counts, dtype=float), np.array(durations)
+    back = measure.counts_from_csv(measure.counts_to_csv(settings, n, dur), settings)
+    assert back[0].tobytes() == n.tobytes() and back[1].tobytes() == dur.tobytes()

@@ -24,28 +24,28 @@ def geometry(**overrides) -> registers.MemoryGeometry:
 class TestSpinWaveVectors:
     def test_copropagating_gives_zero(self):
         g = geometry(signal_angles_rad=(0.0,))
-        (mode,) = registers.spin_wave_vectors(g)
-        assert np.linalg.norm(mode.q) == 0.0
+        q = registers.spin_wave_vectors(g)
+        assert q.shape == (1, 3) and q.dtype == float
+        assert np.linalg.norm(q[0]) == 0.0
 
     def test_one_degree_magnitude(self):
         g = geometry(signal_angles_rad=(math.radians(-1.0),))
-        (mode,) = registers.spin_wave_vectors(g)
+        (q,) = registers.spin_wave_vectors(g)
         # Independent trig oracle: |q| = 2 (2 pi / lambda) sin(theta/2).
         expected = 2.0 * (2.0 * math.pi / 795e-9) * math.sin(math.radians(1.0) / 2.0)
-        assert np.linalg.norm(mode.q) == pytest.approx(expected, rel=1e-12)
-        assert np.linalg.norm(mode.q) == pytest.approx(1.379e5, rel=1e-3)
+        assert np.linalg.norm(q) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(q) == pytest.approx(1.379e5, rel=1e-3)
 
     def test_four_modes_distinct_and_symmetric(self):
-        modes = registers.spin_wave_vectors(geometry())
-        assert len(modes) == 4
-        mags = [np.linalg.norm(m.q) for m in modes]
-        assert len({m.q_rad_per_m for m in modes}) == 4
+        q = registers.spin_wave_vectors(geometry())
+        assert q.shape == (4, 3)
+        mags = np.linalg.norm(q, axis=1)
+        assert len({tuple(row) for row in q.tolist()}) == 4
         assert mags[0] == pytest.approx(mags[3], rel=1e-12)  # -1 vs +1 degree
         assert mags[1] == pytest.approx(mags[2], rel=1e-12)
 
     def test_modes_lie_in_beam_plane(self):
-        for m in registers.spin_wave_vectors(geometry()):
-            assert m.q_rad_per_m[1] == 0.0
+        assert np.all(registers.spin_wave_vectors(geometry())[:, 1] == 0.0)
 
 
 class TestCrosstalk:
@@ -66,8 +66,7 @@ class TestCrosstalk:
     def test_unit_dq_sigma_matches_characteristic_function(self):
         sigma = 0.5e-3
         g = geometry(cloud_sigma_m=(sigma, sigma, sigma), atom_count=20000)
-        m1 = registers.SpinWaveMode((0.0, 0.0, 0.0))
-        m2 = registers.SpinWaveMode((1.0 / sigma, 0.0, 0.0))
+        m1, m2 = np.zeros(3), np.array([1.0 / sigma, 0.0, 0.0])
         assert registers.expected_crosstalk(m1, m2, g) == pytest.approx(math.exp(-0.5), rel=1e-12)
         samples = np.array([registers.crosstalk(m1, m2, g, seed=s) for s in range(50)])
         mean = samples.mean()
@@ -94,7 +93,7 @@ def pair_overlap(m1, m2, g, seed) -> complex:
     """Reference: the direct mean over the whole cloud, drawn in one go."""
     n = min(g.atom_count, registers.MAX_SAMPLE_ATOMS)
     positions = np.random.default_rng(seed).standard_normal((n, 3)) * np.array(g.cloud_sigma_m)
-    return complex(np.exp(1j * (positions @ (m2.q - m1.q))).mean())
+    return complex(np.exp(1j * (positions @ (m2 - m1))).mean())
 
 
 class TestCrosstalkMatrix:
@@ -109,7 +108,7 @@ class TestCrosstalkMatrix:
     def test_repeated_mode_exactly_one(self):
         g = geometry(atom_count=5000)
         m0, m1 = registers.spin_wave_vectors(g)[:2]
-        c = registers.crosstalk_matrix([m0, m1, m0], g, seed=4)
+        c = registers.crosstalk_matrix(np.array([m0, m1, m0]), g, seed=4)
         assert c[0, 2] == 1.0 and c[2, 0] == 1.0
         assert c[0, 1] == c[2, 1]
 
@@ -125,7 +124,7 @@ class TestCrosstalkMatrix:
     def test_two_mode_case_is_crosstalk(self):
         g = geometry()
         m1, m2 = registers.spin_wave_vectors(g)[1:3]
-        c = registers.crosstalk_matrix([m1, m2], g, seed=5)
+        c = registers.crosstalk_matrix(np.array([m1, m2]), g, seed=5)
         assert abs(c[0, 1] - registers.crosstalk(m1, m2, g, seed=5)) < 1e-15
 
     @pytest.mark.parametrize("block", [registers.MAX_SAMPLE_ATOMS, 7919])

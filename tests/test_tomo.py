@@ -15,9 +15,18 @@ TS36 = tomo.make_settings(36)
 TS16 = tomo.make_settings(16)
 
 
+HV_GROUP = ("HH", "HV", "VH", "VV")
+
+
+def stacked(count_sets):
+    """(B, K) count and duration arrays of (n, dur) count sets."""
+    n, dur = zip(*count_sets)
+    return np.array(n, dtype=float), np.array(dur, dtype=float)
+
+
 def mle_reconstruct_many(count_sets, ts):
-    """One batched solve of several count record sets."""
-    return tomo._mle_many(*tomo.count_arrays(count_sets, ts), ts)
+    """One batched solve of several (n, dur) count sets."""
+    return tomo._mle_many(*stacked(count_sets), ts)
 
 
 class TestSchemes:
@@ -52,15 +61,14 @@ class TestLinearInversion:
             rho = random_density_matrix(rng)
             probs = measure.born_probabilities(rho, ts.projectors)
             # Bypass integer rounding: feed exact expected counts scaled up.
-            counts = [measure.CountRecord(s.label, int(round(p * 10 ** 12)))
-                      for s, p in zip(ts.settings, probs)]
-            rho_li = tomo.linear_inversion(counts, ts)
+            counts = np.round(probs * 10 ** 12)
+            rho_li = tomo.linear_inversion(counts, np.ones(len(counts)), ts)
             np.testing.assert_allclose(rho_li, rho, atol=1e-9)
 
     def test_unit_trace_on_noisy_counts(self, rng):
         rho = qstate.werner(0.8)
         counts = measure.sample_counts(rho, list(TS36.settings), 20000, 0.5, seed=3)
-        rho_li = tomo.linear_inversion(counts, TS36)
+        rho_li = tomo.linear_inversion(counts, np.ones(36), TS36)
         assert np.real(np.trace(rho_li)) == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(rho_li, rho_li.conj().T, atol=1e-10)
 
@@ -70,28 +78,25 @@ class TestLinearInversion:
         # Varied durations outside the H/V group; the group itself keeps a
         # common duration so the exposure estimate stays exact.
         durations = [1.0 + 0.5 * (i % 3) for i in range(len(TS16.settings))]
-        counts = []
-        for s, p, d in zip(TS16.settings, probs, durations):
-            d = 1.0 if s.label in ("HH", "HV", "VH", "VV") else d
-            counts.append(measure.CountRecord(s.label, int(round(p * d * 10 ** 9)), d))
-        np.testing.assert_allclose(tomo.linear_inversion(counts, TS16), rho, atol=1e-6)
+        dur = np.array([1.0 if s.label in HV_GROUP else d
+                        for s, d in zip(TS16.settings, durations)])
+        counts = np.round(probs * dur * 10 ** 9)
+        np.testing.assert_allclose(tomo.linear_inversion(counts, dur, TS16), rho, atol=1e-6)
 
     def test_misaligned_records_rejected(self):
-        counts = [measure.CountRecord(s.label, 10) for s in TS16.settings]
-        counts[0] = measure.CountRecord("VV", 10)
-        with pytest.raises(tomo.TomographyError):
-            tomo.linear_inversion(counts, TS16)
+        # Counts of the 36-setting scheme do not fit the 16 settings.
+        with pytest.raises(tomo.TomographyError, match="mismatch"):
+            tomo.linear_inversion(np.full(36, 10.0), np.ones(36), TS16)
 
     def test_zero_total_counts_rejected(self):
-        counts = [measure.CountRecord(s.label, 0) for s in TS16.settings]
         with pytest.raises(tomo.TomographyError):
-            tomo.linear_inversion(counts, TS16)
+            tomo.linear_inversion(np.zeros(16), np.ones(16), TS16)
 
 
 class TestMle:
     def test_noiseless_bell_recovery(self):
         counts = exact_counts(qstate.bell_phi_plus(), TS36, 10 ** 6)
-        result = tomo.mle_reconstruct(counts, TS36)
+        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         assert result.converged
         assert qstate.fidelity(result.rho_hat, qstate.bell_phi_plus()) > 0.999
 
@@ -100,25 +105,25 @@ class TestMle:
         for _ in range(10):
             rho = random_density_matrix(rng)
             counts = exact_counts(rho, ts, 10 ** 7)
-            result = tomo.mle_reconstruct(counts, ts)
+            result = tomo.mle_reconstruct(counts, np.ones(len(counts)), ts)
             assert qstate.fidelity(result.rho_hat, rho) > 0.999
 
     def test_finite_count_accuracy(self):
         rho = qstate.werner(0.85)
         counts = measure.sample_counts(rho, list(TS36.settings), 50000, 0.5, seed=11)
-        result = tomo.mle_reconstruct(counts, TS36)
+        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         assert qstate.fidelity(result.rho_hat, rho) > 0.97
 
     def test_estimate_is_physical(self, rng):
         rho = random_density_matrix(rng)
         counts = measure.sample_counts(rho, list(TS36.settings), 3000, 0.5, seed=5)
-        result = tomo.mle_reconstruct(counts, TS36)
+        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
 
     def test_objective_history_monotone(self, rng):
         rho = random_density_matrix(rng)
         counts = measure.sample_counts(rho, list(TS36.settings), 5000, 0.5, seed=7)
-        result = tomo.mle_reconstruct(counts, TS36)
+        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         h = result.objective_history
         assert len(h) >= 2
         assert all(a >= b - 1e-8 for a, b in zip(h, h[1:]))
@@ -133,30 +138,29 @@ class TestMle:
             for s in range(20):
                 counts = measure.sample_counts(rho, list(TS36.settings),
                                                exposure, 1.0, seed=100 + s)
-                result = tomo.mle_reconstruct(counts, TS36)
+                result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
                 vals.append(1.0 - qstate.fidelity(result.rho_hat, rho))
             errs.append(np.mean(vals))
         assert errs[1] < errs[0] / 3.0
 
     def test_likelihood_is_finite(self):
         counts = exact_counts(qstate.werner(0.5), TS36, 10 ** 4)
-        result = tomo.mle_reconstruct(counts, TS36)
+        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         assert np.isfinite(result.log_likelihood)
 
     def test_log_likelihood_matches_per_set_formula(self, rng):
-        count_sets = [measure.sample_counts(random_density_matrix(rng), list(TS36.settings),
-                                            3000, 0.5, seed=s) for s in range(4)]
-        for counts, result in zip(count_sets, mle_reconstruct_many(count_sets, TS36)):
-            n = np.array([float(r.counts) for r in counts])
+        count_sets = [(measure.sample_counts(random_density_matrix(rng), list(TS36.settings),
+                                             3000, 0.5, seed=s), np.ones(36)) for s in range(4)]
+        for (counts, _), result in zip(count_sets, mle_reconstruct_many(count_sets, TS36)):
+            n = counts.astype(float)
             c = np.clip(measure.born_probabilities(result.rho_hat, TS36.projectors), 1e-300, None)
             mu = n.sum() * c / c.sum()
             expected = float(np.dot(n, np.log(mu)) - mu.sum())
             assert result.log_likelihood == pytest.approx(expected, rel=1e-12)
 
     def test_zero_counts_rejected(self):
-        counts = [measure.CountRecord(s.label, 0) for s in TS36.settings]
         with pytest.raises(tomo.TomographyError):
-            tomo.mle_reconstruct(counts, TS36)
+            tomo.mle_reconstruct(np.zeros(36), np.ones(36), TS36)
 
     @pytest.mark.parametrize("ts", [TS36, TS16], ids=["36", "16"])
     def test_low_count_pure_states_converge(self, ts, rng):
@@ -166,10 +170,9 @@ class TestMle:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             rho = np.outer(v, v.conj()) / np.vdot(v, v).real
             probs = measure.born_probabilities(rho, ts.projectors)
-            counts = [measure.CountRecord(s.label, int(k))
-                      for s, k in zip(ts.settings, rng.poisson(30 * np.clip(probs, 0.0, None)))]
-            if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
-                count_sets.append(counts)
+            counts = rng.poisson(30 * np.clip(probs, 0.0, None))
+            if sum(k for s, k in zip(ts.settings, counts) if s.label in HV_GROUP):
+                count_sets.append((counts, np.ones(len(counts))))
         for result in mle_reconstruct_many(count_sets, ts):
             assert result.converged and result.iterations <= 2000
             qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
@@ -179,10 +182,10 @@ class TestMle:
                                        5000, 0.5, seed=9)
         with monkeypatch.context() as patch:
             patch.setattr(tomo, "_MAX_ITER", 2)
-            capped = tomo.mle_reconstruct(counts, TS36)
+            capped = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         assert not capped.converged and capped.iterations == 2
         qstate.check_density_matrix(capped.rho_hat, atol=qstate.CHANNEL_ATOL)
-        full = tomo.mle_reconstruct(counts, TS36)
+        full = tomo.mle_reconstruct(counts, np.ones(36), TS36)
         assert full.converged and full.iterations > 2
 
 
@@ -190,9 +193,9 @@ class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        a = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
+        a = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, qstate.bell_phi_plus(),
                                       n_sets=12, seed=21)
-        b = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
+        b = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, qstate.bell_phi_plus(),
                                       n_sets=12, seed=21)
         assert a.tobytes() == b.tobytes()
         assert a.mean() == b.mean()
@@ -203,9 +206,9 @@ class TestMonteCarlo:
         bell = qstate.bell_phi_plus()
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, n_sets=12, seed=21)
-        sets = resampled_sets(counts, seed=21, n_sets=12)
-        alone = [qstate.fidelity(tomo.mle_reconstruct(s, TS36).rho_hat, bell) for s in sets]
+        mc = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, bell, n_sets=12, seed=21)
+        sets = resampled_sets(counts, np.ones(36), seed=21, n_sets=12)
+        alone = [qstate.fidelity(tomo.mle_reconstruct(*s, TS36).rho_hat, bell) for s in sets]
         odd = [qstate.fidelity(r.rho_hat, bell)
                for r in mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
         np.testing.assert_allclose(alone, mc, rtol=0, atol=1e-6)
@@ -217,7 +220,7 @@ class TestMonteCarlo:
         for exposure in (2000, 200000):
             counts = measure.sample_counts(rho, list(TS36.settings),
                                            exposure, 1.0, seed=13)
-            mc = tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
+            mc = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, qstate.bell_phi_plus(),
                                            n_sets=30, seed=17)
             stds.append(mc.std(ddof=1))
         assert stds[1] < stds[0] / 3.0
@@ -227,9 +230,8 @@ class TestMonteCarlo:
         bell = qstate.bell_phi_plus()
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
                                        5000, 0.5, seed=9)
-        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, n_sets=10, seed=3)
-        _, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36,
-                                                    10, [3])
+        mc = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, bell, n_sets=10, seed=3)
+        _, stack, failed = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), TS36, 10, [3])
         (block,) = cli._mc_blocks(bell, stack, failed)
         assert block["n_sets"] == 10 and mc.shape == (10,)
         assert block["mean"] == pytest.approx(np.mean(mc))
@@ -239,22 +241,20 @@ class TestMonteCarlo:
     def test_requires_at_least_two_sets(self):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
         with pytest.raises(tomo.TomographyError):
-            tomo.monte_carlo_fidelity(counts, TS36, qstate.bell_phi_plus(),
+            tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, qstate.bell_phi_plus(),
                                       n_sets=1, seed=0)
 
 
-def resampled_sets(counts, seed, n_sets):
-    """The Poisson resamples monte_carlo_fidelity draws, as count records."""
-    base = np.array([r.counts for r in counts], dtype=float)
+def resampled_sets(n, dur, seed, n_sets):
+    """The Poisson resamples monte_carlo_fidelity draws, as (n, dur) count sets."""
+    base = np.asarray(n, dtype=float)
     draws = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(base, (n_sets, len(base)))
-    return [[measure.CountRecord(r.setting_label, int(k), r.duration_s)
-             for r, k in zip(counts, row)] for row in draws]
+    return [(row, dur) for row in draws]
 
 
-def profiled_objective(rho, counts, ts):
+def profiled_objective(rho, n, d, ts):
     """Negative profiled log-likelihood f = -sum n ln c + n_tot ln sum c."""
-    n = np.array([float(r.counts) for r in counts])
-    d = np.array([r.duration_s for r in counts])
+    n = np.asarray(n, dtype=float)
     c = np.clip(measure.born_probabilities(rho, ts.projectors) * d / d.mean(), 1e-300, None)
     return float(-np.dot(n, np.log(c)) + n.sum() * np.log(c.sum()))
 
@@ -262,14 +262,13 @@ def profiled_objective(rho, counts, ts):
 _OFFDIAG_IDX = [(i, j) for i in range(4) for j in range(4) if i < j]
 
 
-def reference_mle(counts, ts):
+def reference_mle(n, dur, ts):
     """Per-set reference solver: L-BFGS-B on the 16 real parameters of an
     upper-triangular T (rho = T^dag T / Tr), analytic gradient, from the
     linear-inversion start with eigenvalues clamped at 1e-6."""
     pis = ts.projectors
-    n = np.array([float(r.counts) for r in counts])
-    d = np.array([r.duration_s for r in counts])
-    d = d / d.mean()
+    n = np.asarray(n, dtype=float)
+    d = dur / np.mean(dur)
     n_tot = n.sum()
 
     def to_t(theta):
@@ -291,7 +290,7 @@ def reference_mle(counts, ts):
             grad[5 + 2 * m] = 2.0 * tm[i, j].imag
         return f, grad
 
-    rho0 = tomo.linear_inversion(counts, ts)
+    rho0 = tomo.linear_inversion(n, dur, ts)
     vals, vecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
     rho0 = (vecs * np.clip(vals, 1e-6, None)) @ vecs.conj().T
     rho0 /= np.real(np.trace(rho0))
@@ -309,11 +308,11 @@ class TestReferenceAgreement:
 
     def check_sets(self, count_sets, ts, target):
         fidelities = []
-        for counts, result in zip(count_sets, mle_reconstruct_many(count_sets, ts)):
+        for (n, dur), result in zip(count_sets, mle_reconstruct_many(count_sets, ts)):
             assert result.converged
-            ref = reference_mle(counts, ts)
-            f_ref = profiled_objective(ref, counts, ts)
-            assert profiled_objective(result.rho_hat, counts, ts) <= f_ref + 1e-9 * abs(f_ref)
+            ref = reference_mle(n, dur, ts)
+            f_ref = profiled_objective(ref, n, dur, ts)
+            assert profiled_objective(result.rho_hat, n, dur, ts) <= f_ref + 1e-9 * abs(f_ref)
             fid_ref = qstate.fidelity(ref, target)
             assert qstate.fidelity(result.rho_hat, target) == pytest.approx(fid_ref, abs=1e-5)
             fidelities.append(fid_ref)
@@ -328,8 +327,8 @@ class TestReferenceAgreement:
             child_seed(sc.master_seed, "counts/t=1e-06", 0))
         seed_mc = child_seed(sc.master_seed, "mc/t=1e-06", 0)
         bell = qstate.bell_phi_plus()
-        ref = self.check_sets(resampled_sets(counts, seed_mc, 20), TS36, bell)
-        mc = tomo.monte_carlo_fidelity(counts, TS36, bell, 20, seed_mc)
+        ref = self.check_sets(resampled_sets(counts, np.ones(36), seed_mc, 20), TS36, bell)
+        mc = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, bell, 20, seed_mc)
         assert mc.mean() == pytest.approx(ref.mean(), abs=1e-5)
         assert mc.std(ddof=1) == pytest.approx(ref.std(ddof=1), abs=1e-5)
 
@@ -340,8 +339,8 @@ class TestReferenceAgreement:
         count_sets = []
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            count_sets.append([measure.CountRecord(s.label, int(rng.poisson(4000 * p * d)), d)
-                               for s, p, d in zip(TS16.settings, probs, durations)])
+            count_sets.append((np.array([rng.poisson(4000 * p * d)
+                                         for p, d in zip(probs, durations)]), np.array(durations)))
         self.check_sets(count_sets, TS16, rho)
 
 
@@ -380,16 +379,15 @@ def low_count_sets(ts, rank, durations, rng, count=20, exposure=30):
         rho = g @ g.conj().T
         probs = np.clip(measure.born_probabilities(rho / np.trace(rho).real, ts.projectors),
                         0.0, None)
-        counts = [measure.CountRecord(s.label, int(k), d) for s, k, d in
-                  zip(ts.settings, rng.poisson(exposure * probs * durations), durations)]
-        if sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")):
-            sets.append(counts)
+        counts = rng.poisson(exposure * probs * durations)
+        if sum(k for s, k in zip(ts.settings, counts) if s.label in HV_GROUP):
+            sets.append((counts, np.asarray(durations, dtype=float)))
     return sets
 
 
 def unequal_durations(ts):
     """1, 1.5 and 2 in turn, with the H/V group at 1."""
-    return [1.0 if s.label in ("HH", "HV", "VH", "VV") else 1.0 + 0.5 * (i % 3)
+    return [1.0 if s.label in HV_GROUP else 1.0 + 0.5 * (i % 3)
             for i, s in enumerate(ts.settings)]
 
 
@@ -428,7 +426,7 @@ class TestKernels:
     def test_boundary_sets_same_iterations_as_eigen_only_solver(self, monkeypatch):
         # The bundled sets finish in the Newton phase; these reach the factored phase.
         sets = low_count_sets(TS36, 1, [1.0] * len(TS36.settings), np.random.default_rng(5))
-        self.check_against_eigen_only_solver(monkeypatch, *tomo.count_arrays(sets, TS36))
+        self.check_against_eigen_only_solver(monkeypatch, *stacked(sets))
 
     @staticmethod
     def check_against_eigen_only_solver(monkeypatch, n, dur):
@@ -475,12 +473,12 @@ class TestNewton:
         # Four observed settings and unequal durations: at the start the
         # Hessian has a negative eigenvalue, so cholesky fails the stack.
         few = {"HH": 6, "VV": 4, "++": 5, "RL": 3}
-        odd = [measure.CountRecord(s.label, few.get(s.label, 0), d)
-               for s, d in zip(TS36.settings, unequal_durations(TS36))]
-        sets = [measure.sample_counts(qstate.werner(p), list(TS36.settings), 5000, 0.5, seed)
-                for seed, p in enumerate((0.6, 0.75, 0.85, 0.9))]
+        odd = (np.array([few.get(s.label, 0) for s in TS36.settings]),
+               np.array(unequal_durations(TS36)))
+        sets = [(measure.sample_counts(qstate.werner(p), list(TS36.settings), 5000, 0.5, seed),
+                 np.ones(36)) for seed, p in enumerate((0.6, 0.75, 0.85, 0.9))]
         batch = sets[:2] + [odd] + sets[2:]
-        n, dur = tomo.count_arrays(batch, TS36)
+        n, dur = stacked(batch)
         prob = tomo._Problem(n, dur, TS36)
         hessian = prob.hessian(prob.rates(tomo._start_states(n, dur, TS36), slice(None)),
                                slice(None))
@@ -491,7 +489,7 @@ class TestNewton:
         within = mle_reconstruct_many(batch, TS36)
         assert within[2].converged and within[2].newton_steps == 0 < within[2].iterations
         for counts, result in zip(sets, within[:2] + within[3:]):
-            alone = tomo.mle_reconstruct(counts, TS36)
+            alone = tomo.mle_reconstruct(*counts, TS36)
             assert result.converged and result.newton_steps == result.iterations > 0
             assert (result.iterations, result.newton_steps) == (alone.iterations,
                                                                 alone.newton_steps)
@@ -511,12 +509,13 @@ class TestReconstructWithMc:
                       for label, rho, p in tracks]
         seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label, _, _ in tracks]
         bell = qstate.bell_phi_plus()
-        points, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS36),
-                                                         TS36, sc.n_mc_sets, seeds)
+        n = np.array(count_sets)
+        points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, sc.n_mc_sets,
+                                                         seeds)
         assert len(points) == len(failed) == 3 and stack.shape == (3, sc.n_mc_sets, 4, 4)
         for counts, seed, states, k in zip(count_sets, seeds, stack, failed):
             _, (alone,), (k_alone,) = tomo.reconstruct_with_mc(
-                *tomo.count_arrays([counts], TS36), TS36, sc.n_mc_sets, [seed])
+                counts[None], np.ones((1, 36)), TS36, sc.n_mc_sets, [seed])
             mc, alone = qstate.fidelity(bell, states), qstate.fidelity(bell, alone)
             assert k == k_alone
             assert abs(mc.mean() - alone.mean()) < 1e-12
@@ -526,10 +525,10 @@ class TestReconstructWithMc:
     def test_without_resamples_is_the_plain_batch(self):
         count_sets = [measure.sample_counts(qstate.werner(p), list(TS16.settings), 4000, 0.5, s)
                       for s, p in enumerate((0.6, 0.9))]
-        points, stack, failed = tomo.reconstruct_with_mc(*tomo.count_arrays(count_sets, TS16),
-                                                         TS16, 0, [1, 2])
+        n = np.array(count_sets)
+        points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS16, 0, [1, 2])
         assert stack.shape == (2, 0, 4, 4) and failed.tolist() == [0, 0]
-        for a, b in zip(points, mle_reconstruct_many(count_sets, TS16)):
+        for a, b in zip(points, mle_reconstruct_many([(c, np.ones(16)) for c in n], TS16)):
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
@@ -560,7 +559,7 @@ class TestReconstructWithMc:
     def test_rejects_bad_arguments(self, n_sets, seeds):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
         with pytest.raises(ValueError):
-            tomo.reconstruct_with_mc(*tomo.count_arrays([counts], TS36), TS36, n_sets, seeds)
+            tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), TS36, n_sets, seeds)
 
 
     @pytest.mark.parametrize("n,dur", [(np.ones((2, 16)), np.ones((2, 16))),
@@ -612,11 +611,6 @@ def left_interior(bundled_solves):
     picked = [(n[i], dur[i]) for n, dur, results in bundled_solves
               for i, r in enumerate(results) if r.newton_steps < r.iterations]
     return np.array([p[0] for p in picked]), np.array([p[1] for p in picked])
-
-
-def count_records(n, dur):
-    """The 36-setting count records of one row of counts and durations."""
-    return [measure.CountRecord(s.label, int(k), float(d)) for s, k, d in zip(TS36.settings, n, dur)]
 
 
 def nonincreasing(result):
@@ -684,8 +678,7 @@ class TestFactoredNewton:
 
     def test_agrees_with_reference_mle(self, left_interior):
         n, dur = left_interior
-        TestReferenceAgreement().check_sets([count_records(row, drow) for row, drow in zip(n, dur)],
-                                            TS36, qstate.bell_phi_plus())
+        TestReferenceAgreement().check_sets(list(zip(n, dur)), TS36, qstate.bell_phi_plus())
 
     def test_step_cap_flags_nonconvergence(self, monkeypatch, tmp_path, left_interior):
         n, dur = left_interior
@@ -702,7 +695,7 @@ class TestFactoredNewton:
             assert k == sum(not r.converged for r in alone)
         assert failed.sum() > 0
         path = tmp_path / "counts.csv"
-        path.write_text(measure.counts_to_csv(count_records(n[0], dur[0])))
+        path.write_text(measure.counts_to_csv(TS36.settings, n[0], dur[0]))
         out = tmp_path / "out.json"
         assert cli.main(["tomo", "--counts", str(path), "--out", str(out)]) == cli.EXIT_NONCONVERGENCE
         assert json.loads(out.read_text())["converged"] is False
@@ -729,10 +722,9 @@ def random_count_set(rng, ts, exposure, pure):
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rho = np.outer(v, v.conj()) / np.vdot(v, v).real if pure else random_density_matrix(rng)
     probs = np.clip(measure.born_probabilities(rho, ts.projectors), 0.0, None)
-    counts = [measure.CountRecord(s.label, int(k))
-              for s, k in zip(ts.settings, rng.poisson(exposure * probs))]
-    assume(sum(r.counts for r in counts if r.setting_label in ("HH", "HV", "VH", "VV")) > 0)
-    return rho, counts
+    counts = rng.poisson(exposure * probs)
+    assume(sum(k for s, k in zip(ts.settings, counts) if s.label in HV_GROUP) > 0)
+    return rho, (counts, np.ones(len(counts)))
 
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -743,7 +735,7 @@ PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=T
        pure=st.booleans(), ts=st.sampled_from([TS36, TS16]))
 def test_mle_is_physical_and_no_worse_than_its_start(seed, exposure, pure, ts):
     _, counts = random_count_set(np.random.default_rng(seed), ts, exposure, pure)
-    result = tomo.mle_reconstruct(counts, ts)
+    result = tomo.mle_reconstruct(*counts, ts)
     assert result.converged
     qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
     assert result.objective_history[-1] <= result.objective_history[0]
@@ -758,6 +750,6 @@ def test_count_set_alone_or_in_a_batch(seed, exposure, others, data):
     batch = [random_count_set(rng, TS36, exposure, pure=bool(i % 2))[1] for i in range(others)]
     at = data.draw(st.integers(0, others))
     batch.insert(at, counts)
-    alone = tomo.mle_reconstruct(counts, TS36)
+    alone = tomo.mle_reconstruct(*counts, TS36)
     within = mle_reconstruct_many(batch, TS36)[at]
     assert abs(qstate.fidelity(alone.rho_hat, rho) - qstate.fidelity(within.rho_hat, rho)) < 1e-6

@@ -21,8 +21,8 @@ def per_track_counts(sc: cli.Scenario) -> np.ndarray:
     for t in sc.storage_times_s:
         rho_out, coinc_prob, _ = channel.store_retrieve(rho_in, t, sc.channel)
         tracks.append((f"t={t!r}", rho_out, coinc_prob))
-    return np.array([[r.counts for r in measure.sample_counts(
-        rho, settings, sc.n_trials, min(p, 1.0), child_seed(sc.master_seed, f"counts/{label}", 0))]
+    return np.array([measure.sample_counts(
+        rho, settings, sc.n_trials, min(p, 1.0), child_seed(sc.master_seed, f"counts/{label}", 0))
         for label, rho, p in tracks], dtype=np.int64)
 
 
@@ -77,20 +77,3 @@ def test_make_settings_is_built_once_and_read_only():
             getattr(ts, name)[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         ts.scheme = "16"
-
-
-def test_run_simulate_builds_no_count_record(monkeypatch):
-    built = []
-    check = measure.CountRecord.__post_init__
-
-    def counting(self):
-        built.append(self.setting_label)
-        check(self)
-
-    monkeypatch.setattr(measure.CountRecord, "__post_init__", counting)
-    measure.sample_counts(np.eye(4) / 4.0, measure.basis_settings("HV"), 10, 1.0, seed=0)
-    assert built == ["HH", "HV", "VH", "VV"]  # the patch sees every record
-    built.clear()
-    report = cli.run_simulate(cli.load_scenario(cli.default_config()))
-    assert report["statistical"]["input"]["total_counts"] > 0
-    assert built == []
