@@ -143,6 +143,16 @@ class Section(NamedTuple):
 # `simulate --seed` overrides this field.
 SEED = Field("master_seed", _int)
 
+# The `eit` command lays its flags over the bundled scenario's mapping of this section.
+EIT = Section("eit", eitline.EitParams, (
+    Field("od", _float),
+    Field("rabi_hz", _float, arg="rabi_rad_per_s", convert=_rad_per_s),
+    Field("gamma_e_hz", _float, 5.75e6, arg="gamma_e_rad_per_s", convert=_rad_per_s),
+    Field("gamma_gs_hz", _or_calibrated, CALIBRATED, arg="gamma_gs_rad_per_s",
+          convert=lambda hz: (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if hz == CALIBRATED
+                              else _rad_per_s(hz))),
+))
+
 # The config format.  Fields at the top level are Scenario arguments, and
 # each Section builds the Scenario argument of its key.
 SCHEMA = (
@@ -165,14 +175,7 @@ SCHEMA = (
         Field("signal_angles_deg", _floats(), arg="signal_angles_rad",
               convert=lambda degrees: tuple(map(math.radians, degrees))),
     )),
-    Section("eit", eitline.EitParams, (
-        Field("od", _float),
-        Field("rabi_hz", _float, arg="rabi_rad_per_s", convert=_rad_per_s),
-        Field("gamma_e_hz", _float, 5.75e6, arg="gamma_e_rad_per_s", convert=_rad_per_s),
-        Field("gamma_gs_hz", _or_calibrated, CALIBRATED, arg="gamma_gs_rad_per_s",
-              convert=lambda hz: (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if hz == CALIBRATED
-                                  else _rad_per_s(hz))),
-    )),
+    EIT,
     Section("source", channel.SourceParams, (
         Field("ratio_hv", _float),
         Field("ratio_pm", _float),
@@ -417,10 +420,9 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_eit(args) -> int:
-    gamma_gs = (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if args.gamma_gs_hz is None
-                else _rad_per_s(args.gamma_gs_hz))
-    p = eitline.EitParams(od=args.od, rabi_rad_per_s=_rad_per_s(args.rabi_hz),
-                          gamma_gs_rad_per_s=gamma_gs)
+    flags = {"od": args.od, "rabi_hz": args.rabi_hz, "gamma_gs_hz": args.gamma_gs_hz}
+    raw = {**default_config()[EIT.key], **{k: v for k, v in flags.items() if v is not None}}
+    p = _parse((EIT,), {EIT.key: raw}, "")[0][EIT.key]
     span = _rad_per_s(args.span_hz)
     if not 0.0 < span < math.inf:
         raise ConfigError("--span-hz", f"must be positive and finite in rad/s, got {args.span_hz}")
@@ -577,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("capacity", _cmd_capacity, ("--config", "--out"), "Fresnel-number mode capacity")
 
     p = command("eit", _cmd_eit, ("--out",), "EIT transmission spectrum CSV")
-    p.add_argument("--od", type=float, default=10.0)
-    p.add_argument("--rabi-hz", type=float, default=7e6)
+    p.add_argument("--od", type=float, default=None)
+    p.add_argument("--rabi-hz", type=float, default=None)
     p.add_argument("--gamma-gs-hz", type=float, default=None)
     p.add_argument("--span-hz", type=float, default=12e6)
     p.add_argument("--points", type=int, default=801)

@@ -13,15 +13,13 @@ Re r(u) = (Gamma/2)(gamma_gs A + (B - gamma_gs) u) / ((A - u)^2 + B^2 u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_D1_RAD_PER_S
-
-# Ground-state decoherence calibrated once (calibrate_gamma_gs) so the model
-# reproduces the measured 2.2 MHz transparency window at OD 10 and
-# Omega = 2*pi*7 MHz.  Value in rad/s.
+# Ground-state decoherence (rad/s) that `gamma_gs_hz: calibrated` resolves to.
+# It gives the measured 2.2 MHz transparency window only at the bundled OD 10
+# and Omega = 2*pi*7 MHz.
 DEFAULT_GAMMA_GS_RAD_PER_S = 3.51815088e6
 
 
@@ -36,8 +34,8 @@ class EitParams:
 
     od: float
     rabi_rad_per_s: float
-    gamma_e_rad_per_s: float = GAMMA_D1_RAD_PER_S
-    gamma_gs_rad_per_s: float = DEFAULT_GAMMA_GS_RAD_PER_S
+    gamma_e_rad_per_s: float
+    gamma_gs_rad_per_s: float
 
     def __post_init__(self):
         if not 0.0 < self.od < math.inf:
@@ -50,11 +48,6 @@ class EitParams:
         if not 0.0 <= self.gamma_gs_rad_per_s < math.inf:
             raise EitError("ground-state decoherence must be finite and >= 0, "
                            f"got {self.gamma_gs_rad_per_s}")
-
-
-def experiment_eit_params() -> EitParams:
-    """OD 10 and a 2*pi*7 MHz control Rabi frequency, as measured."""
-    return EitParams(od=10.0, rabi_rad_per_s=2.0 * math.pi * 7e6)
 
 
 def _response(p: EitParams, delta):
@@ -117,13 +110,3 @@ def transparency_fwhm(p: EitParams) -> float:
     u_half = 2.0 * q0 / (-q1 + math.sqrt(disc))
     return 2.0 * math.sqrt(u_half) / (2.0 * math.pi)
 
-
-def calibrate_gamma_gs() -> float:
-    """Bisection in log gamma_gs, down to adjacent floats, on the signed
-    mismatch between the window of experiment_eit_params() and the measured
-    2.2 MHz; the window widens with gamma_gs.  Returns gamma_gs (rad/s)."""
-    lo, hi = math.log(1.0), math.log(2.0 * math.pi * 1e6)
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        fwhm = transparency_fwhm(replace(experiment_eit_params(), gamma_gs_rad_per_s=math.exp(mid)))
-        lo, hi = (mid, hi) if fwhm < 2.2e6 else (lo, mid)
-    return math.exp(lo)

@@ -49,7 +49,7 @@ def test_criterion_3_mode_capacity():
 
 
 def test_criterion_4_eit_calibration():
-    p = eitline.experiment_eit_params()
+    p = BUNDLED.eit
     fwhm = eitline.transparency_fwhm(p)
     delay = eitline.group_delay(p)
     assert abs(fwhm - 2.2e6) / 2.2e6 < 0.25

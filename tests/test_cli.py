@@ -448,7 +448,7 @@ class TestCommands:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout
         assert proc.stdout == ""
-        assert proc.stderr == "error: optical depth must be finite and positive, got inf\n"
+        assert proc.stderr == "error: eit.od: expected a finite number, got inf\n"
 
     def test_eit_csv(self, tmp_path):
         out = tmp_path / "eit.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from holomem import eitline
-from holomem.constants import GAMMA_D1_RAD_PER_S
+from conftest import BUNDLED
 
-RABI = 2.0 * math.pi * 7e6
+RABI = BUNDLED.eit.rabi_rad_per_s
 
 # The grid the closed forms are checked on: Omega/2pi in MHz, gamma_gs in
 # rad/s (including the shipped calibration), optical depth.
@@ -18,9 +19,8 @@ GRID = [(r, g, od) for r in RABI_MHZ for g in GAMMAS for od in ODS]
 
 
 def params(**overrides) -> eitline.EitParams:
-    base = dict(od=10.0, rabi_rad_per_s=RABI)
-    base.update(overrides)
-    return eitline.EitParams(**base)
+    """The bundled scenario's line shape, with the given fields replaced."""
+    return dataclasses.replace(BUNDLED.eit, **overrides)
 
 
 def reference_fwhm(p: eitline.EitParams) -> float:
@@ -184,33 +184,19 @@ class TestCalibration:
     def test_delay_matches_measured_value(self):
         assert eitline.group_delay(params()) == pytest.approx(160e-9, rel=0.25)
 
-    def test_calibration_search_reproduces_default(self):
-        gamma = eitline.calibrate_gamma_gs()
-        assert gamma == pytest.approx(eitline.DEFAULT_GAMMA_GS_RAD_PER_S, rel=0.05)
-        fwhm = eitline.transparency_fwhm(params(gamma_gs_rad_per_s=gamma))
-        assert fwhm == pytest.approx(2.2e6, rel=5e-3)
-
     def test_calibration_is_the_root_of_the_signed_mismatch(self):
         def mismatch(log_gamma):
             p = params(gamma_gs_rad_per_s=math.exp(log_gamma))
             return eitline.transparency_fwhm(p) - 2.2e6
 
         root = brentq(mismatch, 0.0, math.log(2.0 * math.pi * 1e6), xtol=1e-13, rtol=1e-15)
-        gamma = eitline.calibrate_gamma_gs()
-        assert gamma == pytest.approx(math.exp(root), rel=1e-9)
         # The shipped constant came from a search stopped at xatol 1e-3 in log gamma.
-        assert abs(math.log(gamma / eitline.DEFAULT_GAMMA_GS_RAD_PER_S)) <= 1e-3
+        assert abs(root - math.log(eitline.DEFAULT_GAMMA_GS_RAD_PER_S)) <= 1e-3
 
     def test_fwhm_increases_with_rabi(self):
         widths = [eitline.transparency_fwhm(params(rabi_rad_per_s=r * RABI))
                   for r in (0.8, 1.0, 1.3, 1.7)]
         assert widths == sorted(widths)
-
-    def test_experiment_params_helper(self):
-        p = eitline.experiment_eit_params()
-        assert p.od == 10.0
-        assert p.rabi_rad_per_s == pytest.approx(RABI)
-        assert p.gamma_e_rad_per_s == pytest.approx(GAMMA_D1_RAD_PER_S)
 
 
 class TestValidation:
