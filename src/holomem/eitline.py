@@ -98,9 +98,9 @@ def transparency_fwhm(p: EitParams) -> float:
         raise EitError("no absorption dips flank the line centre: no transparency window")
     # Positive root of k u^2 + 2gA u - n0 = 0, in cancellation-free form.
     u_floor = n0 / (g * a + math.sqrt((g * a) ** 2 + k * n0))
-    t0 = transmission(p, 0.0)
-    floor = transmission(p, math.sqrt(u_floor))
-    c = -math.log(floor + 0.5 * (t0 - floor)) / p.od
+    # ln T = -OD Re r is exact where T underflows: the half level in log space.
+    ln_t0, ln_floor = -p.od * np.real(_response(p, [0.0, math.sqrt(u_floor)]))
+    c = -(np.logaddexp(ln_t0, ln_floor) - math.log(2.0)) / p.od
     # Smallest root of c u^2 + q1 u + q0 = 0, with q0 > 0 and q1 < 0.
     q1 = c * (b ** 2 - 2.0 * a) - k * k
     q0 = c * a ** 2 - k * g * a
@@ -109,4 +109,3 @@ def transparency_fwhm(p: EitParams) -> float:
         raise EitError("absorption dips too shallow to resolve a half-maximum crossing")
     u_half = 2.0 * q0 / (-q1 + math.sqrt(disc))
     return 2.0 * math.sqrt(u_half) / (2.0 * math.pi)
-

@@ -173,8 +173,26 @@ def sample_counts(rho: np.ndarray, settings: list[AnalyzerSetting], n_trials: in
 # CSV wire format: setting_label,counts,duration_s, one row per setting in order
 # ---------------------------------------------------------------------------
 
+def count_rule_breach(n, dur) -> str | None:
+    """The rule for counts and durations at every entry: counts are finite,
+    whole and >= 0, and durations finite and > 0.  The first breach as a
+    message, or None."""
+    n, dur = np.asarray(n, dtype=float).ravel(), np.asarray(dur, dtype=float).ravel()
+    whole = np.isfinite(n) & (n == np.floor(n))
+    if not whole.all():
+        return f"counts must be finite and whole, got {n[~whole][0]}"
+    if (n < 0.0).any():
+        return f"counts must be >= 0, got {int(n[n < 0.0][0])}"
+    positive = (dur > 0.0) & (dur < math.inf)
+    if not positive.all():
+        return f"duration must be finite and positive, got {dur[~positive][0]}"
+    return None
+
+
 def counts_to_csv(settings, n, dur) -> str:
     """The count CSV of (K,) counts and durations over the settings, in order."""
+    if breach := count_rule_breach(n, dur):
+        raise MeasureError(breach)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["setting_label", "counts", "duration_s"])
@@ -197,12 +215,10 @@ def counts_from_csv(text: str, settings) -> tuple[np.ndarray, np.ndarray]:
             if len(rows) < len(settings) and row[0] != settings[len(rows)].label:
                 raise ValueError(f"label {row[0]!r} does not match setting "
                                  f"{settings[len(rows)].label!r}")
-            k, d = int(row[1]), float(row[2])
-            if k < 0:
-                raise ValueError(f"counts must be >= 0, got {k}")
-            if not 0.0 < d < math.inf:
-                raise ValueError(f"duration must be finite and positive, got {d}")
-            rows.append((float(k), d))
+            k, d = float(int(row[1])), float(row[2])
+            if breach := count_rule_breach(k, d):
+                raise ValueError(breach)
+            rows.append((k, d))
         except (ValueError, OverflowError) as exc:
             raise MeasureError(f"count CSV line {reader.line_num}: {exc}") from None
     if len(rows) != len(settings):

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .measure import AnalyzerSetting, joint_projectors, setting_from_labels
+from .measure import AnalyzerSetting, count_rule_breach, joint_projectors, setting_from_labels
 from .seeding import child_seed
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
@@ -157,10 +157,12 @@ def design_rank(ts: TomographySettings) -> int:
 
 
 def _count_sets(n, dur, ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
-    """(B, K) float counts and durations, checked against the scheme."""
+    """(B, K) float counts and durations, checked against the scheme and the count rule."""
     n, dur = np.asarray(n, dtype=float), np.asarray(dur, dtype=float)
     if n.ndim != 2 or n.shape != dur.shape or n.shape[1] != len(ts.settings):
         raise TomographyError(f"counts {n.shape} and durations {dur.shape} mismatch the scheme")
+    if breach := count_rule_breach(n, dur):
+        raise TomographyError(breach)
     return n, dur
 
 

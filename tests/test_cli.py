@@ -420,6 +420,15 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    def test_simulate_at_large_od(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg["eit"]["od"] = 1.0e4
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["analytic"]["eit_fwhm_hz"] == pytest.approx(72.56e3, rel=1e-3)
+
     @pytest.mark.parametrize("argv", [["eit", "--rabi-hz", "1e160"], ["simulate"]],
                              ids=["eit", "simulate"])
     def test_overflow_is_one_error_line(self, argv, tmp_path, capsys):
@@ -449,6 +458,17 @@ class TestCommands:
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout
         assert proc.stdout == ""
         assert proc.stderr == "error: eit.od: expected a finite number, got inf\n"
+
+    def test_eit_follows_the_bundled_scenario(self, monkeypatch, capsys):
+        def run(*argv):
+            assert cli.main(["eit", "--points", "5", *argv]) == cli.EXIT_OK
+            return capsys.readouterr().out
+
+        bundled = run()
+        cfg = cli.default_config()
+        cfg["eit"]["od"] = 20
+        monkeypatch.setattr(cli, "default_config", lambda: copy.deepcopy(cfg))
+        assert run() == run("--od", "20") != bundled
 
     def test_eit_csv(self, tmp_path):
         out = tmp_path / "eit.csv"

@@ -110,6 +110,12 @@ class TestClosedForm:
                    gamma_gs_rad_per_s=gamma_gs, od=od)
         assert eitline.group_delay(p) == pytest.approx(reference_group_delay(p), rel=2e-4)
 
+    def test_window_at_large_od(self):
+        # T(0) and the floor underflow to 0 near OD 1e4; the half level is taken
+        # in log space, where the window falls as 1/sqrt(OD).
+        ratio = eitline.transparency_fwhm(params(od=1e6)) / eitline.transparency_fwhm(params(od=1e4))
+        assert ratio == pytest.approx(0.1, rel=1e-3)
+
     def test_group_delay_at_bundled_point(self):
         # The central-difference value the report carried before the closed form.
         assert eitline.group_delay(params()) == pytest.approx(1.421641491585849e-07, rel=1e-6)

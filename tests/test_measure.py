@@ -279,6 +279,15 @@ class TestCsv:
         n, dur = measure.counts_from_csv(text, settings)
         assert n.tolist() == [120.0, 7.0] and dur.tolist() == [1.0, 2.5]
 
+    @pytest.mark.parametrize("n,dur,message", [
+        ([-3, 4], [1.0, math.inf], "counts must be >= 0, got -3"),
+        ([3, 4], [1.0, math.inf], "duration must be finite and positive, got inf"),
+        ([3, 4.5], [1.0, 1.0], "counts must be finite and whole, got 4.5"),
+    ], ids=["negative-count", "infinite-duration", "fractional-count"])
+    def test_writer_applies_the_count_rule(self, n, dur, message):
+        with pytest.raises(measure.MeasureError, match=f"^{re.escape(message)}$"):
+            measure.counts_to_csv(CSV_SETTINGS[:2], n, dur)
+
     def test_rejects_missing_header(self):
         with pytest.raises(measure.MeasureError):
             measure.counts_from_csv("HH,120,1.0\n", CSV_SETTINGS[:1])

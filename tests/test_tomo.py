@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -568,6 +570,22 @@ class TestReconstructWithMc:
     def test_rejects_arrays_not_matching_the_scheme(self, n, dur):
         with pytest.raises(tomo.TomographyError, match="mismatch"):
             tomo.reconstruct_with_mc(n, dur, TS36, 0, [0, 1])
+
+    @pytest.mark.parametrize("count,duration,message", [
+        (-50.0, 1.0, "counts must be >= 0, got -50"),
+        (math.nan, 1.0, "counts must be finite and whole, got nan"),
+        (100.0, -1.0, "duration must be finite and positive, got -1.0"),
+        (100.0, math.inf, "duration must be finite and positive, got inf"),
+    ], ids=["negative-count", "nan-count", "negative-duration", "infinite-duration"])
+    @pytest.mark.parametrize("entry", ["mle_reconstruct", "reconstruct_with_mc"])
+    def test_rejects_values_breaking_the_count_rule(self, entry, count, duration, message):
+        n, dur = exact_counts(qstate.werner(0.9), TS36, 1e4), np.ones(36)
+        n[5], dur[5] = count, duration
+        with pytest.raises(tomo.TomographyError, match=f"^{re.escape(message)}$"):
+            if entry == "mle_reconstruct":
+                tomo.mle_reconstruct(n, dur, TS36)
+            else:
+                tomo.reconstruct_with_mc(n[None], dur[None], TS36, 2, [0])
 
 
 def drawn_resamples(monkeypatch, n, seeds, n_sets):
