@@ -3,8 +3,8 @@
 Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz)
 to rule out microsecond/second and Hz/rad-s mixups.  One table, SCHEMA,
 defines the format: load_scenario walks it to build the model objects and
-the validated config tree (config units, defaults filled in), and rejects
-unknown keys and bad values with their field path.  Reports are JSON with
+the validated config tree (config units), and rejects missing or unknown
+keys and bad values with their field path.  Reports are JSON with
 top-level keys config, analytic, statistical, seeds, version, provenance.
 The report embeds the validated tree itself, so regenerating a report from
 its own embedded config is byte-identical.
@@ -57,7 +57,7 @@ class NonConvergenceError(RuntimeError):
 # Scenario config
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()
+# The one non-numeric config value: `channel.bg_coinc` solved at load.
 CALIBRATED = "calibrated"
 
 
@@ -115,13 +115,12 @@ MC_SETS_RULE = (lambda n: n == 0 or n >= 2, "must be 0 or at least 2")
 
 
 class Field(NamedTuple):
-    """One config key.  `kind` maps the raw value to config units, `convert`
-    maps that to the constructor argument `arg` (the key if None), and
-    `check` is an optional (predicate, message) on the config value."""
+    """One required config key.  `kind` maps the raw value to config units,
+    `convert` maps that to the constructor argument `arg` (the key if None),
+    and `check` is an optional (predicate, message) on the config value."""
 
     key: str
     kind: Callable[[object, str], object]
-    default: object = REQUIRED
     arg: str | None = None
     convert: Callable[[object], object] = lambda value: value
     check: tuple | None = None
@@ -147,22 +146,19 @@ SEED = Field("master_seed", _int)
 EIT = Section("eit", eitline.EitParams, (
     Field("od", _float),
     Field("rabi_hz", _float, arg="rabi_rad_per_s", convert=_rad_per_s),
-    Field("gamma_e_hz", _float, 5.75e6, arg="gamma_e_rad_per_s", convert=_rad_per_s),
-    Field("gamma_gs_hz", _or_calibrated, CALIBRATED, arg="gamma_gs_rad_per_s",
-          convert=lambda hz: (eitline.DEFAULT_GAMMA_GS_RAD_PER_S if hz == CALIBRATED
-                              else _rad_per_s(hz))),
+    Field("gamma_e_hz", _float, arg="gamma_e_rad_per_s", convert=_rad_per_s),
+    Field("gamma_gs_hz", _float, arg="gamma_gs_rad_per_s", convert=_rad_per_s),
 ))
 
 # The config format.  Fields at the top level are Scenario arguments, and
 # each Section builds the Scenario argument of its key.
 SCHEMA = (
     SEED,
-    Field("tomo_scheme", _int, 36, convert=str,
+    Field("tomo_scheme", _int, convert=str,
           check=(lambda n: n in (16, 36), "must be 16 or 36")),
     Field("n_trials", _int, check=(lambda n: n > 0, "must be positive")),
-    Field("n_mc_sets", _int, 0, check=MC_SETS_RULE),
-    Field("input_coinc_prob", _float, 0.04,
-          check=(lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
+    Field("n_mc_sets", _int, check=MC_SETS_RULE),
+    Field("input_coinc_prob", _float, check=(lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
     Field("storage_times_s", _floats(), convert=tuple,
           check=(lambda ts: min(ts) >= 0.0, "storage times must be >= 0")),
     Section("geometry", registers.MemoryGeometry, (
@@ -183,14 +179,14 @@ SCHEMA = (
     Section("channel", _channel_params, (
         Field("eta0", _float),
         Field("tau_s", _float),
-        Field("bg_coinc", _or_calibrated, CALIBRATED, resolve=True),
+        Field("bg_coinc", _or_calibrated, resolve=True),
     ), needs=("source",)),
 )
 
 
 def _parse(rows, raw, path: str) -> tuple[dict, dict]:
     """Validate one mapping against its rows.  Returns the constructor
-    arguments and the config tree (config units, defaults filled in)."""
+    arguments and the config tree (config units)."""
     if not isinstance(raw, dict):
         raise ConfigError(path or "<root>", "missing or not a mapping")
     prefix = f"{path}." if path else ""
@@ -210,12 +206,9 @@ def _parse(rows, raw, path: str) -> tuple[dict, dict]:
             tree[row.key].update((f.key, getattr(obj, f.arg or f.key))
                                  for f in row.fields if f.resolve)
             continue
-        if row.key in raw:
-            value = row.kind(raw[row.key], where)
-        elif row.default is REQUIRED:
+        if row.key not in raw:
             raise ConfigError(where, "missing required field")
-        else:
-            value = row.default
+        value = row.kind(raw[row.key], where)
         _check(row.check, value, where)
         args[row.arg or row.key], tree[row.key] = row.convert(value), value
     return args, tree

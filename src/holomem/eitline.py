@@ -17,12 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Ground-state decoherence (rad/s) that `gamma_gs_hz: calibrated` resolves to.
-# It gives the measured 2.2 MHz transparency window only at the bundled OD 10
-# and Omega = 2*pi*7 MHz.
-DEFAULT_GAMMA_GS_RAD_PER_S = 3.51815088e6
-
-
 class EitError(ValueError):
     """Invalid EIT parameters."""
 

@@ -62,6 +62,8 @@ class TestConfig:
         pytest.param(lambda c: c["channel"].__setitem__("eta0", 0.0), "channel",
                      id="eta0-zero-calibrated-background"),
         (lambda c: c.__setitem__("n_mc_sets", 1), "n_mc_sets"),
+        pytest.param(lambda c: c["eit"].__setitem__("gamma_gs_hz", "calibrated"),
+                     "eit.gamma_gs_hz", id="calibrated-gamma-gs"),
     ])
     def test_validation_names_the_field(self, mutate, path):
         cfg = copy.deepcopy(cli.default_config())
@@ -106,12 +108,7 @@ class TestSchema:
     def test_missing_key(self, path, field):
         cfg = cli.default_config()
         del mapping_of(cfg, path)[path[-1]]
-        if field.default is cli.REQUIRED:
-            assert self.rejected_at(cfg) == ".".join(path)
-        else:
-            explicit = copy.deepcopy(cfg)
-            mapping_of(explicit, path)[path[-1]] = field.default
-            assert cli.load_scenario(cfg) == cli.load_scenario(explicit)
+        assert self.rejected_at(cfg) == ".".join(path)
 
     def test_unknown_sibling(self, path, field):
         cfg = cli.default_config()
@@ -132,19 +129,6 @@ class TestSchema:
             bad, where = [bad] * len(value), where + "[0]"
         mapping_of(cfg, path)[path[-1]] = bad
         assert self.rejected_at(cfg) == where
-
-
-def test_readme_lists_every_default():
-    """The README table of optional keys is the SCHEMA fields with defaults."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    table = text.split("Optional keys and their defaults:")[1].split("\n\n")[1]
-    rows = [[cell.strip(" `") for cell in line.split("|")[1:3]]
-            for line in table.splitlines()[2:]]
-    fields = {".".join(path): field for path, field in SCHEMA_FIELDS
-              if field.default is not cli.REQUIRED}
-    assert sorted(key for key, _ in rows) == sorted(fields)
-    for key, default in rows:
-        assert fields[key].kind(default, key) == fields[key].default, key
 
 
 DEFAULT_CONFIG = cli.default_config()
@@ -179,7 +163,7 @@ def valid_configs(draw):
     cfg["eit"].update(
         od=draw(pos(0.1, 50.0)),
         rabi_hz=draw(pos(0.0, 2e7)),
-        gamma_gs_hz=draw(st.just("calibrated") | pos(0.0, 2e6)),
+        gamma_gs_hz=draw(pos(0.0, 2e6)),
     )
     cfg["source"].update(ratio_hv=draw(pos(8.0, 20.0)), ratio_pm=draw(pos(20.0, 40.0)))
     cfg["channel"].update(
@@ -187,9 +171,6 @@ def valid_configs(draw):
         tau_s=draw(pos(1e-7, 1e-5)),
         bg_coinc=draw(st.just("calibrated") | pos(0.0, 0.1)),
     )
-    for path, field in SCHEMA_FIELDS:
-        if field.default is not cli.REQUIRED and draw(st.booleans()):
-            del mapping_of(cfg, path)[path[-1]]
     return cfg
 
 

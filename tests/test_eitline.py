@@ -11,11 +11,17 @@ from conftest import BUNDLED
 RABI = BUNDLED.eit.rabi_rad_per_s
 
 # The grid the closed forms are checked on: Omega/2pi in MHz, gamma_gs in
-# rad/s (including the shipped calibration), optical depth.
+# rad/s (including the bundled value), optical depth.
 RABI_MHZ = (1.0, 2.0, 4.0, 7.0, 10.0)
-GAMMAS = (0.0, 1e5, eitline.DEFAULT_GAMMA_GS_RAD_PER_S, 2e7)
+GAMMAS = (0.0, 1e5, BUNDLED.eit.gamma_gs_rad_per_s, 2e7)
 ODS = (1.0, 10.0, 40.0)
 GRID = [(r, g, od) for r in RABI_MHZ for g in GAMMAS for od in ODS]
+
+
+def grid_id(value: float) -> str:
+    """A grid value to 12 digits: the bundled gamma_gs, 2 pi times a value in
+    Hz, reads 3518150.88 rather than its 17-digit repr."""
+    return repr(float(f"{value:.12g}"))
 
 
 def params(**overrides) -> eitline.EitParams:
@@ -54,7 +60,7 @@ def n_at_zero(p: eitline.EitParams) -> float:
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("rabi_mhz,gamma_gs,od", GRID)
+    @pytest.mark.parametrize("rabi_mhz,gamma_gs,od", GRID, ids=grid_id)
     def test_fwhm_matches_numerical_reference(self, rabi_mhz, gamma_gs, od):
         p = params(rabi_rad_per_s=2.0 * math.pi * rabi_mhz * 1e6,
                    gamma_gs_rad_per_s=gamma_gs, od=od)
@@ -104,7 +110,7 @@ class TestClosedForm:
         assert widths[0] > 0.0 and widths[-1] == 0.0
         assert widths == sorted(widths, reverse=True)
 
-    @pytest.mark.parametrize("rabi_mhz,gamma_gs,od", GRID)
+    @pytest.mark.parametrize("rabi_mhz,gamma_gs,od", GRID, ids=grid_id)
     def test_group_delay_matches_central_difference(self, rabi_mhz, gamma_gs, od):
         p = params(rabi_rad_per_s=2.0 * math.pi * rabi_mhz * 1e6,
                    gamma_gs_rad_per_s=gamma_gs, od=od)
@@ -157,7 +163,7 @@ class TestTransmission:
 
 class TestGroupDelay:
     def test_positive(self):
-        for gamma_gs in (0.0, 1e4, eitline.DEFAULT_GAMMA_GS_RAD_PER_S):
+        for gamma_gs in (0.0, 1e4, BUNDLED.eit.gamma_gs_rad_per_s):
             assert eitline.group_delay(params(gamma_gs_rad_per_s=gamma_gs)) > 0.0
 
     def test_ideal_limit_value(self):
@@ -196,8 +202,8 @@ class TestCalibration:
             return eitline.transparency_fwhm(p) - 2.2e6
 
         root = brentq(mismatch, 0.0, math.log(2.0 * math.pi * 1e6), xtol=1e-13, rtol=1e-15)
-        # The shipped constant came from a search stopped at xatol 1e-3 in log gamma.
-        assert abs(root - math.log(eitline.DEFAULT_GAMMA_GS_RAD_PER_S)) <= 1e-3
+        # The bundled value came from a search stopped at xatol 1e-3 in log gamma.
+        assert abs(root - math.log(BUNDLED.eit.gamma_gs_rad_per_s)) <= 1e-3
 
     def test_fwhm_increases_with_rabi(self):
         widths = [eitline.transparency_fwhm(params(rabi_rad_per_s=r * RABI))
