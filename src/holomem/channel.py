@@ -151,16 +151,24 @@ def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
     return fitkit.threshold_crossing(*visibility_decay_coeffs(p, v0), p.tau_s)
 
 
+# The measured point that `bg_coinc: calibrated` is solved against: the output
+# fidelity vs |phi+> after this storage time (the background rate itself was
+# not reported).
+CALIBRATION_TIME_S = 1e-6
+CALIBRATION_FIDELITY = 0.81
+
+
 def calibrated_channel_params(source: SourceParams, eta0: float, tau_s: float) -> ChannelParams:
     """The channel of eta0 and tau with bg_coinc chosen so that the output
-    fidelity vs |phi+> of the source state after 1 us of storage equals the
-    measured 0.81 (the background rate itself was not reported).
+    fidelity vs |phi+> of the source state after CALIBRATION_TIME_S of storage
+    equals CALIBRATION_FIDELITY.
     """
     rho_in = input_state(source)
     f_in = float(np.real(np.trace(qstate.bell_phi_plus() @ rho_in)))
-    frac = (0.81 - 0.25) / (f_in - 0.25)
+    frac = (CALIBRATION_FIDELITY - 0.25) / (f_in - 0.25)
     if not 0.0 < frac <= 1.0:
-        raise ChannelError(f"fidelity target 0.81 unreachable from input fidelity {f_in:.4f}")
-    eta_cal = eta0 * math.exp(-1e-6 / tau_s)
+        raise ChannelError(f"fidelity target {CALIBRATION_FIDELITY} unreachable "
+                           f"from input fidelity {f_in:.4f}")
+    eta_cal = eta0 * math.exp(-CALIBRATION_TIME_S / tau_s)
     bg = eta_cal ** 2 * (1.0 / frac - 1.0)
     return ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg)

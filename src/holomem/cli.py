@@ -160,7 +160,8 @@ SCHEMA = (
     Field("n_mc_sets", _int, check=MC_SETS_RULE),
     Field("input_coinc_prob", _float, check=(lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
     Field("storage_times_s", _floats(), convert=tuple,
-          check=(lambda ts: min(ts) >= 0.0, "storage times must be >= 0")),
+          check=(lambda ts: min(ts) >= 0.0 and len(set(ts)) == len(ts),
+                 "storage times must be >= 0 and pairwise distinct")),
     Section("geometry", registers.MemoryGeometry, (
         Field("wavelength_m", _float),
         Field("control_waist_m", _float),
@@ -572,9 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("capacity", _cmd_capacity, ("--config", "--out"), "Fresnel-number mode capacity")
 
     p = command("eit", _cmd_eit, ("--out",), "EIT transmission spectrum CSV")
-    p.add_argument("--od", type=float, default=None)
-    p.add_argument("--rabi-hz", type=float, default=None)
-    p.add_argument("--gamma-gs-hz", type=float, default=None)
+    p.add_argument("--od", type=float, help="overrides the bundled eit.od")
+    p.add_argument("--rabi-hz", type=float, help="overrides the bundled eit.rabi_hz")
+    p.add_argument("--gamma-gs-hz", type=float, help="overrides the bundled eit.gamma_gs_hz")
     p.add_argument("--span-hz", type=float, default=12e6)
     p.add_argument("--points", type=int, default=801)
 

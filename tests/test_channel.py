@@ -194,3 +194,10 @@ class TestParams:
             channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=-0.1)
         with pytest.raises(channel.ChannelError):
             channel.ChannelParams(eta0=0.0, tau_s=2.8e-6, bg_coinc=0.0)
+
+    def test_calibration_target_out_of_reach(self):
+        # Input fidelity 0.5: no background can raise the 1 us fidelity to 0.81.
+        source = channel.SourceParams(ratio_hv=2.0, ratio_pm=2.0)
+        with pytest.raises(channel.ChannelError,
+                           match="fidelity target 0.81 unreachable from input fidelity 0.5000"):
+            channel.calibrated_channel_params(source, 0.15, 2.8e-6)

@@ -62,6 +62,8 @@ class TestConfig:
         pytest.param(lambda c: c["channel"].__setitem__("eta0", 0.0), "channel",
                      id="eta0-zero-calibrated-background"),
         (lambda c: c.__setitem__("n_mc_sets", 1), "n_mc_sets"),
+        pytest.param(lambda c: c.__setitem__("storage_times_s", [1e-6, 1e-6]),
+                     "storage_times_s", id="repeated-storage-time"),
         pytest.param(lambda c: c["eit"].__setitem__("gamma_gs_hz", "calibrated"),
                      "eit.gamma_gs_hz", id="calibrated-gamma-gs"),
     ])
@@ -149,7 +151,8 @@ def valid_configs(draw):
         n_trials=draw(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 6).map(float)),
         n_mc_sets=draw(st.sampled_from([0, 2]) | st.integers(2, 500)),
         input_coinc_prob=draw(pos(1e-6, 1.0)),
-        storage_times_s=draw(st.lists(pos(0.0, 1e-5), min_size=1, max_size=4)),
+        storage_times_s=draw(st.lists(pos(0.0, 1e-5), min_size=1, max_size=4,
+                                      unique_by=float)),
     )
     cfg["geometry"].update(
         wavelength_m=draw(pos(1e-7, 2e-6)),
