@@ -25,6 +25,8 @@ COMMANDS = (
     "capacity",
     "chsh --state input",
     "crosstalk --seed 0",
+    "crosstalk --seed 1",
+    "crosstalk --seed 4096",
     "fit --kind exp",
     "fit --kind vis --tau-s 2.8e-6",
 )
