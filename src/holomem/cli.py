@@ -556,47 +556,63 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--config": dict(default=None, help="scenario YAML (default: bundled)"),
         "--out": dict(default=None, help="output path (default: stdout)"),
-        "--seed": dict(type=int, default=None,
-                       help="random seed (simulate: overrides the scenario master seed)"),
     }
 
-    def command(name, func, flags, help):
-        """A subcommand with those of the shared flags that it reads."""
+    def command(name, func, flags, help, seed=None):
+        """A subcommand with those of the shared flags that it reads, and a
+        --seed with the help text `seed` if it takes one."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=None, help=seed)
         return p
 
-    command("simulate", _cmd_simulate, ("--config", "--out", "--seed"),
-            "full end-to-end reproduction")
+    command("simulate", _cmd_simulate, ("--config", "--out"), "full end-to-end reproduction",
+            seed="overrides the scenario master_seed")
     command("capacity", _cmd_capacity, ("--config", "--out"), "Fresnel-number mode capacity")
 
     p = command("eit", _cmd_eit, ("--out",), "EIT transmission spectrum CSV")
     p.add_argument("--od", type=float, help="overrides the bundled eit.od")
     p.add_argument("--rabi-hz", type=float, help="overrides the bundled eit.rabi_hz")
     p.add_argument("--gamma-gs-hz", type=float, help="overrides the bundled eit.gamma_gs_hz")
-    p.add_argument("--span-hz", type=float, default=12e6)
-    p.add_argument("--points", type=int, default=801)
+    p.add_argument("--span-hz", type=float, default=12e6,
+                   help="detuning half-span in Hz; the spectrum runs from -span to +span "
+                        "(default 12e6)")
+    p.add_argument("--points", type=int, default=801,
+                   help="number of evenly spaced detunings (default 801)")
 
     p = command("chsh", _cmd_chsh, ("--config", "--out"), "CHSH S for a model state")
     p.add_argument("--state", default="input", help="bell | input | werner:p")
-    p.add_argument("--convention", default="mirrored", choices=["mirrored", "textbook"])
+    p.add_argument("--convention", default="mirrored", choices=["mirrored", "textbook"],
+                   help="analyzer angles: mirrored negates photon 2's angle "
+                        "(default mirrored)")
 
-    command("crosstalk", _cmd_crosstalk, ("--config", "--out", "--seed"),
-            "register-overlap Monte Carlo CSV")
+    command("crosstalk", _cmd_crosstalk, ("--config", "--out"),
+            "register-overlap Monte Carlo CSV",
+            seed="seed of the one atom cloud that every register pair shares (default 0)")
 
     p = command("fit", _cmd_fit, ("--out",), "decay-model least squares")
-    p.add_argument("--kind", choices=["exp", "vis"], default="exp")
+    p.add_argument("--kind", choices=["exp", "vis"], default="exp",
+                   help="exp: efficiency eta0 exp(-t/tau); "
+                        "vis: visibility 1/(a + b exp(2t/tau)) (default exp)")
     p.add_argument("--data", default=None, help="CSV t_s,y,sigma (default: bundled)")
-    p.add_argument("--tau-s", type=float, default=None)
-    p.add_argument("--float-tau", action="store_true")
+    p.add_argument("--tau-s", type=float, default=None,
+                   help="tau in s for --kind vis, held fixed unless --float-tau")
+    p.add_argument("--float-tau", action="store_true",
+                   help="fit tau jointly with a and b, starting from --tau-s")
 
-    p = command("tomo", _cmd_tomo, ("--out", "--seed"), "MLE tomography from a counts CSV")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--scheme", default="36", choices=["16", "36"])
+    p = command("tomo", _cmd_tomo, ("--out",), "MLE tomography from a counts CSV",
+                seed="seed of the Monte Carlo count resampling (default 0)")
+    p.add_argument("--counts", required=True,
+                   help="count CSV setting_label,counts,duration_s, one row per setting")
+    p.add_argument("--scheme", default="36", choices=["16", "36"],
+                   help="tomography settings: 36 (H,V,+,-,R,L pairs) or 16 (H,V,+,R pairs)")
     p.add_argument("--target", default="bell", help="bell | density-matrix JSON path")
-    p.add_argument("--mc-sets", type=int, default=0)
+    p.add_argument("--mc-sets", type=int, default=0,
+                   help="Monte Carlo resample sets for the fidelity spread: "
+                        "0 (none) or at least 2 (default 0)")
 
     return parser
 

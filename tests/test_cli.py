@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -748,6 +750,20 @@ class TestCommands:
             fresh.append(run(argv))
         assert reused == fresh
         assert [rc for rc, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0]
+
+    def test_every_option_has_help_of_its_own(self):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        names = set(subparsers.choices)
+        assert names == {"simulate", "capacity", "eit", "chsh", "crosstalk", "fit", "tomo"}
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if "-h" in action.option_strings:
+                    continue
+                flag = f"{name} {action.option_strings[0]}"
+                assert action.help and action.help.strip(), f"{flag} has no help"
+                words = set(re.findall(r"[a-z]+", action.help.lower()))
+                assert not words & (names - {name}), f"{flag} help names another subcommand"
 
 
 # Run in a fresh interpreter, so modules the test session already loaded do
