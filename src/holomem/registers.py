@@ -67,15 +67,17 @@ def spin_wave_vectors(g: MemoryGeometry) -> np.ndarray:
                      for theta in g.signal_angles_rad]).reshape(-1, 3)
 
 
-def _phasors(half_phase: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(i phi) for phi = 2 * half_phase, written into the complex array out.
+def _phasors(half_phase: np.ndarray) -> np.ndarray:
+    """exp(i phi) for phi = 2 * half_phase, as a new complex array.
 
     With t = tan(phi / 2) and r = 2 / (1 + t^2), the half-angle identity gives
-    exp(i phi) = (r - 1) + i t r.  numpy's float64 tan is SIMD-vectorised where
-    sin, cos and complex exp run element by element, so this one tan call costs
-    a fraction of np.exp(1j * phi).  It is finite for every finite phi: at
-    phi = pi, t is about 1.6e16 and t^2 about 2.6e32.  half_phase is overwritten.
+    exp(i phi) = (r - 1) + i t r.  On AVX-512 hosts numpy's float64 tan is
+    SIMD-vectorised where sin, cos and complex exp run element by element, so
+    this one tan call costs a fraction of np.exp(1j * phi).  It is finite for
+    every finite phi: at phi = pi, t is about 1.6e16 and t^2 about 2.6e32.
+    half_phase is overwritten.
     """
+    out = np.empty(half_phase.shape, dtype=complex)
     t = np.tan(half_phase, out=half_phase)
     r = np.multiply(t, t, out=out.imag)
     r += 1.0
@@ -89,7 +91,7 @@ def crosstalk_matrix(q: np.ndarray, g: MemoryGeometry, seed: int) -> np.ndarray:
     """Monte Carlo overlaps C[a, b] = (1/n) sum_j exp(i (q_b - q_a).x_j) of all pairs
     of the (M, 3) wave vectors q over one cloud of n = min(atom_count, MAX_SAMPLE_ATOMS)
     atoms, summed as W^H W over blocks of _BLOCK_ATOMS with W = exp(i x.(q_b - q_0)).
-    W is built in place by _phasors from one tan of the half phases x.(q_b - q_0)/2
+    _phasors builds W in place from one tan of the half phases x.(q_b - q_0)/2
     (halving is exact in binary), because numpy's complex exp is not vectorised.
     The normal stream is sequential, so the positions do not depend on the
     block size.  C is Hermitian, identical vectors give exactly 1, and each other
@@ -102,8 +104,7 @@ def crosstalk_matrix(q: np.ndarray, g: MemoryGeometry, seed: int) -> np.ndarray:
     gram = np.zeros((len(q), len(q)), dtype=complex)
     for start in range(0, n, _BLOCK_ATOMS):
         positions = rng.standard_normal((min(_BLOCK_ATOMS, n - start), 3)) * g.cloud_sigma_m
-        half_phase = positions @ half_dq
-        w = _phasors(half_phase, np.empty(half_phase.shape, dtype=complex))
+        w = _phasors(positions @ half_dq)
         gram += w.conj().T @ w
     gram = np.triu(gram, 1) / n
     gram += gram.conj().T
