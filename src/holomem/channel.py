@@ -151,9 +151,9 @@ def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
     return fitkit.threshold_crossing(*visibility_decay_coeffs(p, v0), p.tau_s)
 
 
-# The measured point that `bg_coinc: calibrated` is solved against: the output
-# fidelity vs |phi+> after this storage time (the background rate itself was
-# not reported).
+# The measured point that the bundled `channel.bg_coinc` was solved against:
+# the output fidelity vs |phi+> after this storage time (the background rate
+# itself was not reported).
 CALIBRATION_TIME_S = 1e-6
 CALIBRATION_FIDELITY = 0.81
 

@@ -57,10 +57,6 @@ class NonConvergenceError(RuntimeError):
 # Scenario config
 # ---------------------------------------------------------------------------
 
-# The one non-numeric config value: `channel.bg_coinc` solved at load.
-CALIBRATED = "calibrated"
-
-
 def _float(val, path: str) -> float:
     # Numeric strings count: YAML 1.1 reads 1e-6 and 7.0e6 as strings.
     if isinstance(val, (int, str)) and not isinstance(val, bool):
@@ -92,18 +88,8 @@ def _floats(length: int | None = None):
     return kind
 
 
-def _or_calibrated(val, path: str):
-    return val if val == CALIBRATED else _float(val, path)
-
-
 def _rad_per_s(hz: float) -> float:
     return 2.0 * math.pi * hz
-
-
-def _channel_params(source, eta0, tau_s, bg_coinc) -> channel.ChannelParams:
-    if bg_coinc == CALIBRATED:
-        return channel.calibrated_channel_params(source, eta0, tau_s)
-    return channel.ChannelParams(eta0=eta0, tau_s=tau_s, bg_coinc=bg_coinc)
 
 
 def _check(rule, value, path: str) -> None:
@@ -124,19 +110,14 @@ class Field(NamedTuple):
     arg: str | None = None
     convert: Callable[[object], object] = lambda value: value
     check: tuple | None = None
-    # The config tree records the constructed value, so that "calibrated"
-    # is written as the float it resolves to.
-    resolve: bool = False
 
 
 class Section(NamedTuple):
-    """A mapping of Fields that `build` turns into one model object; the
-    objects of the earlier sections named in `needs` are passed too."""
+    """A mapping of Fields that `build` turns into one model object."""
 
     key: str
     build: Callable[..., object]
     fields: tuple[Field, ...]
-    needs: tuple[str, ...] = ()
 
 
 # `simulate --seed` overrides this field.
@@ -177,11 +158,11 @@ SCHEMA = (
         Field("ratio_hv", _float),
         Field("ratio_pm", _float),
     )),
-    Section("channel", _channel_params, (
+    Section("channel", channel.ChannelParams, (
         Field("eta0", _float),
         Field("tau_s", _float),
-        Field("bg_coinc", _or_calibrated, resolve=True),
-    ), needs=("source",)),
+        Field("bg_coinc", _float),
+    )),
 )
 
 
@@ -201,11 +182,9 @@ def _parse(rows, raw, path: str) -> tuple[dict, dict]:
         if isinstance(row, Section):
             kwargs, tree[row.key] = _parse(row.fields, raw.get(row.key), where)
             try:
-                args[row.key] = obj = row.build(**kwargs, **{n: args[n] for n in row.needs})
+                args[row.key] = row.build(**kwargs)
             except ValueError as exc:
                 raise ConfigError(where, str(exc)) from None
-            tree[row.key].update((f.key, getattr(obj, f.arg or f.key))
-                                 for f in row.fields if f.resolve)
             continue
         if row.key not in raw:
             raise ConfigError(where, "missing required field")
@@ -504,6 +483,9 @@ def _fit_result_json(res: fitkit.FitResult) -> str:
 def _cmd_fit(args) -> int:
     data = _read_fit_csv(args.data)
     if args.kind == "exp":
+        for flag, given in (("--tau-s", args.tau_s is not None), ("--float-tau", args.float_tau)):
+            if given:
+                raise ConfigError(flag, "applies only to --kind vis")
         res = fitkit.fit_exponential(data)
     else:
         if args.tau_s is None:

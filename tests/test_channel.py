@@ -61,8 +61,8 @@ class TestInputState:
             return cli.report_to_json(cli.run_simulate(cli.load_scenario(cli.default_config())))
         channel.input_state.cache_clear()
         cold = report()
-        assert channel.input_state.cache_info().hits > 0  # the run reused the state
         assert report() == cold
+        assert channel.input_state.cache_info().hits > 0  # the second run reused the state
 
 
 class TestStoreRetrieve:
@@ -194,6 +194,12 @@ class TestParams:
             channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=-0.1)
         with pytest.raises(channel.ChannelError):
             channel.ChannelParams(eta0=0.0, tau_s=2.8e-6, bg_coinc=0.0)
+
+    def test_bundled_background_meets_the_calibration_target(self):
+        # The YAML number is the exact solution for the bundled source and channel.
+        p = BUNDLED.channel
+        cal = channel.calibrated_channel_params(BUNDLED.source, p.eta0, p.tau_s)
+        assert p.bg_coinc == cal.bg_coinc
 
     def test_calibration_target_out_of_reach(self):
         # Input fidelity 0.5: no background can raise the 1 us fidelity to 0.81.

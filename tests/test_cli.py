@@ -61,13 +61,15 @@ class TestConfig:
         (lambda c: c.__setitem__("n_trials", 0), "n_trials"),
         (lambda c: c["eit"].__setitem__("rabi_hz", "fast"), "eit.rabi_hz"),
         (lambda c: c["channel"].__setitem__("eta0", 2.0), "channel"),
-        pytest.param(lambda c: c["channel"].__setitem__("eta0", 0.0), "channel",
-                     id="eta0-zero-calibrated-background"),
+        pytest.param(lambda c: c["channel"].update(eta0=0.0, bg_coinc=0.0), "channel",
+                     id="eta0-zero-background-zero"),
         (lambda c: c.__setitem__("n_mc_sets", 1), "n_mc_sets"),
         pytest.param(lambda c: c.__setitem__("storage_times_s", [1e-6, 1e-6]),
                      "storage_times_s", id="repeated-storage-time"),
         pytest.param(lambda c: c["eit"].__setitem__("gamma_gs_hz", "calibrated"),
                      "eit.gamma_gs_hz", id="calibrated-gamma-gs"),
+        pytest.param(lambda c: c["channel"].__setitem__("bg_coinc", "calibrated"),
+                     "channel.bg_coinc", id="calibrated-bg-coinc"),
     ])
     def test_validation_names_the_field(self, mutate, path):
         cfg = copy.deepcopy(cli.default_config())
@@ -174,7 +176,7 @@ def valid_configs(draw):
     cfg["channel"].update(
         eta0=draw(pos(0.01, 1.0)),
         tau_s=draw(pos(1e-7, 1e-5)),
-        bg_coinc=draw(st.just("calibrated") | pos(0.0, 0.1)),
+        bg_coinc=draw(pos(0.0, 0.1)),
     )
     return cfg
 
@@ -505,6 +507,13 @@ class TestCommands:
 
     def test_fit_visibility_requires_tau(self, capsys):
         assert cli.main(["fit", "--kind", "vis"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv,flag", [(["--tau-s", "1e-6"], "--tau-s"),
+                                           (["--float-tau"], "--float-tau")])
+    def test_fit_exp_rejects_visibility_flags(self, argv, flag, capsys):
+        assert cli.main(["fit", "--kind", "exp", *argv]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag}: applies only to --kind vis\n"
 
     FIT_ROWS = "t_s,y,sigma\n0.0,0.15,0.01\n1e-6,0.10,0.01\n2e-6,0.07,0.01\n"
 
