@@ -24,11 +24,14 @@ COMMANDS = (
     "eit --od 20 --rabi-hz 5e6 --gamma-gs-hz 1e5 --points 21",
     "capacity",
     "chsh --state input",
+    "chsh --state bell",
+    "chsh --state werner:0.8 --convention textbook",
     "crosstalk --seed 0",
     "crosstalk --seed 1",
     "crosstalk --seed 4096",
     "fit --kind exp",
     "fit --kind vis --tau-s 2.8e-6",
+    "fit --kind vis --tau-s 2.8e-6 --float-tau",
 )
 
 # A number not glued to a name (the 0 of "eta0" is text).
