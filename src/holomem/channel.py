@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitkit, qstate
-from .constants import CHSH_VISIBILITY
 
 class ChannelError(ValueError):
     """Invalid channel or source parameters."""
@@ -145,8 +144,8 @@ def visibility_decay_coeffs(p: ChannelParams, v0: float) -> tuple[float, float]:
 
 def visibility_threshold_time(p: ChannelParams, v0: float) -> float:
     """Time at which V(t) falls to the CHSH-violation threshold 1/sqrt(2)
-    (CHSH_VISIBILITY); +inf if it never does."""
-    if visibility_decay(p, v0, 0.0) <= CHSH_VISIBILITY:
+    (fitkit.CHSH_VISIBILITY); +inf if it never does."""
+    if visibility_decay(p, v0, 0.0) <= fitkit.CHSH_VISIBILITY:
         return 0.0
     return fitkit.threshold_crossing(*visibility_decay_coeffs(p, v0), p.tau_s)
 

@@ -29,7 +29,6 @@ import numpy as np
 import yaml
 
 from . import __version__, channel, eitline, fitkit, measure, qstate, registers, tomo
-from .seeding import child_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -280,8 +279,8 @@ def run_simulate(sc: Scenario) -> dict:
             sc.storage_times_s, coinc_probs.tolist(), fracs.tolist(), chsh[1:], vs_bell[1:],
             process, np.where(fracs > 0, mean_vis[1:], 0.0).tolist())],
     }
-    count_seeds = [child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
-    mc_seeds = [child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
+    count_seeds = [measure.child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
+    mc_seeds = [measure.child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
     seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}
     if sc.n_mc_sets:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
@@ -431,7 +430,7 @@ def _cmd_crosstalk(args) -> int:
     g = load_scenario(_read_config(args.config)).geometry
     seed = args.seed if args.seed is not None else 0
     q = registers.spin_wave_vectors(g)
-    overlaps = registers.crosstalk_matrix(q, g, seed=child_seed(seed, "crosstalk", 0))
+    overlaps = registers.crosstalk_matrix(q, g, seed=measure.child_seed(seed, "crosstalk", 0))
     buf = io.StringIO()
     buf.write("i,j,overlap_re,overlap_im,expected,stderr\n")
     for i, a in enumerate(q):

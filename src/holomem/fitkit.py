@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CHSH_VISIBILITY
-
 MAX_ITERATIONS = 1000
 TOL = 1e-12
 # Eigenvalues of J^T J scaled to unit diagonal at or below this fraction of
@@ -161,6 +159,10 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
     result.t_star_s = threshold_crossing(result.params["a"], result.params["b"],
                                          result.params.get("tau", tau_s))
     return result
+
+
+# A visibility above 1/sqrt(2) lets the CHSH S exceed the classical bound 2.
+CHSH_VISIBILITY = 1.0 / math.sqrt(2.0)
 
 
 def threshold_crossing(a: float, b: float, tau_s: float) -> float:

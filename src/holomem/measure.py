@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -146,6 +147,14 @@ def visibility(rho: np.ndarray, basis: str) -> float | np.ndarray:
 def mean_visibility(rho: np.ndarray) -> float | np.ndarray:
     """Average visibility over the HV, PM, and RL bases."""
     return (_visibilities(rho, ("HV", "PM", "RL")).sum(axis=-1) / 3.0)[()]
+
+
+def child_seed(master_seed: int, task_label: str, index: int) -> int:
+    """Deterministic seed of one Monte Carlo task: the first 8 bytes (big-endian) of
+    SHA-256("{master}:{label}:{index}"), so each task gets an independent,
+    reproducible stream regardless of the order in which tasks run."""
+    payload = f"{master_seed}:{task_label}:{index}".encode("utf-8")
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 def sample_count_arrays(rho: np.ndarray, projectors: np.ndarray, n_trials: int,

@@ -22,33 +22,18 @@ class StateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Single-qubit polarization kets
+# Single-qubit polarization kets, by analyzer label
 # ---------------------------------------------------------------------------
 
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_PLUS = (KET_H + KET_V) / np.sqrt(2.0)
-KET_MINUS = (KET_H - KET_V) / np.sqrt(2.0)
-KET_R = (KET_H + 1j * KET_V) / np.sqrt(2.0)
-KET_L = (KET_H - 1j * KET_V) / np.sqrt(2.0)
-
+# L's lower entry is complex(0, -1): the literal -1j has a real part of -0.0.
 KETS_BY_LABEL = {
-    "H": KET_H,
-    "V": KET_V,
-    "+": KET_PLUS,
-    "-": KET_MINUS,
-    "R": KET_R,
-    "L": KET_L,
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    "R": np.array([1.0, 1j]) / np.sqrt(2.0),
+    "L": np.array([1.0, complex(0.0, -1.0)]) / np.sqrt(2.0),
 }
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two kets or two matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise StateError("tensor arguments must both be kets or both matrices")
-    return np.kron(a, b)
 
 
 def projector(psi) -> np.ndarray:
@@ -89,14 +74,12 @@ def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL) -> np
 
 def bell_phi_plus() -> np.ndarray:
     """Density matrix of (|HH> + |VV>)/sqrt(2)."""
-    psi = (tensor(KET_H, KET_H) + tensor(KET_V, KET_V)) / np.sqrt(2.0)
-    return projector(psi)
+    return projector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 
 
 def bell_psi_plus() -> np.ndarray:
     """Density matrix of (|HV> + |VH>)/sqrt(2)."""
-    psi = (tensor(KET_H, KET_V) + tensor(KET_V, KET_H)) / np.sqrt(2.0)
-    return projector(psi)
+    return projector(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0))
 
 
 def werner(p: float) -> np.ndarray:

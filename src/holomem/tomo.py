@@ -71,8 +71,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .measure import AnalyzerSetting, count_rule_breach, joint_projectors, setting_from_labels
-from .seeding import child_seed
+from .measure import (AnalyzerSetting, child_seed, count_rule_breach, joint_projectors,
+                      setting_from_labels)
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
 SINGLE_QUBIT_LABELS_16 = ("H", "V", "+", "R")
@@ -80,7 +80,7 @@ _HV_GROUP = ("HH", "HV", "VH", "VV")
 
 
 class TomographyError(ValueError):
-    """Invalid tomography inputs (scheme, counts, or design)."""
+    """Invalid tomography inputs (scheme or counts)."""
 
 
 @dataclass(frozen=True)
@@ -143,17 +143,8 @@ def make_settings(scheme: int | str) -> TomographySettings:
     offset = 0.25 * (_PAULI_BASIS[0] - np.einsum("k,kij->ij", design[:, 0], inversion))
     for a in (pis, inversion, offset):
         a.flags.writeable = False
-    ts = TomographySettings(scheme=key, settings=settings, projectors=pis, inversion=inversion,
-                            inversion_offset=offset)
-    if design_rank(ts) != 16:
-        raise TomographyError(f"scheme {key} is not informationally complete")
-    return ts
-
-
-def design_rank(ts: TomographySettings) -> int:
-    """Rank of the projector design (Gram) matrix; 16 means complete."""
-    flat = ts.projectors.reshape(len(ts.settings), 16)
-    return int(np.linalg.matrix_rank(flat, tol=1e-10))
+    return TomographySettings(scheme=key, settings=settings, projectors=pis, inversion=inversion,
+                              inversion_offset=offset)
 
 
 def _count_sets(n, dur, ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:

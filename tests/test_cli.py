@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, registers, tomo
-from holomem.seeding import child_seed
+from holomem.measure import child_seed
 from conftest import BUNDLED
 
 TS36 = tomo.make_settings(36)

@@ -122,13 +122,6 @@ class TestFidelity:
 
 
 class TestAlgebra:
-    def test_tensor_identity(self):
-        np.testing.assert_allclose(qstate.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_tensor_dimension_mismatch(self):
-        with pytest.raises(qstate.StateError):
-            qstate.tensor(qstate.KET_H, np.eye(2))
-
     def test_purity_bounds(self, rng):
         rho = qstate.werner(0.0)
         assert np.trace(rho @ rho).real == pytest.approx(0.25, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holomem import channel, cli, measure, tomo
-from holomem.seeding import child_seed
+from holomem.measure import child_seed
 from test_measure import random_state
 
 # The decay-scan config: 41 storage times from 0 to 8 us, no Monte Carlo.
