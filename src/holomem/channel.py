@@ -61,8 +61,9 @@ class ChannelParams:
             raise ChannelError(f"lifetime must be positive, got {self.tau_s}")
         if self.bg_coinc < 0.0:
             raise ChannelError(f"background must be >= 0, got {self.bg_coinc}")
-        if self.eta0 == 0.0 and self.bg_coinc == 0.0:
-            raise ChannelError("zero coincidence probability: eta0 and background both zero")
+        if not 0.0 < self.eta0 ** 2 + self.bg_coinc <= 1.0:
+            raise ChannelError("coincidence probability eta0^2 + background must lie in (0, 1], "
+                               f"got {self.eta0 ** 2 + self.bg_coinc}")
 
 
 @functools.cache

@@ -284,7 +284,7 @@ def run_simulate(sc: Scenario) -> dict:
     seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}
     if sc.n_mc_sets:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
-    scales = np.minimum([sc.input_coinc_prob, *coinc_probs.tolist()], 1.0)
+    scales = [sc.input_coinc_prob, *coinc_probs.tolist()]
     n = measure.sample_count_arrays(true_states, ts.projectors, sc.n_trials, scales, count_seeds)
     results, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
                                                       mc_seeds)

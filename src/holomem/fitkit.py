@@ -74,12 +74,16 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _solve(model, x, names, data):
+def _solve(model, x, names, data, fixed=()):
     """Levenberg-Marquardt fit of model(x) -> (prediction, Jacobian) to data, all weighted
     by 1/sigma, damping each parameter by its J^T J diagonal.  Stops at TOL on the relative
-    cost change, on each parameter's relative step, or on each |gradient| / |J column| |data|."""
+    cost change, on each parameter's relative step, or on each |gradient| / |J column| |data|.
+    A non-finite start raises FitError naming it and the (name, value) pairs `fixed`."""
     with np.errstate(all="ignore"):  # a start or a trial step that overflows is handled
         pred, jac = model(x)
+        if not (np.isfinite(pred).all() and np.isfinite(jac).all()):
+            start = ", ".join(f"{k}={v:g}" for k, v in (*zip(names, x), *fixed))
+            raise FitError(f"the model or its Jacobian is not finite at the start {start}")
         r = pred - data
         cost, damping, gtol, converged = r @ r, 1e-3, TOL * np.linalg.norm(data), False
         for _ in range(MAX_ITERATIONS):
@@ -155,7 +159,8 @@ def fit_visibility(data, tau_s: float, float_tau: bool = False) -> FitResult:
         return fit / sigma, np.column_stack(cols)
 
     names = ("a", "b", "tau")[:3 if float_tau else 2]
-    result = _solve(model, np.array([a_guess, b_guess, tau_s][:len(names)]), names, v / sigma)
+    result = _solve(model, np.array([a_guess, b_guess, tau_s][:len(names)]), names, v / sigma,
+                    fixed=() if float_tau else (("tau", tau_s),))
     result.t_star_s = threshold_crossing(result.params["a"], result.params["b"],
                                          result.params.get("tau", tau_s))
     return result

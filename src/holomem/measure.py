@@ -7,7 +7,8 @@ Born-rule probabilities Tr(rho Pi_k) over a (K, 4, 4) projector stack (such as
 state or a (B, 4, 4) stack, as are `chsh_s` and the visibilities.  Analyzers at
 (phi1, phi2) correlate as E = Tr(rho sigma(phi1) x sigma(phi2)), with
 sigma(phi) = cos 2phi Z + sin 2phi X.  Counts travel as (B, K) integer arrays;
-only the count CSV functions know the file format.
+only the count CSV functions know the file format.  `child_seed` hashes a
+master seed and a task label into the seed of each Monte Carlo stream.
 
 Sign convention: with the textbook correlation E = cos 2(phi1 - phi2) for
 |phi+>, the quoted S combination at angles (0, 45, 22.5, 67.5) degrees

@@ -1,9 +1,10 @@
 """Two-qubit polarization-state primitives: kets, density matrices, fidelity.
 
-The computational basis is fixed throughout the package as
-HH, HV, VH, VV (qubit 1 = first tensor factor).  All states are plain
-complex numpy arrays; validation helpers enforce the physicality
-constraints at construction and after channel composition.
+The computational basis is fixed throughout the package as HH, HV, VH, VV
+(qubit 1 = first tensor factor).  KETS_BY_LABEL is the one table of the
+analyzer kets H, V, +, -, R, L.  All states are plain complex numpy arrays;
+validation helpers enforce the physicality constraints at construction and
+after channel composition.
 """
 
 from __future__ import annotations

@@ -70,6 +70,8 @@ class TestConfig:
                      "eit.gamma_gs_hz", id="calibrated-gamma-gs"),
         pytest.param(lambda c: c["channel"].__setitem__("bg_coinc", "calibrated"),
                      "channel.bg_coinc", id="calibrated-bg-coinc"),
+        pytest.param(lambda c: c["channel"].__setitem__("bg_coinc", 3.0), "channel",
+                     id="coincidence-probability-above-one"),
     ])
     def test_validation_names_the_field(self, mutate, path):
         cfg = copy.deepcopy(cli.default_config())
@@ -173,10 +175,11 @@ def valid_configs(draw):
         gamma_gs_hz=draw(pos(0.0, 2e6)),
     )
     cfg["source"].update(ratio_hv=draw(pos(8.0, 20.0)), ratio_pm=draw(pos(20.0, 40.0)))
+    eta0 = draw(pos(0.01, 1.0))
     cfg["channel"].update(
-        eta0=draw(pos(0.01, 1.0)),
+        eta0=eta0,
         tau_s=draw(pos(1e-7, 1e-5)),
-        bg_coinc=draw(pos(0.0, 0.1)),
+        bg_coinc=draw(pos(0.0, min(0.1, 1.0 - float(eta0) ** 2))),
     )
     return cfg
 
@@ -514,6 +517,14 @@ class TestCommands:
         assert cli.main(["fit", "--kind", "exp", *argv]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {flag}: applies only to --kind vis\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--float-tau"]])
+    def test_fit_visibility_names_a_non_finite_start(self, argv, capsys):
+        # exp(2t/tau) overflows over the bundled data's 8 us at tau = 10 ns.
+        assert cli.main(["fit", "--kind", "vis", "--tau-s", "1e-8", *argv]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: the model or its Jacobian is not finite at the "
+                                     "start a=7.05564, b=0, tau=1e-08\n")
 
     FIT_ROWS = "t_s,y,sigma\n0.0,0.15,0.01\n1e-6,0.10,0.01\n2e-6,0.07,0.01\n"
 
