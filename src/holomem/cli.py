@@ -286,22 +286,26 @@ def run_simulate(sc: Scenario) -> dict:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
     scales = [sc.input_coinc_prob, *coinc_probs.tolist()]
     n = measure.sample_count_arrays(true_states, ts.projectors, sc.n_trials, scales, count_seeds)
-    results, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
-                                                      mc_seeds)
+    totals = n.sum(axis=1)
+    if not totals.all():
+        raise ConfigError("n_trials", f"track counts/{labels[np.argmin(totals)]} drew no counts "
+                                      "to reconstruct")
+    points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
+                                                     mc_seeds)
     mcs = _mc_blocks(bell, stack, failed) if sc.n_mc_sets else []
-    for label, result in zip(labels, results):
-        if not result.converged:
-            raise NonConvergenceError(f"tomography failed to converge for {label}")
-    rho_hats = np.stack([result.rho_hat for result in results])
+    if not points.converged.all():
+        raise NonConvergenceError(
+            f"tomography failed to converge for {labels[np.argmin(points.converged)]}")
     stat_tracks = [{
         "mle_fidelity_vs_bell": f_bell,
         "mle_fidelity_vs_true": f_true,
-        "mle_iterations": result.iterations,
+        "mle_iterations": iterations,
         "total_counts": total,
         **({"mc": mcs[i]} if mcs else {}),
-    } for i, (total, result, f_bell, f_true) in enumerate(zip(
-        n.sum(axis=1).tolist(), results, qstate.fidelity(bell, rho_hats).tolist(),
-        qstate.fidelity(rho_hats, true_states).tolist()))]
+    } for i, (total, iterations, f_bell, f_true) in enumerate(zip(
+        totals.tolist(), points.iterations.tolist(),
+        qstate.fidelity(bell, points.rho_hat).tolist(),
+        qstate.fidelity(points.rho_hat, true_states).tolist()))]
     statistical = {"input": stat_tracks[0],
                    "storage": [{"t_s": t, **track}
                                for t, track in zip(sc.storage_times_s, stat_tracks[1:])]}
@@ -509,7 +513,8 @@ def _cmd_tomo(args) -> int:
         if target.shape != (4, 4):
             raise qstate.StateError(f"malformed JSON density matrix: dim {len(target)} is not 4")
     seed = args.seed if args.seed is not None else 0
-    (result,), stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
+    points, stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
+    result = points[0]
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),
         "fidelity_vs_target": qstate.fidelity(target, result.rho_hat),

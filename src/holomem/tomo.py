@@ -46,11 +46,14 @@ factored problem is a global one (Burer & Monteiro, Math. Program. 103, 427
 phase does not stall short of the optimum.  A set still uncertified after
 _MAX_FACTORED_STEPS steps is returned with converged=False.
 
-The recorded f never rises, and each set's iterates depend only on its own
-counts and durations (up to rounding in the batched products).
-reconstruct_with_mc therefore solves the point estimates and all their
-Monte Carlo resamples in one call, and returns the resample states as a
-stack; cli reduces them to a fidelity mean and spread.
+No accepted step raises f, and each set's iterates depend only on its own
+counts and durations (up to rounding in the batched products; a Hessian
+must pass the positive-definite test with a margin, so rounding cannot make
+the batch decide a set's phase).  The solve returns one TomographyResult of
+arrays, a row per set.  reconstruct_with_mc therefore solves the point
+estimates and all their Monte Carlo resamples in one call, and returns the
+point rows as one record and the resample states as a stack; cli reduces
+them to a fidelity mean and spread.
 
 Stopping rule, checked after every step of both phases (_MAX_ITER caps
 both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
@@ -99,18 +102,22 @@ class TomographySettings:
     inversion_offset: np.ndarray = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TomographyResult:
+    """The solve of B count sets as arrays: rho_hat (B, 4, 4), the rest (B,).
+    Indexing takes set i, with plain Python numbers, or a record of a slice of sets."""
+
     rho_hat: np.ndarray
-    log_likelihood: float
-    converged: bool
-    iterations: int
+    log_likelihood: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
     # The leading part of `iterations` taken in the interior Newton phase; the
     # rest are damped factored-Newton steps.
-    newton_steps: int
-    # Objective value (negative profiled log-likelihood) at the start and
-    # after each accepted step; nonincreasing.
-    objective_history: list[float] = field(repr=False, default_factory=list)
+    newton_steps: np.ndarray
+
+    def __getitem__(self, i) -> TomographyResult:
+        parts = (value[i] for value in vars(self).values())
+        return TomographyResult(*(p.item() if p.ndim == 0 else p for p in parts))
 
 
 # Two-qubit Pauli-product basis, B_0 = I (Tr(B_m B_n) = 4 delta_mn).
@@ -165,22 +172,24 @@ def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
     # Coincidences per second of exposure, estimated from the complete H/V
     # basis group, whose four probabilities sum to 1: at a common duration
     # d the group total is lambda0 * d.  Unequal durations within the group
-    # are averaged.
+    # are averaged.  A set with no H/V counts takes the rate at which I/4
+    # would give its total (every projector has unit trace); the MLE start
+    # needs only a positive scale.
     hv = [i for i, s in enumerate(ts.settings) if s.label in _HV_GROUP]
     if len(hv) != 4:
         raise TomographyError(
             f"scheme {ts.scheme} lacks the full H/V group needed for exposure estimation")
     hv_total = n[:, hv].sum(axis=1)
-    if np.any(hv_total <= 0):
-        raise TomographyError("no counts in the H/V group; cannot estimate exposure")
-    rate = hv_total / dur[:, hv].mean(axis=1)
+    rate = np.where(hv_total > 0, hv_total / dur[:, hv].mean(axis=1),
+                    4.0 * n.sum(axis=1) / dur.sum(axis=1))
     probs = n / (rate[:, None] * dur)
     return ts.inversion_offset + np.einsum("bk,kij->bij", probs, ts.inversion)
 
 
 def linear_inversion(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
     """Least-squares state estimate of (K,) counts and durations: Hermitian,
-    unit trace, possibly non-positive.  Exact on noiseless probabilities."""
+    unit trace, possibly non-positive.  Exact on noiseless probabilities
+    with counts in the H/V group."""
     return _linear_inversion_many(*_count_sets([n], [dur], ts), ts)[0]
 
 
@@ -242,11 +251,6 @@ class _Problem:
         """c_k for the given rows (linear in rho, so also used for steps)."""
         return self.d[rows] * np.real(rho.reshape(len(rho), 16) @ self.pis_h)
 
-    def value(self, c: np.ndarray, rows) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            logs = np.where(self.observed[rows], np.log(np.clip(c, 0.0, None)), 0.0)
-        return np.log(c.sum(axis=1)) - np.sum(self.nu[rows] * logs, axis=1)
-
     def gradient(self, c: np.ndarray, rows) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(self.observed[rows], self.nu[rows] / c, 0.0)
@@ -293,6 +297,10 @@ _MAX_ITER = 10_000
 # Converged when the smallest eigenvalue of the normalized gradient is at
 # least -_GTOL (see the module docstring).
 _GTOL = 1e-9
+# A Hessian counts as positive definite if it stays so less _HESSIAN_MARGIN times
+# its mean eigenvalue: sparse counts can leave H singular up to rounding, and
+# rounding in the batched products must not decide a set's phase.
+_HESSIAN_MARGIN = 1e-12
 # Shortest damped Newton step: a set whose step must be shorter leaves the
 # interior phase, or raises its damping in the factored phase.
 _MIN_NEWTON_STEP = 2.0 ** -8
@@ -371,7 +379,7 @@ def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.nd
             new /= np.linalg.norm(new, axis=(1, 2))[:, None, None]
             a[live[pending[ok]]] = new
             mu[live[pending[ok]]] /= _DAMPING_LOWER
-            accept(r[ok], new @ new.conj().swapaxes(1, 2), gain[ok])
+            accept(r[ok], new @ new.conj().swapaxes(1, 2))
             pending = pending[~ok]
             t *= 0.5
             if t < _MIN_NEWTON_STEP:
@@ -381,28 +389,23 @@ def _factored_newton(prob: _Problem, rows: np.ndarray, x: np.ndarray, c_x: np.nd
                 break
 
 
-def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[TomographyResult]:
+def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> TomographyResult:
     """Solve the (B, K) count sets at once; see the module docstring."""
     x = _start_states(n, dur, ts)
     prob = _Problem(n, dur, ts)
     everyone = np.arange(len(n))
     c_x = prob.rates(x, everyone)
     g_x = prob.gradient(c_x, everyone)
-    f = prob.value(c_x, everyone)
-    history = [[float(v)] for v in f * prob.n_tot]
     iterations = np.zeros(len(n), dtype=int)
     converged = _certified(g_x)
 
-    def accept(moved, z, gain):
-        """Move the sets `moved` to the states z, changing f by gain."""
+    def accept(moved, z):
+        """Move the sets `moved` to the states z."""
         if not len(moved):
             return
         x[moved] = z
         c_x[moved] = prob.rates(z, moved)
         g_x[moved] = prob.gradient(c_x[moved], moved)
-        f[moved] += gain
-        for r, value in zip(moved.tolist(), (f[moved] * prob.n_tot[moved]).tolist()):
-            history[r].append(value)
         iterations[moved] += 1
         converged[moved] = _certified(g_x[moved])
 
@@ -412,11 +415,13 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
     while newton.any():
         rows = np.flatnonzero(newton)
         h = prob.hessian(c_x[rows], rows)
+        margin = _HESSIAN_MARGIN / 15.0 * np.trace(h, axis1=1, axis2=2)
+        shifted = h - margin[:, None, None] * np.eye(15)
         try:
-            np.linalg.cholesky(h)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             # cholesky fails the whole stack; only the failing sets leave.
-            curved = _positive_definite(h)
+            curved = _positive_definite(shifted)
             newton[rows[~curved]] = False
             rows, h = rows[curved], h[curved]
         grad = np.real(g_x[rows].reshape(-1, 16) @ _COORDS.conj().T)
@@ -429,7 +434,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
             z = x[at] + t * dx[pending]
             gain = prob.change(c_x[at], t * dc[pending], at)
             ok = (gain <= 0.0) & _positive_definite(z)
-            accept(at[ok], z[ok], gain[ok])
+            accept(at[ok], z[ok])
             pending = pending[~ok]
             t *= 0.5
             if t < _MIN_NEWTON_STEP:
@@ -447,21 +452,19 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> list[To
     c = np.clip(c_x, 1e-300, None)
     mu = prob.n_tot[:, None] * c / c.sum(axis=1, keepdims=True)
     log_l = np.einsum("bk,bk->b", n, np.log(mu)) - mu.sum(axis=1)
-    return [TomographyResult(rho_hat=rho_hat[r], log_likelihood=float(log_l[r]),
-                             converged=bool(converged[r]), iterations=int(iterations[r]),
-                             newton_steps=int(newton_steps[r]),
-                             objective_history=history[r]) for r in everyone]
+    return TomographyResult(rho_hat, log_l, converged, iterations, newton_steps)
 
 
 def mle_reconstruct(n: np.ndarray, dur: np.ndarray,
                     ts: TomographySettings) -> TomographyResult:
     """Poissonian maximum-likelihood state reconstruction of (K,) counts and
-    durations from their clamped linear-inversion start (see the module docstring)."""
+    durations from their clamped linear-inversion start (see the module
+    docstring), as that one set's entries of the record."""
     return _mle_many(*_count_sets([n], [dur], ts), ts)[0]
 
 
 def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, n_sets: int,
-                        seeds: list[int]) -> tuple[list[TomographyResult], np.ndarray, np.ndarray]:
+                        seeds: list[int]) -> tuple[TomographyResult, np.ndarray, np.ndarray]:
     """Point estimates of (B, K) count and duration arrays, their Monte Carlo
     resample estimates as a (B, n_sets, 4, 4) stack, and each set's (B,) count
     of non-converged resamples, from one batched solve.
@@ -479,10 +482,9 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
          for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])
     results = _mle_many(np.concatenate([n, resampled]),
                         np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts)
-    points, draws = results[:len(n)], results[len(n):]
-    stack = np.array([r.rho_hat for r in draws]).reshape(len(n), n_sets, 4, 4)
-    failed = np.array([not r.converged for r in draws], dtype=int).reshape(len(n), n_sets)
-    return points, stack, failed.sum(axis=1)
+    draws = results[len(n):]
+    failed = (~draws.converged).reshape(len(n), n_sets).sum(axis=1)
+    return results[:len(n)], draws.rho_hat.reshape(len(n), n_sets, 4, 4), failed
 
 
 def monte_carlo_fidelity(n: np.ndarray, dur: np.ndarray, ts: TomographySettings,

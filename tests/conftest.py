@@ -7,6 +7,15 @@ from holomem import cli, measure, tomo
 # geometry that tests read.
 BUNDLED = cli.load_scenario(cli.default_config())
 
+# Two sparse 36-setting count sets, in setting order.  The first has 3 counts
+# in the H/V group, so some of its Poisson resamples draw none there.  Each
+# leaves directions no observed setting constrains: their start Hessians are
+# singular up to rounding.
+SPARSE_PAIR = ((0, 0, 0, 0, 1, 0, 0, 3, 2, 0, 1, 0, 1, 0, 1, 0, 0, 0,
+                1, 0, 0, 1, 0, 1, 0, 2, 1, 0, 0, 1, 4, 1, 3, 1, 1, 0),
+               (0, 0, 2, 2, 0, 1, 0, 2, 0, 0, 0, 1, 2, 1, 1, 0, 2, 1,
+                1, 0, 0, 2, 1, 0, 1, 2, 3, 0, 1, 4, 0, 0, 1, 4, 2, 0))
+
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Ginibre-distributed random physical two-qubit state."""

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, registers, tomo
 from holomem.measure import child_seed
-from conftest import BUNDLED
+from conftest import BUNDLED, SPARSE_PAIR
 
 TS36 = tomo.make_settings(36)
 
@@ -355,6 +355,37 @@ class TestSimulateReport:
         assert len(json.loads(out.read_text())["statistical"]["storage"]) == 41
 
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sparse_counts_simulate(self, seed, monkeypatch):
+        # At 300 trials some Monte Carlo resamples draw no counts in the H/V
+        # group, which once ended the run; their start takes the scale from
+        # all their counts.
+        solved = []
+        solve = tomo._mle_many
+
+        def spy(n, dur, ts):
+            solved.append(n)
+            return solve(n, dur, ts)
+
+        monkeypatch.setattr(tomo, "_mle_many", spy)
+        cfg = {**cli.default_config(), "n_trials": 300, "master_seed": seed}
+        report = cli.run_simulate(cli.load_scenario(cfg))
+        (n,) = solved
+        hv = [s.label in ("HH", "HV", "VH", "VV") for s in TS36.settings]
+        assert (n[:, hv].sum(axis=1) == 0).any() and (n.sum(axis=1) > 0).all()
+        for track in [report["statistical"]["input"], *report["statistical"]["storage"]]:
+            assert 0.0 <= track["mle_fidelity_vs_bell"] <= 1.0
+            assert 0.0 <= track["mc"]["mean"] <= 1.0
+
+    def test_track_without_counts_names_n_trials(self, tmp_path, capsys):
+        cfg = {**cli.default_config(), "n_trials": 1, "input_coinc_prob": 1e-6}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: n_trials: track counts/input drew no counts "
+                                           "to reconstruct\n")
+
+
 class TestStackedPaths:
     def test_simulate_calls_no_scalar_born_rule_and_stacked_fidelities(self, monkeypatch):
         calls = Counter()
@@ -583,6 +614,16 @@ class TestCommands:
         assert payload["mc"] == {"mean": float(mc.mean()), "std": float(mc.std(ddof=1)),
                                  "n_sets": 4, "nonconverged": int(failed)}
 
+    def test_tomo_sparse_counts_with_resamples(self, tmp_path, capsys):
+        # 3 counts in the H/V group: some of the 100 resamples draw none there.
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_csv(np.array(SPARSE_PAIR[0], dtype=float)))
+        argv = ["tomo", "--counts", str(path), "--mc-sets", "100", "--seed", "0"]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] and payload["mc"]["n_sets"] == 100
+        assert 0.0 <= payload["mc"]["mean"] <= 1.0
+
     def test_tomo_target_from_json(self, tmp_path, capsys):
         target = qstate.werner(0.8)
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
@@ -597,10 +638,10 @@ class TestCommands:
             assert cli.main(argv) == cli.EXIT_OK
             payloads[name] = json.loads(capsys.readouterr().out)
         payload, bell = payloads[str(target_path)], payloads["bell"]
-        (point,), stack, _ = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), TS36,
-                                                      6, [4])
+        points, stack, _ = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), TS36,
+                                                    6, [4])
         fid = qstate.fidelity(target, stack[0])
-        assert payload["fidelity_vs_target"] == qstate.fidelity(target, point.rho_hat)
+        assert payload["fidelity_vs_target"] == qstate.fidelity(target, points[0].rho_hat)
         assert (payload["mc"]["mean"], payload["mc"]["std"]) == (fid.mean(), fid.std(ddof=1))
         assert payload["rho_hat"] == bell["rho_hat"]
         for key in ("mean", "std"):

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from holomem import channel, cli, measure, qstate, tomo
 from holomem.measure import child_seed
-from conftest import BUNDLED, exact_counts, random_density_matrix
+from conftest import BUNDLED, SPARSE_PAIR, exact_counts, random_density_matrix
 
 
 TS36 = tomo.make_settings(36)
@@ -29,6 +29,53 @@ def stacked(count_sets):
 def mle_reconstruct_many(count_sets, ts):
     """One batched solve of several (n, dur) count sets."""
     return tomo._mle_many(*stacked(count_sets), ts)
+
+
+# Rates recomputed at an accepted iterate round, so a step that lowered f can
+# read as a rise of f / n_tot of up to about 1.2e-17 (the largest seen over the
+# sweep, low-count and bundled sets).  ROUNDING allows for that and for no
+# more than about an ulp of f / n_tot.
+ROUNDING = 1e-16
+
+
+class ObjectiveRecord:
+    """solve(*args) and, for each count set of the one batched solve it runs,
+    the rates c of the start and of each accepted iterate.  _mle_many hands
+    them to _Problem.gradient: for all sets at the start, then for the sets
+    of each accepted step."""
+
+    def __init__(self, solve, *args):
+        self.prob, self.rates = None, []
+        gradient = tomo._Problem.gradient
+
+        def spy(prob, c, rows):
+            c = c.copy()
+            if self.prob is None:
+                np.testing.assert_array_equal(rows, np.arange(len(c)))
+                self.prob, self.rates = prob, [[row] for row in c]
+            else:
+                assert prob is self.prob
+                for r, row in zip(rows.tolist(), c):
+                    self.rates[r].append(row)
+            return gradient(prob, c, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tomo._Problem, "gradient", spy)
+            self.result = solve(*args)
+
+    def changes(self, i):
+        """f / n_tot after minus before each accepted step of set i, by the
+        solver's cancellation-free change."""
+        c = np.array(self.rates[i])
+        return self.prob.change(c[:-1], np.diff(c, axis=0), np.full(len(c) - 1, i))
+
+    def net_change(self, i):
+        """f / n_tot at the last recorded iterate of set i minus at its start."""
+        c = np.array(self.rates[i])[[0, -1]]
+        return self.prob.change(c[:1], np.diff(c, axis=0), [i])[0]
+
+    def nonincreasing(self, i):
+        return bool(np.all(self.changes(i) <= ROUNDING))
 
 
 class TestSchemes:
@@ -126,10 +173,9 @@ class TestMle:
     def test_objective_history_monotone(self, rng):
         rho = random_density_matrix(rng)
         counts = measure.sample_counts(rho, list(TS36.settings), 5000, 0.5, seed=7)
-        result = tomo.mle_reconstruct(counts, np.ones(36), TS36)
-        h = result.objective_history
-        assert len(h) >= 2
-        assert all(a >= b - 1e-8 for a, b in zip(h, h[1:]))
+        record = ObjectiveRecord(tomo.mle_reconstruct, counts, np.ones(36), TS36)
+        assert len(record.rates[0]) >= 2
+        assert record.nonincreasing(0)
 
     def test_accuracy_improves_with_counts(self):
         # Estimation error should shrink roughly as 1/sqrt(N); check the
@@ -154,8 +200,9 @@ class TestMle:
     def test_log_likelihood_matches_per_set_formula(self, rng):
         count_sets = [(measure.sample_counts(random_density_matrix(rng), list(TS36.settings),
                                              3000, 0.5, seed=s), np.ones(36)) for s in range(4)]
-        for (counts, _), result in zip(count_sets, mle_reconstruct_many(count_sets, TS36)):
-            n = counts.astype(float)
+        results = mle_reconstruct_many(count_sets, TS36)
+        for i, (counts, _) in enumerate(count_sets):
+            n, result = counts.astype(float), results[i]
             c = np.clip(measure.born_probabilities(result.rho_hat, TS36.projectors), 1e-300, None)
             mu = n.sum() * c / c.sum()
             expected = float(np.dot(n, np.log(mu)) - mu.sum())
@@ -176,9 +223,9 @@ class TestMle:
             counts = rng.poisson(30 * np.clip(probs, 0.0, None))
             if sum(k for s, k in zip(ts.settings, counts) if s.label in HV_GROUP):
                 count_sets.append((counts, np.ones(len(counts))))
-        for result in mle_reconstruct_many(count_sets, ts):
-            assert result.converged and result.iterations <= 2000
-            qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
+        results = mle_reconstruct_many(count_sets, ts)
+        assert results.converged.all() and results.iterations.max() <= 2000
+        qstate.check_density_matrix(results.rho_hat, atol=qstate.CHANNEL_ATOL)
 
     def test_only_the_iteration_cap_flags_nonconvergence(self, monkeypatch):
         counts = measure.sample_counts(qstate.werner(0.85), list(TS36.settings),
@@ -212,8 +259,7 @@ class TestMonteCarlo:
         mc = tomo.monte_carlo_fidelity(counts, np.ones(36), TS36, bell, n_sets=12, seed=21)
         sets = resampled_sets(counts, np.ones(36), seed=21, n_sets=12)
         alone = [qstate.fidelity(tomo.mle_reconstruct(*s, TS36).rho_hat, bell) for s in sets]
-        odd = [qstate.fidelity(r.rho_hat, bell)
-               for r in mle_reconstruct_many(sets[1::2][::-1], TS36)][::-1]
+        odd = qstate.fidelity(mle_reconstruct_many(sets[1::2][::-1], TS36).rho_hat, bell)[::-1]
         np.testing.assert_allclose(alone, mc, rtol=0, atol=1e-6)
         np.testing.assert_allclose(odd, mc[1::2], rtol=0, atol=1e-6)
 
@@ -311,7 +357,9 @@ class TestReferenceAgreement:
 
     def check_sets(self, count_sets, ts, target):
         fidelities = []
-        for (n, dur), result in zip(count_sets, mle_reconstruct_many(count_sets, ts)):
+        results = mle_reconstruct_many(count_sets, ts)
+        for i, (n, dur) in enumerate(count_sets):
+            result = results[i]
             assert result.converged
             ref = reference_mle(n, dur, ts)
             f_ref = profiled_objective(ref, n, dur, ts)
@@ -438,9 +486,9 @@ class TestKernels:
             patch.setattr(tomo, "_certified",
                           lambda g: np.linalg.eigvalsh(g)[:, 0] >= -tomo._GTOL)
             slow = tomo._mle_many(n, dur, TS36)
-        assert [r.iterations for r in fast] == [r.iterations for r in slow]
-        assert all(r.converged for r in fast) and all(r.converged for r in slow)
-        assert max(np.abs(a.rho_hat - b.rho_hat).max() for a, b in zip(fast, slow)) <= 1e-12
+        np.testing.assert_array_equal(fast.iterations, slow.iterations)
+        assert fast.converged.all() and slow.converged.all()
+        assert np.abs(fast.rho_hat - slow.rho_hat).max() <= 1e-12
 
 
 class TestNewton:
@@ -451,9 +499,9 @@ class TestNewton:
     def test_interior_optima_finish_in_newton(self, monkeypatch, overrides):
         n, dur = bundled_mle_inputs(monkeypatch, {**cli.default_config(), **overrides})
         results = tomo._mle_many(n, dur, TS36)
-        assert len(results) == (303 if not overrides else 42)
-        assert all(r.converged and r.iterations <= 10 for r in results)
-        assert all(r.newton_steps == r.iterations for r in results)
+        assert results.converged.shape == (303 if not overrides else 42,)
+        assert results.converged.all() and results.iterations.max() <= 10
+        np.testing.assert_array_equal(results.newton_steps, results.iterations)
 
     @pytest.mark.parametrize("ts,unequal", [(TS36, False), (TS16, False), (TS16, True)],
                              ids=["36", "16", "16-unequal"])
@@ -461,16 +509,15 @@ class TestNewton:
     def test_boundary_optima_reach_factored_phase(self, ts, unequal, rank):
         durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
         count_sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
-        results = mle_reconstruct_many(count_sets, ts)
+        record = ObjectiveRecord(mle_reconstruct_many, count_sets, ts)
+        results = record.result
         # Noise can put the optimum of a rank-deficient state inside.
-        on_boundary = [np.linalg.eigvalsh(r.rho_hat)[0] < 1e-6 for r in results]
-        assert sum(on_boundary) >= 0.75 * len(results)
-        for result, boundary in zip(results, on_boundary):
-            assert result.converged
-            assert result.newton_steps < result.iterations or not boundary
-            qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
-            h = result.objective_history
-            assert all(a >= b for a, b in zip(h[:result.newton_steps + 1], h[1:]))
+        on_boundary = np.linalg.eigvalsh(results.rho_hat)[:, 0] < 1e-6
+        assert on_boundary.sum() >= 0.75 * len(count_sets)
+        assert results.converged.all()
+        assert np.all((results.newton_steps < results.iterations) | ~on_boundary)
+        qstate.check_density_matrix(results.rho_hat, atol=qstate.CHANNEL_ATOL)
+        assert all(record.nonincreasing(i) for i in range(len(count_sets)))
 
     def test_indefinite_hessian_leaves_only_its_set(self):
         # Four observed settings and unequal durations: at the start the
@@ -491,12 +538,25 @@ class TestNewton:
             np.linalg.cholesky(hessian)
         within = mle_reconstruct_many(batch, TS36)
         assert within[2].converged and within[2].newton_steps == 0 < within[2].iterations
-        for counts, result in zip(sets, within[:2] + within[3:]):
-            alone = tomo.mle_reconstruct(*counts, TS36)
+        for counts, i in zip(sets, (0, 1, 3, 4)):
+            result, alone = within[i], tomo.mle_reconstruct(*counts, TS36)
             assert result.converged and result.newton_steps == result.iterations > 0
             assert (result.iterations, result.newton_steps) == (alone.iterations,
                                                                 alone.newton_steps)
             assert np.abs(result.rho_hat - alone.rho_hat).max() <= 1e-12
+
+
+class TestSparseCounts:
+    def test_pair_solves_as_each_set_alone(self):
+        # Whether a singular-up-to-rounding Hessian passed the positive-definite
+        # test once depended on the batch: this pair raised a singular-matrix error.
+        n = np.array(SPARSE_PAIR, dtype=float)
+        points, _, _ = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, 0, [0, 0])
+        for i, iterations in enumerate((4, 5)):
+            alone = tomo.mle_reconstruct(n[i], np.ones(36), TS36)
+            assert points[i].converged and alone.converged
+            assert points[i].iterations == alone.iterations == iterations
+            assert np.abs(points[i].rho_hat - alone.rho_hat).max() <= 1e-12
 
 
 class TestReconstructWithMc:
@@ -515,7 +575,8 @@ class TestReconstructWithMc:
         n = np.array(count_sets)
         points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, sc.n_mc_sets,
                                                          seeds)
-        assert len(points) == len(failed) == 3 and stack.shape == (3, sc.n_mc_sets, 4, 4)
+        assert points.rho_hat.shape == (3, 4, 4) and failed.shape == (3,)
+        assert stack.shape == (3, sc.n_mc_sets, 4, 4)
         for counts, seed, states, k in zip(count_sets, seeds, stack, failed):
             _, (alone,), (k_alone,) = tomo.reconstruct_with_mc(
                 counts[None], np.ones((1, 36)), TS36, sc.n_mc_sets, [seed])
@@ -531,9 +592,9 @@ class TestReconstructWithMc:
         n = np.array(count_sets)
         points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS16, 0, [1, 2])
         assert stack.shape == (2, 0, 4, 4) and failed.tolist() == [0, 0]
-        for a, b in zip(points, mle_reconstruct_many([(c, np.ones(16)) for c in n], TS16)):
-            assert a.iterations == b.iterations
-            np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
+        plain = mle_reconstruct_many([(c, np.ones(16)) for c in n], TS16)
+        np.testing.assert_array_equal(points.iterations, plain.iterations)
+        np.testing.assert_array_equal(points.rho_hat, plain.rho_hat)
 
     def test_each_track_is_one_draw_from_its_seed(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -627,14 +688,9 @@ def bundled_solves():
 @pytest.fixture(scope="module")
 def left_interior(bundled_solves):
     """(n, dur) of the bundled count sets the interior Newton phase left uncertified."""
-    picked = [(n[i], dur[i]) for n, dur, results in bundled_solves
-              for i, r in enumerate(results) if r.newton_steps < r.iterations]
-    return np.array([p[0] for p in picked]), np.array([p[1] for p in picked])
-
-
-def nonincreasing(result):
-    h = result.objective_history
-    return all(a >= b for a, b in zip(h, h[1:]))
+    n, dur, left = (np.concatenate(parts) for parts in zip(
+        *((n, dur, r.newton_steps < r.iterations) for n, dur, r in bundled_solves)))
+    return n[left], dur[left]
 
 
 def test_bundled_runs_finish_in_few_factored_steps(bundled_solves):
@@ -642,9 +698,9 @@ def test_bundled_runs_finish_in_few_factored_steps(bundled_solves):
     # 6,060 sets leave the interior phase and take 3-8 factored steps; the
     # bound admits twice that.
     assert len(bundled_solves) == 20 and all(len(n) == 303 for n, _, _ in bundled_solves)
-    results = [r for _, _, solve in bundled_solves for r in solve]
-    assert all(r.converged for r in results)
-    assert max(r.iterations - r.newton_steps for r in results) <= 16
+    converged = np.concatenate([r.converged for _, _, r in bundled_solves])
+    factored = np.concatenate([r.iterations - r.newton_steps for _, _, r in bundled_solves])
+    assert converged.all() and factored.max() <= 16
 
 
 # Cells (scheme, rank, counts scale, unequal durations) of sweep_sets in
@@ -691,9 +747,10 @@ class TestFactoredNewton:
     def test_boundary_sets_certified_without_apg(self, left_interior):
         n, dur = left_interior
         assert len(n) >= 10
-        for result in tomo._mle_many(n, dur, TS36):
-            assert result.converged and result.newton_steps < result.iterations
-            assert nonincreasing(result)
+        record = ObjectiveRecord(tomo._mle_many, n, dur, TS36)
+        results = record.result
+        assert results.converged.all() and np.all(results.newton_steps < results.iterations)
+        assert all(record.nonincreasing(i) for i in range(len(n)))
 
     def test_agrees_with_reference_mle(self, left_interior):
         n, dur = left_interior
@@ -702,16 +759,17 @@ class TestFactoredNewton:
     def test_step_cap_flags_nonconvergence(self, monkeypatch, tmp_path, left_interior):
         n, dur = left_interior
         monkeypatch.setattr(tomo, "_MAX_FACTORED_STEPS", 1)
-        for result in tomo._mle_many(n, dur, TS36):
-            assert not result.converged and result.newton_steps < result.iterations
-            assert nonincreasing(result)
+        record = ObjectiveRecord(tomo._mle_many, n, dur, TS36)
+        results = record.result
+        assert not results.converged.any() and np.all(results.newton_steps < results.iterations)
+        assert all(record.nonincreasing(i) for i in range(len(n)))
         seeds = list(range(len(n)))
         points, _, failed = tomo.reconstruct_with_mc(n, dur, TS36, 20, seeds)
-        assert not any(r.converged for r in points)
+        assert not points.converged.any()
         for row, drow, seed, k in zip(n, dur, seeds, failed):
             draws = np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (20, 36))
             alone = tomo._mle_many(draws.astype(float), np.repeat(drow[None], 20, axis=0), TS36)
-            assert k == sum(not r.converged for r in alone)
+            assert k == (~alone.converged).sum()
         assert failed.sum() > 0
         path = tmp_path / "counts.csv"
         path.write_text(measure.counts_to_csv(TS36.settings, n[0], dur[0]))
@@ -722,8 +780,10 @@ class TestFactoredNewton:
     @pytest.mark.parametrize("cell", SWEEP_CELLS, ids=lambda c: "-".join(map(str, c)))
     def test_regression_sweep_certified(self, cell):
         ts, n, dur = sweep_sets(*cell)
-        for result, row, drow in zip(tomo._mle_many(n, dur, ts), n, dur):
-            assert result.converged and nonincreasing(result)
+        record = ObjectiveRecord(tomo._mle_many, n, dur, ts)
+        for i, (row, drow) in enumerate(zip(n, dur)):
+            result = record.result[i]
+            assert result.converged and record.nonincreasing(i)
             g = normalized_gradient(result.rho_hat, row, drow, ts)
             assert np.linalg.eigvalsh(g)[0] >= -tomo._GTOL
             assert result.iterations - result.newton_steps <= 25
@@ -733,8 +793,9 @@ class TestFactoredNewton:
     def test_low_count_sets_certified_without_apg(self, ts, unequal, rank):
         durations = unequal_durations(ts) if unequal else [1.0] * len(ts.settings)
         sets = low_count_sets(ts, rank, durations, np.random.default_rng(rank))
-        for result in mle_reconstruct_many(sets, ts):
-            assert result.converged and nonincreasing(result)
+        record = ObjectiveRecord(mle_reconstruct_many, sets, ts)
+        assert record.result.converged.all()
+        assert all(record.nonincreasing(i) for i in range(len(sets)))
 
 
 def random_count_set(rng, ts, exposure, pure):
@@ -754,10 +815,10 @@ PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=T
        pure=st.booleans(), ts=st.sampled_from([TS36, TS16]))
 def test_mle_is_physical_and_no_worse_than_its_start(seed, exposure, pure, ts):
     _, counts = random_count_set(np.random.default_rng(seed), ts, exposure, pure)
-    result = tomo.mle_reconstruct(*counts, ts)
-    assert result.converged
-    qstate.check_density_matrix(result.rho_hat, atol=qstate.CHANNEL_ATOL)
-    assert result.objective_history[-1] <= result.objective_history[0]
+    record = ObjectiveRecord(tomo.mle_reconstruct, *counts, ts)
+    assert record.net_change(0) <= ROUNDING
+    assert record.result.converged
+    qstate.check_density_matrix(record.result.rho_hat, atol=qstate.CHANNEL_ATOL)
 
 
 @PROPERTY
