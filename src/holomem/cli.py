@@ -1,13 +1,14 @@
 """Scenario runner and command-line interface.
 
-Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz)
-to rule out microsecond/second and Hz/rad-s mixups.  One table, SCHEMA,
-defines the format: load_scenario walks it to build the model objects and
-the validated config tree (config units), and rejects missing or unknown
-keys and bad values with their field path.  Reports are JSON with
+Configs are YAML with explicit unit suffixes in key names (_s, _m, _hz,
+_deg) to rule out microsecond/second and Hz/rad-s mixups; the models take
+these units as they are.  One table, SCHEMA, defines the format: it lists
+the top-level keys, and each Section's model dataclass lists its own.
+load_scenario walks it to build the model objects, and rejects missing or
+unknown keys and bad values with their field path.  Reports are JSON with
 top-level keys config, analytic, statistical, seeds, version, provenance.
-The report embeds the validated tree itself, so regenerating a report from
-its own embedded config is byte-identical.
+The report embeds the validated tree, read back from the model objects, so
+regenerating a report from its own embedded config is byte-identical.
 
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
@@ -15,13 +16,12 @@ Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import make_dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -79,16 +79,16 @@ def _int(val, path: str) -> int:
 
 def _floats(length: int | None = None):
     """Kind of a nonempty list of floats, of the given length if any."""
-    def kind(val, path: str) -> list[float]:
+    def kind(val, path: str) -> tuple[float, ...]:
         if not isinstance(val, (list, tuple)) or not val or length not in (None, len(val)):
             want = "a nonempty list" if length is None else f"{length} values"
             raise ConfigError(path, f"expected {want}, got {val!r}")
-        return [_float(v, f"{path}[{i}]") for i, v in enumerate(val)]
+        return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(val))
     return kind
 
 
-def _rad_per_s(hz: float) -> float:
-    return 2.0 * math.pi * hz
+KINDS = {"float": _float, "int": _int, "tuple[float, float, float]": _floats(3),
+         "tuple[float, ...]": _floats()}
 
 
 def _check(rule, value, path: str) -> None:
@@ -100,14 +100,11 @@ MC_SETS_RULE = (lambda n: n == 0 or n >= 2, "must be 0 or at least 2")
 
 
 class Field(NamedTuple):
-    """One required config key.  `kind` maps the raw value to config units,
-    `convert` maps that to the constructor argument `arg` (the key if None),
-    and `check` is an optional (predicate, message) on the config value."""
+    """One required config key.  `kind` maps the raw value to the value the
+    model takes, and `check` is an optional (predicate, message) on it."""
 
     key: str
     kind: Callable[[object, str], object]
-    arg: str | None = None
-    convert: Callable[[object], object] = lambda value: value
     check: tuple | None = None
 
 
@@ -119,55 +116,38 @@ class Section(NamedTuple):
     fields: tuple[Field, ...]
 
 
+def _section(key: str, model: type) -> Section:
+    """The Section of a model dataclass: a Field of the kind its annotation names per field."""
+    return Section(key, model, tuple(Field(f.name, KINDS[f.type])
+                                     for f in dataclasses.fields(model)))
+
+
 # `simulate --seed` overrides this field.
 SEED = Field("master_seed", _int)
 
 # The `eit` command lays its flags over the bundled scenario's mapping of this section.
-EIT = Section("eit", eitline.EitParams, (
-    Field("od", _float),
-    Field("rabi_hz", _float, arg="rabi_rad_per_s", convert=_rad_per_s),
-    Field("gamma_e_hz", _float, arg="gamma_e_rad_per_s", convert=_rad_per_s),
-    Field("gamma_gs_hz", _float, arg="gamma_gs_rad_per_s", convert=_rad_per_s),
-))
+EIT = _section("eit", eitline.EitParams)
 
 # The config format.  Fields at the top level are Scenario arguments, and
 # each Section builds the Scenario argument of its key.
 SCHEMA = (
     SEED,
-    Field("tomo_scheme", _int, convert=str,
-          check=(lambda n: n in (16, 36), "must be 16 or 36")),
-    Field("n_trials", _int, check=(lambda n: n > 0, "must be positive")),
-    Field("n_mc_sets", _int, check=MC_SETS_RULE),
-    Field("input_coinc_prob", _float, check=(lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
-    Field("storage_times_s", _floats(), convert=tuple,
-          check=(lambda ts: min(ts) >= 0.0 and len(set(ts)) == len(ts),
-                 "storage times must be >= 0 and pairwise distinct")),
-    Section("geometry", registers.MemoryGeometry, (
-        Field("wavelength_m", _float),
-        Field("control_waist_m", _float),
-        Field("signal_waist_m", _float),
-        Field("cloud_length_m", _float),
-        Field("cloud_sigma_m", _floats(3), convert=tuple),
-        Field("atom_count", _int),
-        Field("signal_angles_deg", _floats(), arg="signal_angles_rad",
-              convert=lambda degrees: tuple(map(math.radians, degrees))),
-    )),
+    Field("tomo_scheme", _int, (lambda n: n in (16, 36), "must be 16 or 36")),
+    Field("n_trials", _int, (lambda n: n > 0, "must be positive")),
+    Field("n_mc_sets", _int, MC_SETS_RULE),
+    Field("input_coinc_prob", _float, (lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]")),
+    Field("storage_times_s", _floats(),
+          (lambda ts: min(ts) >= 0.0 and len(set(ts)) == len(ts),
+           "storage times must be >= 0 and pairwise distinct")),
+    _section("geometry", registers.MemoryGeometry),
     EIT,
-    Section("source", channel.SourceParams, (
-        Field("ratio_hv", _float),
-        Field("ratio_pm", _float),
-    )),
-    Section("channel", channel.ChannelParams, (
-        Field("eta0", _float),
-        Field("tau_s", _float),
-        Field("bg_coinc", _float),
-    )),
+    _section("source", channel.SourceParams),
+    _section("channel", channel.ChannelParams),
 )
 
 
-def _parse(rows, raw, path: str) -> tuple[dict, dict]:
-    """Validate one mapping against its rows.  Returns the constructor
-    arguments and the config tree (config units)."""
+def _parse(rows, raw, path: str) -> dict:
+    """Validate one mapping against its rows into constructor arguments."""
     if not isinstance(raw, dict):
         raise ConfigError(path or "<root>", "missing or not a mapping")
     prefix = f"{path}." if path else ""
@@ -175,11 +155,11 @@ def _parse(rows, raw, path: str) -> tuple[dict, dict]:
     for key in raw:
         if key not in known:
             raise ConfigError(f"{prefix}{key}", "unknown field")
-    args, tree = {}, {}
+    args = {}
     for row in rows:
         where = prefix + row.key
         if isinstance(row, Section):
-            kwargs, tree[row.key] = _parse(row.fields, raw.get(row.key), where)
+            kwargs = _parse(row.fields, raw.get(row.key), where)
             try:
                 args[row.key] = row.build(**kwargs)
             except ValueError as exc:
@@ -187,22 +167,20 @@ def _parse(rows, raw, path: str) -> tuple[dict, dict]:
             continue
         if row.key not in raw:
             raise ConfigError(where, "missing required field")
-        value = row.kind(raw[row.key], where)
-        _check(row.check, value, where)
-        args[row.arg or row.key], tree[row.key] = row.convert(value), value
-    return args, tree
+        args[row.key] = row.kind(raw[row.key], where)
+        _check(row.check, args[row.key], where)
+    return args
 
 
-# One attribute per top-level SCHEMA row, and the validated config tree.
-Scenario = make_dataclass("Scenario", [row.key for row in SCHEMA] + ["config"], frozen=True,
-                          namespace={"__module__": __name__})
+# One attribute per top-level SCHEMA row.
+Scenario = dataclasses.make_dataclass("Scenario", [row.key for row in SCHEMA], frozen=True,
+                                      namespace={"__module__": __name__})
 
 
 def load_scenario(cfg: dict) -> Scenario:
     """Validate a parsed config tree into a Scenario by walking SCHEMA.  A
     missing, unknown or invalid key raises ConfigError with its path."""
-    args, tree = _parse(SCHEMA, cfg, "")
-    return Scenario(config=tree, **args)
+    return Scenario(**_parse(SCHEMA, cfg, ""))
 
 
 class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -224,9 +202,20 @@ def default_config() -> dict:
     return yaml.load(text, Loader=_YamlLoader)
 
 
+def _tree(rows, obj) -> dict:
+    tree = {}
+    for row in rows:
+        value = getattr(obj, row.key)
+        if isinstance(row, Section):
+            value = _tree(row.fields, value)
+        tree[row.key] = list(value) if isinstance(value, tuple) else value
+    return tree
+
+
 def scenario_to_config(sc: Scenario) -> dict:
-    """The validated config tree of a Scenario (a parse fixed point)."""
-    return copy.deepcopy(sc.config)
+    """The validated config tree of a Scenario (a parse fixed point), in new
+    lists and mappings."""
+    return _tree(SCHEMA, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +387,17 @@ def _cmd_capacity(args) -> int:
 def _cmd_eit(args) -> int:
     flags = {"od": args.od, "rabi_hz": args.rabi_hz, "gamma_gs_hz": args.gamma_gs_hz}
     raw = {**default_config()[EIT.key], **{k: v for k, v in flags.items() if v is not None}}
-    p = _parse((EIT,), {EIT.key: raw}, "")[0][EIT.key]
-    span = _rad_per_s(args.span_hz)
-    if not 0.0 < span < math.inf:
-        raise ConfigError("--span-hz", f"must be positive and finite in rad/s, got {args.span_hz}")
+    p = _parse((EIT,), {EIT.key: raw}, "")[EIT.key]
+    span = args.span_hz
+    if not (0.0 < span and math.isfinite(span * span)):
+        raise ConfigError("--span-hz", f"must be positive with a finite square, got {span}")
     if args.points <= 0:
         raise ConfigError("--points", f"must be a positive integer, got {args.points}")
     deltas = np.linspace(-span, span, args.points)
     buf = io.StringIO()
     buf.write("delta_hz,transmission,phase_rad\n")
     for d, t, ph in zip(deltas, eitline.transmission(p, deltas), eitline.phase(p, deltas)):
-        buf.write(f"{d / (2.0 * math.pi):.6e},{t:.9e},{ph:.9e}\n")
+        buf.write(f"{d:.6e},{t:.9e},{ph:.9e}\n")
     _write_out(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -23,56 +23,56 @@ class EitError(ValueError):
 
 @dataclass(frozen=True)
 class EitParams:
-    """Line-shape parameters: optical depth, control Rabi frequency, excited
-    decay, and ground-state decoherence (all rates in rad/s)."""
+    """Line-shape parameters: optical depth, control Rabi frequency, excited decay,
+    and ground-state decoherence, all rates in Hz: the shape depends only on their ratios."""
 
     od: float
-    rabi_rad_per_s: float
-    gamma_e_rad_per_s: float
-    gamma_gs_rad_per_s: float
+    rabi_hz: float
+    gamma_e_hz: float
+    gamma_gs_hz: float
 
     def __post_init__(self):
         if not 0.0 < self.od < math.inf:
             raise EitError(f"optical depth must be finite and positive, got {self.od}")
-        if not 0.0 <= self.rabi_rad_per_s < math.inf:
-            raise EitError(f"Rabi frequency must be finite and >= 0, got {self.rabi_rad_per_s}")
-        if not 0.0 < self.gamma_e_rad_per_s < math.inf:
+        if not 0.0 <= self.rabi_hz < math.inf:
+            raise EitError(f"Rabi frequency must be finite and >= 0, got {self.rabi_hz}")
+        if not 0.0 < self.gamma_e_hz < math.inf:
             raise EitError("excited-state decay must be finite and positive, "
-                           f"got {self.gamma_e_rad_per_s}")
-        if not 0.0 <= self.gamma_gs_rad_per_s < math.inf:
+                           f"got {self.gamma_e_hz}")
+        if not 0.0 <= self.gamma_gs_hz < math.inf:
             raise EitError("ground-state decoherence must be finite and >= 0, "
-                           f"got {self.gamma_gs_rad_per_s}")
+                           f"got {self.gamma_gs_hz}")
 
 
 def _response(p: EitParams, delta):
     """Complex normalized response; its real part is the absorption per OD."""
     delta = np.asarray(delta, dtype=float)
-    num = p.gamma_gs_rad_per_s - 1j * delta
-    den = (p.gamma_e_rad_per_s / 2.0 - 1j * delta) * num + p.rabi_rad_per_s ** 2 / 4.0
-    return (p.gamma_e_rad_per_s / 2.0) * num / den
+    num = p.gamma_gs_hz - 1j * delta
+    den = (p.gamma_e_hz / 2.0 - 1j * delta) * num + p.rabi_hz ** 2 / 4.0
+    return (p.gamma_e_hz / 2.0) * num / den
 
 
-def transmission(p: EitParams, delta_rad_per_s):
+def transmission(p: EitParams, delta_hz):
     """Intensity transmission T(delta) in [0, 1]; delta is the two-photon
-    detuning in rad/s.  Accepts scalars or arrays."""
-    t = np.exp(-p.od * np.real(_response(p, delta_rad_per_s)))
-    return float(t) if np.isscalar(delta_rad_per_s) else t
+    detuning in Hz.  Accepts scalars or arrays."""
+    t = np.exp(-p.od * np.real(_response(p, delta_hz)))
+    return float(t) if np.isscalar(delta_hz) else t
 
 
-def phase(p: EitParams, delta_rad_per_s):
+def phase(p: EitParams, delta_hz):
     """Phase of the transmitted field, radians."""
-    ph = -0.5 * p.od * np.imag(_response(p, delta_rad_per_s))
-    return float(ph) if np.isscalar(delta_rad_per_s) else ph
+    ph = -0.5 * p.od * np.imag(_response(p, delta_hz))
+    return float(ph) if np.isscalar(delta_hz) else ph
 
 
 def group_delay(p: EitParams) -> float:
-    """Slow-light delay d(phase)/d(delta) at delta = 0, in closed form:
-    OD (Gamma/4)(A - gamma_gs B) / A^2 with A - gamma_gs B = Omega^2/4 -
-    gamma_gs^2.  Ideal limit (gamma_gs = 0): OD * Gamma / Omega^2."""
-    if p.rabi_rad_per_s <= 0.0:
+    """Slow-light delay (s), d(phase)/d(2 pi delta) at delta = 0, in closed form:
+    OD (Gamma/4)(A - gamma_gs B) / (2 pi A^2) with A - gamma_gs B = Omega^2/4 -
+    gamma_gs^2.  Ideal limit (gamma_gs = 0): OD * Gamma / (2 pi Omega^2)."""
+    if p.rabi_hz <= 0.0:
         raise EitError("group delay requires a nonzero control Rabi frequency")
-    g, k, w = p.gamma_gs_rad_per_s, p.gamma_e_rad_per_s / 2.0, p.rabi_rad_per_s ** 2 / 4.0
-    return p.od * k / 2.0 * (w - g * g) / (k * g + w) ** 2
+    g, k, w = p.gamma_gs_hz, p.gamma_e_hz / 2.0, p.rabi_hz ** 2 / 4.0
+    return p.od * k / 2.0 * (w - g * g) / (k * g + w) ** 2 / (2.0 * math.pi)
 
 
 def transparency_fwhm(p: EitParams) -> float:
@@ -83,10 +83,10 @@ def transparency_fwhm(p: EitParams) -> float:
     T at the positive root of N.  T falls to T_h = (T(0) + floor)/2 at the least
     root u of c((A-u)^2 + B^2 u) = (Gamma/2)(gA + (B-g)u), where c = -ln(T_h)/OD.
     """
-    if p.rabi_rad_per_s <= 0.0:
+    if p.rabi_hz <= 0.0:
         raise EitError("no transparency window without a control field")
-    g, k = p.gamma_gs_rad_per_s, p.gamma_e_rad_per_s / 2.0  # k = Gamma/2 = B - g
-    a, b = k * g + p.rabi_rad_per_s ** 2 / 4.0, k + g
+    g, k = p.gamma_gs_hz, p.gamma_e_hz / 2.0  # k = Gamma/2 = B - g
+    a, b = k * g + p.rabi_hz ** 2 / 4.0, k + g
     n0 = k * a ** 2 - g * a * (b ** 2 - 2.0 * a)
     if not n0 > 0.0:
         raise EitError("no absorption dips flank the line centre: no transparency window")
@@ -102,4 +102,4 @@ def transparency_fwhm(p: EitParams) -> float:
     if not (q0 > 0.0 and disc >= 0.0):
         raise EitError("absorption dips too shallow to resolve a half-maximum crossing")
     u_half = 2.0 * q0 / (-q1 + math.sqrt(disc))
-    return 2.0 * math.sqrt(u_half) / (2.0 * math.pi)
+    return 2.0 * math.sqrt(u_half)

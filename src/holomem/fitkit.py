@@ -58,11 +58,10 @@ def _prepare(data, min_points: int):
     return t, y, sigma
 
 
-def _covariance(jac: np.ndarray) -> np.ndarray:
+def _covariance(jtj: np.ndarray) -> np.ndarray:
     """(J^T J)^-1 over the eigenvalues of the unit-diagonal scaled J^T J above SINGULAR
     times the largest.  A parameter with a component along a dropped eigenvector is not
     identified: its row and column are inf."""
-    jtj = jac.T @ jac
     scale = np.sqrt(np.diag(jtj))
     scale[scale == 0.0] = 1.0
     lam, vec = np.linalg.eigh(jtj / np.outer(scale, scale))
@@ -81,26 +80,28 @@ def _solve(model, x, names, data, fixed=()):
     A non-finite start raises FitError naming it and the (name, value) pairs `fixed`."""
     with np.errstate(all="ignore"):  # a start or a trial step that overflows is handled
         pred, jac = model(x)
-        if not (np.isfinite(pred).all() and np.isfinite(jac).all()):
+        jtj = jac.T @ jac
+        if not (np.isfinite(pred).all() and np.isfinite(jtj).all()):
             start = ", ".join(f"{k}={v:g}" for k, v in (*zip(names, x), *fixed))
-            raise FitError(f"the model or its Jacobian is not finite at the start {start}")
+            raise FitError(f"the model or J^T J of its Jacobian is not finite at the start {start}")
         r = pred - data
         cost, damping, gtol, converged = r @ r, 1e-3, TOL * np.linalg.norm(data), False
         for _ in range(MAX_ITERATIONS):
-            grad, jtj = jac.T @ r, jac.T @ jac
+            grad = jac.T @ r
             if converged or np.all(np.abs(grad) <= gtol * np.sqrt(np.diag(jtj))):
                 converged = True
                 break
             step = -np.linalg.pinv(jtj + damping * np.diag(np.diag(jtj))) @ grad
             pred, jac_new = model(x + step)
+            jtj_new = jac_new.T @ jac_new
             cost_new = (pred - data) @ (pred - data)
-            accept = bool(cost_new < cost and np.all(np.isfinite(jac_new)))
+            accept = bool(cost_new < cost and np.all(np.isfinite(jtj_new)))
             converged = bool(np.all(np.abs(step) <= TOL * np.abs(x))
                              or accept and cost - cost_new <= TOL * cost)
             if accept:
-                x, r, jac, cost = x + step, pred - data, jac_new, cost_new
+                x, r, jac, jtj, cost = x + step, pred - data, jac_new, jtj_new, cost_new
             damping *= 0.1 if accept else 10.0
-    cov = _covariance(jac)
+    cov = _covariance(jtj)
     params = dict(zip(names, (float(v) for v in x)))
     sigmas = dict(zip(names, (float(math.sqrt(c)) for c in np.diag(cov))))
     return FitResult(params=params, uncertainties=sigmas, covariance=cov,

@@ -30,7 +30,7 @@ class MemoryGeometry:
     """Beam and atomic-cloud geometry of the multimode memory.
 
     Waists are beam diameters (as quoted for the experiment), lengths in
-    meters, angles in radians.  cloud_sigma_m is the per-axis rms size
+    meters, angles in degrees.  cloud_sigma_m is the per-axis rms size
     (x, y, z) of the Gaussian atom cloud.
     """
 
@@ -40,7 +40,7 @@ class MemoryGeometry:
     cloud_length_m: float
     cloud_sigma_m: tuple[float, float, float]
     atom_count: int
-    signal_angles_rad: tuple[float, ...]
+    signal_angles_deg: tuple[float, ...]
 
     def __post_init__(self):
         lengths = {
@@ -56,7 +56,7 @@ class MemoryGeometry:
             raise GeometryError(f"cloud_sigma_m must be 3 positive values, got {self.cloud_sigma_m}")
         if self.atom_count < 1:
             raise GeometryError(f"atom_count must be >= 1, got {self.atom_count}")
-        if len(set(self.signal_angles_rad)) != len(self.signal_angles_rad):
+        if len(set(self.signal_angles_deg)) != len(self.signal_angles_deg):
             raise GeometryError("signal angles must be pairwise distinct")
 
 
@@ -64,7 +64,7 @@ def spin_wave_vectors(g: MemoryGeometry) -> np.ndarray:
     """(M, 3) spin-wave wave vectors q_i = k_signal,i - k_control, one per angle."""
     k = 2.0 * math.pi / g.wavelength_m
     return np.array([(k * math.sin(theta), 0.0, k * (math.cos(theta) - 1.0))
-                     for theta in g.signal_angles_rad]).reshape(-1, 3)
+                     for theta in map(math.radians, g.signal_angles_deg)]).reshape(-1, 3)
 
 
 def _phasors(half_phase: np.ndarray) -> np.ndarray:

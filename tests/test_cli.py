@@ -40,7 +40,7 @@ def small_config() -> dict:
 class TestConfig:
     def test_default_config_loads(self):
         sc = cli.load_scenario(cli.default_config())
-        assert sc.tomo_scheme == "36"
+        assert sc.tomo_scheme == 36
         assert sc.channel.eta0 == 0.15
         assert sc.channel.tau_s == pytest.approx(2.8e-6)
         assert 0.0 < sc.channel.bg_coinc < 0.01
@@ -79,11 +79,6 @@ class TestConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.load_scenario(cfg)
         assert path in str(err.value)
-
-    def test_units_converted(self):
-        sc = cli.load_scenario(cli.default_config())
-        assert sc.eit.rabi_rad_per_s == pytest.approx(2 * math.pi * 7e6)
-        assert max(sc.geometry.signal_angles_rad) == pytest.approx(math.radians(1.0))
 
 
 def schema_fields():
@@ -164,8 +159,8 @@ def valid_configs(draw):
         wavelength_m=draw(pos(1e-7, 2e-6)),
         cloud_sigma_m=draw(st.lists(pos(1e-5, 1e-2), min_size=3, max_size=3)),
         atom_count=draw(st.integers(1, 10 ** 9)),
-        # Three decimals, as written by hand; most do not survive a
-        # radians -> degrees round trip.
+        # Three decimals, as written by hand; most did not survive the
+        # radians -> degrees round trip the config tree once took.
         signal_angles_deg=draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=5,
                                         unique=True).map(lambda ms: [m / 1000 for m in ms])),
     )
@@ -184,6 +179,17 @@ def valid_configs(draw):
     return cfg
 
 
+def scramble(tree: dict) -> None:
+    """Edit every list and mapping of a config tree in place."""
+    for value in tree.values():
+        if isinstance(value, dict):
+            scramble(value)
+        elif isinstance(value, list):
+            value[0] = "edited"
+            value.append(0.0)
+    tree["edited"] = True
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(valid_configs())
 def test_config_round_trip_is_fixed_point(cfg):
@@ -191,6 +197,11 @@ def test_config_round_trip_is_fixed_point(cfg):
     tree = cli.scenario_to_config(sc)
     assert cli.load_scenario(tree) == sc
     assert cli.scenario_to_config(cli.load_scenario(tree)) == tree
+    # The tree shares no list or mapping with the Scenario.
+    kept = copy.deepcopy(tree)
+    scramble(tree)
+    assert cli.scenario_to_config(sc) == kept
+    assert cli.load_scenario(kept) == sc
 
 
 # One valid alternative value per config key, each of which must change an
@@ -304,8 +315,15 @@ class TestSimulateReport:
         again = cli.run_simulate(sc)
         assert cli.report_to_json(again) == cli.report_to_json(report)
 
+    def test_editing_a_report_config_leaves_the_next_report(self):
+        sc = cli.load_scenario(small_config())
+        first = cli.run_simulate(sc)
+        text = cli.report_to_json(first)
+        scramble(first["config"])
+        assert cli.report_to_json(cli.run_simulate(sc)) == text
+
     def test_report_regenerates_with_unrepresentable_angles(self):
-        # 1.753 degrees comes back as 1.7530000000000001 from radians.
+        # 1.753 degrees once came back as 1.7530000000000001 from radians.
         cfg = small_config()
         cfg.update(n_mc_sets=0, storage_times_s=[0.0])
         cfg["geometry"]["signal_angles_deg"] = [0.279, 1.43, 1.753, 1.777]
@@ -436,7 +454,7 @@ class TestCommands:
                                       ["--span-hz", "nan"], ["--span-hz", "inf"],
                                       ["--span-hz", "0"], ["--span-hz=-1e6"],
                                       ["--rabi-hz", "inf"], ["--gamma-gs-hz", "inf"],
-                                      ["--span-hz", "1e308"]])
+                                      ["--span-hz", "1e308"], ["--span-hz", "1e200"]])
     def test_eit_rejects_nan_and_bad_span(self, argv, capsys):
         assert cli.main(["eit", "--points", "5", *argv]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
@@ -475,11 +493,31 @@ class TestCommands:
     def test_eit_infinite_od_fails_outside_the_warning_filter(self):
         # A fresh interpreter with default warning filters: before the check,
         # this printed nan phases with a RuntimeWarning and exited 0.
-        proc = subprocess.run([sys.executable, "-c", _EIT_INF_OD, TestImports.SRC],
+        proc = subprocess.run([sys.executable, "-c", _MAIN, TestImports.SRC,
+                               "eit", "--od", "inf", "--points", "3"],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout
         assert proc.stdout == ""
         assert proc.stderr == "error: eit.od: expected a finite number, got inf\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eit", "--span-hz", "1e200", "--points", "3"],
+         "--span-hz: must be positive with a finite square, got 1e+200"),
+        (["fit", "--kind", "vis", "--tau-s", "3e-8"],
+         "the model or J^T J of its Jacobian is not finite at the start "
+         "a=7.05564, b=2.76526e-230, tau=3e-08"),
+        (["fit", "--kind", "vis", "--tau-s", "3e-8", "--float-tau"],
+         "the model or J^T J of its Jacobian is not finite at the start "
+         "a=7.05564, b=2.76526e-230, tau=3e-08"),
+    ], ids=["eit-span", "fit-vis", "fit-vis-float-tau"])
+    def test_overflowing_input_fails_outside_the_warning_filter(self, argv, message):
+        # Each exited 0 with a RuntimeWarning, or failed inside numpy's eigh:
+        # a span whose square overflows, and a fit start with a finite
+        # Jacobian (largest entry 6.4e230) whose J^T J overflows.
+        proc = subprocess.run([sys.executable, "-c", _MAIN, TestImports.SRC, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+        assert proc.stderr == f"error: {message}\n"
 
     def test_eit_follows_the_bundled_scenario(self, monkeypatch, capsys):
         def run(*argv):
@@ -554,8 +592,8 @@ class TestCommands:
         # exp(2t/tau) overflows over the bundled data's 8 us at tau = 10 ns.
         assert cli.main(["fit", "--kind", "vis", "--tau-s", "1e-8", *argv]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
-        assert out == "" and err == ("error: the model or its Jacobian is not finite at the "
-                                     "start a=7.05564, b=0, tau=1e-08\n")
+        assert out == "" and err == ("error: the model or J^T J of its Jacobian is not finite "
+                                     "at the start a=7.05564, b=0, tau=1e-08\n")
 
     FIT_ROWS = "t_s,y,sigma\n0.0,0.15,0.01\n1e-6,0.10,0.01\n2e-6,0.07,0.01\n"
 
@@ -852,11 +890,13 @@ codes = {out: cli.main([*argv, "--out", out]) for out, argv in json.loads(sys.ar
 print(json.dumps({"codes": codes, "tried": tried}))
 """
 
-_EIT_INF_OD = """
+# Run `holomem` in a fresh interpreter with default warning filters.  argv[1]
+# is the directory holding the holomem package; the rest is the command line.
+_MAIN = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import holomem.cli as cli
-sys.exit(cli.main(["eit", "--od", "inf", "--points", "3"]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -870,6 +910,7 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"codes": dict.fromkeys(argv, cli.EXIT_OK),
                                            "tried": []}, proc.stderr
+        assert proc.stderr == ""
 
     def test_simulate_never_imports_scipy(self, tmp_path):
         self._run_without_scipy(tmp_path, {"report.json": ["simulate"]})

@@ -99,6 +99,17 @@ class TestExponentialFit:
             # inf where J^T J cannot identify a parameter, never 0 or nan.
             assert all(s > 0.0 for s in res.uncertainties.values())
 
+    def test_trial_step_whose_jtj_overflows_is_refused(self):
+        # Slope 1 above x = 0.5 and 1e200 below it, where J^T J overflows: the
+        # first trial step lands at x = 0.001 with a lower cost.
+        def model(x):
+            return x.copy(), np.array([[1.0 if x[0] > 0.5 else 1e200]])
+
+        res = fitkit._solve(model, np.array([1.0]), ("x",), np.zeros(1))
+        assert res.converged is True
+        assert res.params["x"] == pytest.approx(0.5)
+        assert res.uncertainties == {"x": 1.0}
+
     @pytest.mark.parametrize("tau,offset", [(3e-7, 1e-4), (1e-7, 3e-5)])
     def test_steep_decay_reaches_the_scipy_optimum(self, tau, offset):
         # The flat tail must not pull the start into the tau -> 0 valley.
@@ -163,6 +174,15 @@ class TestVisibilityFit:
         # exp(2t/tau) = 1, so only a + b is identified: the flat level 0.85.
         assert 1.0 / (res.params["a"] + res.params["b"]) == pytest.approx(0.85, rel=1e-6)
         assert res.uncertainties == {"a": math.inf, "b": math.inf}
+
+    @pytest.mark.parametrize("float_tau", [False, True], ids=["fixed-tau", "float-tau"])
+    def test_start_whose_jtj_overflows_is_named(self, float_tau):
+        # At tau 30 ns the bundled data start at b = 2.8e-230, where the Jacobian
+        # is finite (largest entry 6.4e230) and J^T J is not.
+        with pytest.raises(fitkit.FitError, match=r"^the model or J\^T J of its Jacobian is not "
+                                                  r"finite at the start a=7\.05564, "
+                                                  r"b=2\.76526e-230, tau=3e-08$"):
+            fitkit.fit_visibility(cli._read_fit_csv(None), tau_s=3e-8, float_tau=float_tau)
 
     def test_never_crossing_gives_inf(self):
         pts = [(t, 0.95, 0.01) for t in np.linspace(0, 3e-6, 6)]

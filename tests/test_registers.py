@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holomem import registers
+from conftest import BUNDLED
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
 
@@ -18,7 +19,7 @@ def geometry(**overrides) -> registers.MemoryGeometry:
         cloud_length_m=2e-3,
         cloud_sigma_m=(0.5e-3, 0.5e-3, 1e-3),
         atom_count=int(1e8),
-        signal_angles_rad=tuple(math.radians(d) for d in (-1.0, -0.6, 0.6, 1.0)),
+        signal_angles_deg=(-1.0, -0.6, 0.6, 1.0),
     )
     base.update(overrides)
     return registers.MemoryGeometry(**base)
@@ -26,18 +27,26 @@ def geometry(**overrides) -> registers.MemoryGeometry:
 
 class TestSpinWaveVectors:
     def test_copropagating_gives_zero(self):
-        g = geometry(signal_angles_rad=(0.0,))
+        g = geometry(signal_angles_deg=(0.0,))
         q = registers.spin_wave_vectors(g)
         assert q.shape == (1, 3) and q.dtype == float
         assert np.linalg.norm(q[0]) == 0.0
 
     def test_one_degree_magnitude(self):
-        g = geometry(signal_angles_rad=(math.radians(-1.0),))
+        g = geometry(signal_angles_deg=(-1.0,))
         (q,) = registers.spin_wave_vectors(g)
         # Independent trig oracle: |q| = 2 (2 pi / lambda) sin(theta/2).
         expected = 2.0 * (2.0 * math.pi / 795e-9) * math.sin(math.radians(1.0) / 2.0)
         assert np.linalg.norm(q) == pytest.approx(expected, rel=1e-12)
         assert np.linalg.norm(q) == pytest.approx(1.379e5, rel=1e-3)
+
+    def test_units_converted(self):
+        # The config states angles in degrees: its 1 degree gives the |q| oracle.
+        g = BUNDLED.geometry
+        assert max(g.signal_angles_deg) == 1.0
+        q = registers.spin_wave_vectors(g)[np.argmax(g.signal_angles_deg)]
+        expected = 2.0 * (2.0 * math.pi / g.wavelength_m) * math.sin(math.radians(1.0) / 2.0)
+        assert np.linalg.norm(q) == pytest.approx(expected, rel=1e-12)
 
     def test_four_modes_distinct_and_symmetric(self):
         q = registers.spin_wave_vectors(geometry())
@@ -219,7 +228,7 @@ class TestValidation:
 
     def test_rejects_duplicate_angles(self):
         with pytest.raises(registers.GeometryError):
-            geometry(signal_angles_rad=(0.1, 0.1))
+            geometry(signal_angles_deg=(0.6, 0.6))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(registers.GeometryError):
