@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import io
@@ -197,9 +198,17 @@ class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep)
 
 
-def default_config() -> dict:
+@functools.cache
+def _bundled_config() -> dict:
+    """The parse of the bundled scenario, read once per process.  Never handed out."""
     text = resources.files("holomem.data").joinpath("default_scenario.yaml").read_text()
     return yaml.load(text, Loader=_YamlLoader)
+
+
+def default_config() -> dict:
+    """The bundled scenario's config tree, as a new copy of the one parse per
+    process, so that a caller's edits reach no later call."""
+    return copy.deepcopy(_bundled_config())
 
 
 def _tree(rows, obj) -> dict:
@@ -225,6 +234,11 @@ def scenario_to_config(sc: Scenario) -> dict:
 def run_simulate(sc: Scenario) -> dict:
     """Reproduce the full experiment: input state, storage channel, and both
     analytic and count-statistics (tomography) tracks per storage time."""
+    # A line with no transparency window is a config fault: name it before any work.
+    try:
+        eit_fwhm, eit_delay = eitline.transparency_fwhm(sc.eit), eitline.group_delay(sc.eit)
+    except eitline.EitError as exc:
+        raise ConfigError(EIT.key, str(exc)) from None
     rho_in = channel.input_state(sc.source)
     bell = qstate.bell_phi_plus()
     ts = tomo.make_settings(sc.tomo_scheme)
@@ -245,8 +259,8 @@ def run_simulate(sc: Scenario) -> dict:
     analytic = {
         "mode_capacity": registers.mode_capacity(sc.geometry),
         "max_register_crosstalk_expected": max_xtalk,
-        "eit_fwhm_hz": eitline.transparency_fwhm(sc.eit),
-        "eit_group_delay_s": eitline.group_delay(sc.eit),
+        "eit_fwhm_hz": eit_fwhm,
+        "eit_group_delay_s": eit_delay,
         "input": {
             "chsh_s": chsh[0],
             "fidelity_vs_bell": vs_bell[0],
@@ -279,8 +293,12 @@ def run_simulate(sc: Scenario) -> dict:
     if not totals.all():
         raise ConfigError("n_trials", f"track counts/{labels[np.argmin(totals)]} drew no counts "
                                       "to reconstruct")
-    points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
-                                                     mc_seeds)
+    try:
+        points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
+                                                         mc_seeds)
+    except tomo.EmptyResampleError as exc:
+        raise ConfigError("n_trials", f"track mc/{labels[exc.set_index]} drew no counts in "
+                                      f"resample {exc.resample}") from None
     mcs = _mc_blocks(bell, stack, failed) if sc.n_mc_sets else []
     if not points.converged.all():
         raise NonConvergenceError(
@@ -391,14 +409,16 @@ def _cmd_eit(args) -> int:
     span = args.span_hz
     if not (0.0 < span and math.isfinite(span * span)):
         raise ConfigError("--span-hz", f"must be positive with a finite square, got {span}")
+    # The line shape's cross term delta * gamma_gs must fit a float too.
+    if not math.isfinite(span * p.gamma_gs_hz):
+        raise ConfigError("--span-hz", f"times eit.gamma_gs_hz {p.gamma_gs_hz} must be finite, "
+                                       f"got {span}")
     if args.points <= 0:
         raise ConfigError("--points", f"must be a positive integer, got {args.points}")
     deltas = np.linspace(-span, span, args.points)
-    buf = io.StringIO()
-    buf.write("delta_hz,transmission,phase_rad\n")
-    for d, t, ph in zip(deltas, eitline.transmission(p, deltas), eitline.phase(p, deltas)):
-        buf.write(f"{d:.6e},{t:.9e},{ph:.9e}\n")
-    _write_out(buf.getvalue(), args.out)
+    rows = map("{:.6e},{:.9e},{:.9e}\n".format, deltas.tolist(),
+               eitline.transmission(p, deltas).tolist(), eitline.phase(p, deltas).tolist())
+    _write_out("delta_hz,transmission,phase_rad\n" + "".join(rows), args.out)
     return EXIT_OK
 
 

@@ -42,6 +42,10 @@ class EitParams:
         if not 0.0 <= self.gamma_gs_hz < math.inf:
             raise EitError("ground-state decoherence must be finite and >= 0, "
                            f"got {self.gamma_gs_hz}")
+        # The line shape's term (Gamma/2) gamma_gs must fit a float.
+        if not math.isfinite(self.gamma_e_hz * self.gamma_gs_hz):
+            raise EitError("excited-state decay times ground-state decoherence must be "
+                           f"finite, got {self.gamma_e_hz} * {self.gamma_gs_hz}")
 
 
 def _response(p: EitParams, delta):

@@ -86,6 +86,14 @@ class TomographyError(ValueError):
     """Invalid tomography inputs (scheme or counts)."""
 
 
+class EmptyResampleError(TomographyError):
+    """A Monte Carlo resample of a count set with counts drew none."""
+
+    def __init__(self, set_index: int, resample: int):
+        super().__init__(f"Monte Carlo resample {resample} of count set {set_index} drew no counts")
+        self.set_index, self.resample = set_index, resample
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     """A measurement scheme: its name and ordered analyzer settings.
@@ -480,6 +488,10 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     resampled = np.array(
         [np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (n_sets, len(row)))
          for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])
+    # A set with no counts fails the solve by its own message; only its resamples are empty.
+    empty = np.flatnonzero(~resampled.any(axis=1))
+    if len(empty) and n.any(axis=1).all():
+        raise EmptyResampleError(*map(int, divmod(empty[0], n_sets)))
     results = _mle_many(np.concatenate([n, resampled]),
                         np.concatenate([dur, np.repeat(dur, n_sets, axis=0)]), ts)
     draws = results[len(n):]

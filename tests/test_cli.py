@@ -52,6 +52,38 @@ class TestConfig:
         assert sc == sc2
         assert cli.scenario_to_config(sc2) == cfg2
 
+    def test_default_config_hands_out_equal_copies(self):
+        first, second = cli.default_config(), cli.default_config()
+        assert first == second and first is not second
+        assert first["eit"] is not second["eit"]
+        assert first["geometry"]["signal_angles_deg"] is not second["geometry"]["signal_angles_deg"]
+
+    def test_edits_to_a_default_config_reach_no_later_call(self):
+        bundled = cli.default_config()
+        scenario = cli.load_scenario(cli.default_config())
+        edited = cli.default_config()
+        edited["geometry"]["signal_angles_deg"][0] = 45.0
+        edited["geometry"]["signal_angles_deg"].append(50.0)
+        edited["eit"]["od"] = 99.0
+        del edited["eit"]["rabi_hz"]
+        assert cli.default_config() == bundled
+        assert cli.load_scenario(cli.default_config()) == scenario
+
+    def test_bundled_scenario_is_parsed_once(self, monkeypatch):
+        parses = []
+        load = yaml.load
+
+        def spy(*args, **kwargs):
+            parses.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        cli._bundled_config.cache_clear()
+        trees = [cli.default_config() for _ in range(3)]
+        assert len(parses) == 1
+        assert trees[0] == trees[1] == trees[2] == yaml.safe_load(
+            (Path(cli.__file__).parent / "data" / "default_scenario.yaml").read_text())
+
     @pytest.mark.parametrize("mutate,path", [
         (lambda c: c.pop("geometry"), "geometry"),
         (lambda c: c["geometry"].pop("wavelength_m"), "geometry.wavelength_m"),
@@ -403,6 +435,33 @@ class TestSimulateReport:
         assert capsys.readouterr().err == ("error: n_trials: track counts/input drew no counts "
                                            "to reconstruct\n")
 
+    @pytest.mark.parametrize("rabi_hz,message", [
+        (0.0, "no transparency window without a control field"),
+        (10.0, "no absorption dips flank the line centre: no transparency window"),
+    ])
+    def test_line_without_window_names_eit(self, rabi_hz, message, tmp_path, monkeypatch,
+                                           capsys):
+        def sample(*args):
+            raise AssertionError("counts sampled before the config was checked")
+
+        monkeypatch.setattr(measure, "sample_count_arrays", sample)
+        cfg = cli.default_config()
+        cfg["eit"]["rabi_hz"] = rabi_hz
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: eit: {message}\n"
+
+    def test_empty_resample_names_its_track(self, tmp_path, capsys):
+        # The 1 us track holds 5 counts, so each of its 100 resamples is empty
+        # with probability e^-5; at this seed resample 28 is.
+        cfg = {**cli.default_config(), "n_trials": 100, "master_seed": 7}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: n_trials: track mc/t=1e-06 drew no counts in "
+                                           "resample 28\n")
+
 
 class TestStackedPaths:
     def test_simulate_calls_no_scalar_born_rule_and_stacked_fidelities(self, monkeypatch):
@@ -509,15 +568,33 @@ class TestCommands:
         (["fit", "--kind", "vis", "--tau-s", "3e-8", "--float-tau"],
          "the model or J^T J of its Jacobian is not finite at the start "
          "a=7.05564, b=2.76526e-230, tau=3e-08"),
-    ], ids=["eit-span", "fit-vis", "fit-vis-float-tau"])
+        (["eit", "--span-hz", "1e150", "--gamma-gs-hz", "1e200", "--points", "3"],
+         "--span-hz: times eit.gamma_gs_hz 1e+200 must be finite, got 1e+150"),
+        (["eit", "--gamma-gs-hz", "1e303", "--points", "3"],
+         "eit: excited-state decay times ground-state decoherence must be finite, "
+         f"got {BUNDLED.eit.gamma_e_hz} * 1e+303"),
+    ], ids=["eit-span", "fit-vis", "fit-vis-float-tau", "eit-span-cross-term",
+            "eit-rate-product"])
     def test_overflowing_input_fails_outside_the_warning_filter(self, argv, message):
         # Each exited 0 with a RuntimeWarning, or failed inside numpy's eigh:
-        # a span whose square overflows, and a fit start with a finite
-        # Jacobian (largest entry 6.4e230) whose J^T J overflows.
+        # a span whose square overflows, a fit start with a finite Jacobian
+        # (largest entry 6.4e230) whose J^T J overflows, and line-shape cross
+        # terms (delta gamma_gs, Gamma gamma_gs) that overflow though each
+        # value and the span's square fit.
         proc = subprocess.run([sys.executable, "-c", _MAIN, TestImports.SRC, *argv],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
         assert proc.stderr == f"error: {message}\n"
+
+    def test_eit_without_control_field_prints_the_absorption_line(self, capsys):
+        # No transparency window, but the spectrum itself is well defined: at
+        # line centre T = exp(-OD).
+        assert cli.main(["eit", "--rabi-hz", "0", "--points", "3"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        rows = [[float(x) for x in row.split(",")] for row in out.splitlines()[1:]]
+        assert err == "" and len(rows) == 3
+        assert rows[1][1] == pytest.approx(math.exp(-BUNDLED.eit.od), rel=1e-9)
+        assert rows[0][1] == rows[2][1] > rows[1][1]
 
     def test_eit_follows_the_bundled_scenario(self, monkeypatch, capsys):
         def run(*argv):
@@ -661,6 +738,16 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] and payload["mc"]["n_sets"] == 100
         assert 0.0 <= payload["mc"]["mean"] <= 1.0
+
+    def test_tomo_names_an_empty_resample(self, tmp_path, capsys):
+        # One count in all: each resample is empty with probability e^-1.
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_csv(np.eye(36)[0]))
+        argv = ["tomo", "--counts", str(path), "--mc-sets", "10", "--seed", "0"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: Monte Carlo resample \d of count set 0 drew no counts\n", err)
 
     def test_tomo_target_from_json(self, tmp_path, capsys):
         target = qstate.werner(0.8)

@@ -220,6 +220,11 @@ class TestValidation:
         with pytest.raises(eitline.EitError):
             eitline.transparency_fwhm(params(rabi_hz=0.0))
 
+    def test_rejects_rates_whose_product_overflows(self):
+        # Each rate is finite, but the line shape's (Gamma/2) gamma_gs is not.
+        with pytest.raises(eitline.EitError, match="decay times ground-state decoherence"):
+            params(gamma_gs_hz=1e303)
+
     @pytest.mark.parametrize("field", ["od", "rabi_hz", "gamma_e_hz", "gamma_gs_hz"])
     def test_rejects_nan(self, field):
         with pytest.raises(eitline.EitError):

@@ -619,6 +619,28 @@ class TestReconstructWithMc:
         assert np.all(np.abs(seen.mean(axis=0) - lam) <= 4.0 * mean_se)
         assert np.all(np.abs(seen.var(axis=0, ddof=1) - lam) <= 4.0 * var_se)
 
+    def test_empty_resample_is_named_before_the_solve(self, monkeypatch):
+        # Set 1 holds one count, so each of its resamples is empty with
+        # probability e^-1; set 0 holds 1,800 and has no empty resample.
+        n = np.stack([np.full(36, 50.0), np.eye(36)[3]])
+        draws = np.random.default_rng(child_seed(8, "mc-tomo", 0)).poisson(n[1], (20, 36))
+        first_empty = int(np.flatnonzero(draws.sum(axis=1) == 0)[0])
+
+        def solve(*args):
+            raise AssertionError("solved despite an empty resample")
+
+        monkeypatch.setattr(tomo, "_mle_many", solve)
+        with pytest.raises(tomo.EmptyResampleError) as err:
+            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, 20, [7, 8])
+        assert (err.value.set_index, err.value.resample) == (1, first_empty)
+        assert str(err.value) == (f"Monte Carlo resample {first_empty} of count set 1 "
+                                  "drew no counts")
+
+    def test_set_without_counts_keeps_its_own_message(self):
+        n = np.stack([np.full(36, 50.0), np.zeros(36)])
+        with pytest.raises(tomo.TomographyError, match="^total counts must be positive$"):
+            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, 5, [7, 8])
+
     @pytest.mark.parametrize("n_sets,seeds", [(1, [0]), (-2, [0]), (3, [0, 1])])
     def test_rejects_bad_arguments(self, n_sets, seeds):
         counts = exact_counts(qstate.werner(0.5), TS36, 1000)
