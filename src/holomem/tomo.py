@@ -480,7 +480,9 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     The resamples of set j are one (n_sets, K) draw counts_k ~ Poisson(n_k)
     from a generator seeded with child seed 0 of seeds[j] (one seed per set),
     so they do not depend on the other sets; resample i of set j is [j, i].
-    n_sets is 0 (an empty stack) or at least 2.
+    n_sets is 0 (an empty stack) or at least 2.  A resample that draws no
+    counts raises EmptyResampleError before the solve, unless its own set has
+    no counts, which the solve rejects by name.
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
@@ -488,7 +490,6 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     resampled = np.array(
         [np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (n_sets, len(row)))
          for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])
-    # A set with no counts fails the solve by its own message; only its resamples are empty.
     empty = np.flatnonzero(~resampled.any(axis=1))
     if len(empty) and n.any(axis=1).all():
         raise EmptyResampleError(*map(int, divmod(empty[0], n_sets)))
