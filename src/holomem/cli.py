@@ -502,6 +502,8 @@ def _cmd_fit(args) -> int:
     else:
         if args.tau_s is None:
             raise ConfigError("--tau-s", "required for the visibility fit")
+        _check((lambda tau: 0.0 < tau < math.inf, "must be finite and positive"), args.tau_s,
+               "--tau-s")
         res = fitkit.fit_visibility(data, tau_s=args.tau_s, float_tau=args.float_tau)
     if not res.converged:
         raise NonConvergenceError("fit did not converge")

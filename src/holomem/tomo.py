@@ -10,6 +10,9 @@ c_k = d_k Tr(rho Pi_k) and d_k the setting durations over their mean.
 B count sets are solved at once, as a (B, 4, 4) stack of states, with
 batched matrix products, in up to two phases from the clamped
 linear-inversion start; the second sees only the sets the first left.
+The start and the physicality check of the output eigendecompose only the
+states that the vectorised LDL^H test (qstate.positive_definite) does not
+pass: the start tests rho - 1e-6 I, and the check rho itself.
 Count sets travel as (B, K) count and duration arrays in setting order; the
 one-set entries take (K,) arrays.
 
@@ -191,7 +194,7 @@ def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
     rate = np.where(hv_total > 0, hv_total / dur[:, hv].mean(axis=1),
                     4.0 * n.sum(axis=1) / dur.sum(axis=1))
     probs = n / (rate[:, None] * dur)
-    return ts.inversion_offset + np.einsum("bk,kij->bij", probs, ts.inversion)
+    return ts.inversion_offset + (probs @ ts.inversion.reshape(-1, 16)).reshape(-1, 4, 4)
 
 
 def linear_inversion(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
@@ -213,29 +216,22 @@ def _from_eig(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _positive_definite(h: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (B, n, n) Hermitian stack is positive definite (all
-    LDL^H pivots positive), reading like eigh the lower triangle and real diagonal."""
-    a = h.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(a.shape[-1] - 1):
-            col, pivot = a[:, k + 1:, k], a[:, k, k, None].real
-            a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / pivot)[:, None, :]
-    return np.all(np.diagonal(a, axis1=1, axis2=2).real > 0.0, axis=1)
-
-
 def _certified(g: np.ndarray) -> np.ndarray:
     """The stopping rule, eigvalsh(G)[0] >= -_GTOL, run only where G + 2 _GTOL I is positive
     definite: a necessary condition, with a margin far beyond the LDL^H rounding."""
-    ok = _positive_definite(g + 2.0 * _GTOL * np.eye(4))
-    ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -_GTOL
+    ok = qstate.positive_definite(g + 2.0 * _GTOL * np.eye(4))
+    if ok.any():
+        ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -_GTOL
     return ok
 
 
 def _start_states(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:
-    """Linear inversion with its eigenvalues clamped at 1e-6, unit trace."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(_linear_inversion_many(n, dur, ts)))
-    rho = _from_eig(np.clip(vals, 1e-6, None), vecs)
+    """Linear inversion with its eigenvalues clamped at 1e-6, unit trace.  Only the
+    states that fail the LDL^H test of rho - 1e-6 I are eigendecomposed."""
+    rho = _hermitian_part(_linear_inversion_many(n, dur, ts))
+    clamp = ~qstate.positive_definite(rho - 1e-6 * np.eye(4))
+    vals, vecs = np.linalg.eigh(rho[clamp])
+    rho[clamp] = _from_eig(np.clip(vals, 1e-6, None), vecs)
     return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
 
 
@@ -424,12 +420,13 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> Tomogra
         rows = np.flatnonzero(newton)
         h = prob.hessian(c_x[rows], rows)
         margin = _HESSIAN_MARGIN / 15.0 * np.trace(h, axis1=1, axis2=2)
-        shifted = h - margin[:, None, None] * np.eye(15)
+        shifted = h.copy()
+        np.einsum("bii->bi", shifted)[...] -= margin[:, None]
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             # cholesky fails the whole stack; only the failing sets leave.
-            curved = _positive_definite(shifted)
+            curved = qstate.positive_definite(shifted)
             newton[rows[~curved]] = False
             rows, h = rows[curved], h[curved]
         grad = np.real(g_x[rows].reshape(-1, 16) @ _COORDS.conj().T)
@@ -441,7 +438,7 @@ def _mle_many(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> Tomogra
             at = rows[pending]
             z = x[at] + t * dx[pending]
             gain = prob.change(c_x[at], t * dc[pending], at)
-            ok = (gain <= 0.0) & _positive_definite(z)
+            ok = (gain <= 0.0) & qstate.positive_definite(z)
             accept(at[ok], z[ok])
             pending = pending[~ok]
             t *= 0.5

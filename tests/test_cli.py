@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -234,6 +235,41 @@ def test_config_round_trip_is_fixed_point(cfg):
     scramble(tree)
     assert cli.scenario_to_config(sc) == kept
     assert cli.load_scenario(kept) == sc
+
+
+# The config paths an error may name: each top-level key and section field.
+CONFIG_PATHS = {row.key for row in cli.SCHEMA} | {
+    f"{row.key}.{f.key}" for row in cli.SCHEMA if isinstance(row, cli.Section) for f in row.fields}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(valid_configs())
+def test_every_valid_config_simulates_or_names_its_field(cfg):
+    # At most 20 Monte Carlo sets per track, for time; the draws still reach
+    # tracks of a few counts, empty resamples and lines without a window.
+    cfg["n_mc_sets"] = min(cfg["n_mc_sets"], 20)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION), err.getvalue()
+    if code == cli.EXIT_VALIDATION:
+        assert out.getvalue() == ""
+        named = re.match(r"error: ([\w.]+): [^\n]+\n\Z", err.getvalue())
+        assert named and named[1] in CONFIG_PATHS, err.getvalue()
+        return
+    assert err.getvalue() == ""
+    statistical = json.loads(out.getvalue())["statistical"]
+    for track in [statistical["input"], *statistical["storage"]]:
+        for key in ("mle_fidelity_vs_bell", "mle_fidelity_vs_true"):
+            assert 0.0 <= track[key] <= 1.0
+        if cfg["n_mc_sets"]:
+            stats = [track["mc"]["mean"], track["mc"]["std"]]
+            assert all(isinstance(v, float) and math.isfinite(v) for v in stats)
+        else:
+            assert "mc" not in track
 
 
 # One valid alternative value per config key, each of which must change an
@@ -656,6 +692,16 @@ class TestCommands:
 
     def test_fit_visibility_requires_tau(self, capsys):
         assert cli.main(["fit", "--kind", "vis"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("float_tau", [[], ["--float-tau"]], ids=["fixed", "float"])
+    @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
+    def test_fit_visibility_names_a_bad_tau(self, tau, float_tau, capsys):
+        # fitkit's own message names no flag.
+        assert cli.main(["fit", "--kind", "vis", f"--tau-s={tau}", *float_tau]) \
+            == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: --tau-s: must be finite and positive, "
+                                     f"got {float(tau)!r}\n")
 
     @pytest.mark.parametrize("argv,flag", [(["--tau-s", "1e-6"], "--tau-s"),
                                            (["--float-tau"], "--float-tau")])

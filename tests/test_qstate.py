@@ -182,3 +182,83 @@ class TestStacks:
         spoil(stack[7])
         with pytest.raises(qstate.StateError, match=f"^matrix 7: .*{message}"):
             qstate.check_density_matrix(stack)
+
+
+def with_eigenvalues(rng: np.random.Generator, lam) -> np.ndarray:
+    """A Hermitian 4x4 matrix with eigenvalues lam in a random eigenbasis."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rho = (q * np.asarray(lam, dtype=float)) @ q.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def eigvalsh_verdict(stack: np.ndarray) -> str | None:
+    """The positivity message of an eigvalsh of every matrix, None if all clear the floor."""
+    eigmin = np.linalg.eigvalsh(stack).min(axis=-1)
+    bad = np.flatnonzero(eigmin < qstate.EIGENVALUE_FLOOR)
+    if not len(bad):
+        return None
+    return (f"matrix {bad[0]}: negative eigenvalue {eigmin[bad[0]]:.3e} "
+            f"below floor {qstate.EIGENVALUE_FLOOR:.1e}")
+
+
+class TestPositivityGate:
+    """check_density_matrix runs eigvalsh only on the matrices that the LDL^H
+    test does not find positive definite, with the verdicts and messages of
+    eigvalsh on every matrix."""
+
+    @staticmethod
+    def eigvalsh_inputs(monkeypatch) -> list:
+        seen, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
+        return seen
+
+    def test_positive_definite_stack_skips_eigvalsh(self, rng, monkeypatch):
+        stack = np.array([random_density_matrix(rng) for _ in range(50)])
+        seen = self.eigvalsh_inputs(monkeypatch)
+        qstate.check_density_matrix(stack)
+        assert seen == [0]
+
+    def test_rank_deficient_states_pass_through_eigvalsh(self, rng, monkeypatch):
+        pure = [qstate.bell_phi_plus(), qstate.bell_psi_plus(),
+                qstate.projector(np.kron(qstate.KETS_BY_LABEL["+"], qstate.KETS_BY_LABEL["R"]))]
+        # Rounding may let the LDL^H test pass a rank-deficient state in a random
+        # basis (eigenvalue 0 +- 1e-17); it clears the floor either way.
+        stack = np.array(pure + [np.diag([0.0, 0.25, 0.0, 0.75]).astype(complex),
+                                 with_eigenvalues(rng, [0.0, 0.0, 0.25, 0.75]),
+                                 random_density_matrix(rng)])
+        assert qstate.positive_definite(stack)[[0, 1, 2, 3, 5]].tolist() == [False] * 4 + [True]
+        seen = self.eigvalsh_inputs(monkeypatch)
+        qstate.check_density_matrix(stack)
+        assert seen[0] in (4, 5) and len(seen) == 1
+
+    def test_negative_eigenvalue_named_as_by_eigvalsh(self, rng):
+        stack = np.array([random_density_matrix(rng) for _ in range(6)])
+        stack[2] = with_eigenvalues(rng, [-1e-9, 0.2, 0.3, 0.5 + 1e-9])
+        stack[4] = with_eigenvalues(rng, [-0.05, 0.0, 0.45, 0.6])
+        expected = eigvalsh_verdict(stack)
+        assert expected.startswith("matrix 2: negative eigenvalue -1.000e-09 below floor")
+        with pytest.raises(qstate.StateError) as err:
+            qstate.check_density_matrix(stack)
+        assert str(err.value) == expected
+
+    def test_verdicts_match_eigvalsh_near_the_floor(self):
+        rng = np.random.default_rng(7)
+        lowest = rng.choice([-1e-8, -2e-10, -5e-11, 0.0, 5e-11, 1e-6], size=400)
+        rest = rng.dirichlet(np.ones(3), size=400) * (1.0 - lowest)[:, None]
+        stack = np.array([with_eigenvalues(rng, [low, *r]) for low, r in zip(lowest, rest)])
+        for i in range(len(stack)):
+            expected = eigvalsh_verdict(stack[i:i + 1])
+            if expected is None:
+                qstate.check_density_matrix(stack[i:i + 1])
+                continue
+            with pytest.raises(qstate.StateError) as err:
+                qstate.check_density_matrix(stack[i:i + 1])
+            assert str(err.value) == expected
+
+    def test_non_finite_entry_is_reported_first(self, rng):
+        stack = np.array([random_density_matrix(rng) for _ in range(6)])
+        stack[2] = with_eigenvalues(rng, [-1e-9, 0.2, 0.3, 0.5 + 1e-9])
+        stack[4, 1, 3] = np.nan
+        with pytest.raises(qstate.StateError,
+                           match="^matrix 4: density matrix entries must be finite$"):
+            qstate.check_density_matrix(stack)

@@ -461,7 +461,7 @@ class TestKernels:
         positive = rng.uniform(1e-9, 1.0, size=(k, 4)) * scale
         h = hermitian_stack(rng, np.concatenate([mixed, rank_deficient, edge, positive]))
         lam = np.linalg.eigvalsh(h)
-        pd = tomo._positive_definite(h)
+        pd = qstate.positive_definite(h)
         near = np.abs(lam[:, 0]) <= 1e-12 * np.abs(lam).max(axis=1)
         assert len(h) >= 2000
         assert np.all((pd == (lam[:, 0] > 0)) | near)
@@ -489,6 +489,47 @@ class TestKernels:
         np.testing.assert_array_equal(fast.iterations, slow.iterations)
         assert fast.converged.all() and slow.converged.all()
         assert np.abs(fast.rho_hat - slow.rho_hat).max() <= 1e-12
+
+
+def eigh_clamped_starts(n, dur, ts):
+    """The start by eigh of every linear inversion: eigenvalues clamped at 1e-6, unit trace."""
+    vals, vecs = np.linalg.eigh(tomo._hermitian_part(tomo._linear_inversion_many(n, dur, ts)))
+    rho = (vecs * np.clip(vals, 1e-6, None)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+
+
+class TestStartStates:
+    """_start_states eigendecomposes only the inversions that fail the LDL^H
+    test of rho - 1e-6 I; the others are already clamped."""
+
+    def test_bundled_starts_match_eigh_clamp(self, monkeypatch):
+        n, dur = bundled_mle_inputs(monkeypatch, cli.default_config())
+        starts = tomo._start_states(n, dur, TS36)
+        assert np.abs(starts - eigh_clamped_starts(n, dur, TS36)).max() <= 1e-14
+
+    def test_clamped_rows_equal_eigh_clamp(self):
+        rng = np.random.default_rng(11)
+        # Two states with lambda_min = 1e-6 (1 +- 1e-3) at 1e12 trials per
+        # setting, so their inversions sit 1e-9 either side of the clamp.
+        near = [exact_counts(hermitian_stack(rng, np.array([[low, 0.2, 0.3, 0.5 - low]]))[0],
+                             TS36, 1e12) for low in (1e-6 * (1 + 1e-3), 1e-6 * (1 - 1e-3))]
+        sets = ([(np.array(row), np.ones(36)) for row in SPARSE_PAIR]
+                + low_count_sets(TS36, 2, [1.0] * 36, rng, count=6)
+                + [(measure.sample_counts(qstate.werner(0.8), list(TS36.settings), 10 ** 6, 0.5,
+                                          seed), np.ones(36)) for seed in range(4)]
+                + [(counts, np.ones(36)) for counts in near])
+        n, dur = stacked(sets)
+        inversions = tomo._hermitian_part(tomo._linear_inversion_many(n, dur, TS36))
+        lowest = np.linalg.eigvalsh(inversions)[:, 0]
+        clamp = lowest <= 1e-6
+        assert clamp[:2].all() and clamp[2:8].sum() >= 4 and not clamp[8:12].any()
+        assert clamp[12:].tolist() == [False, True]
+        assert np.abs(lowest[12:] / 1e-6 - 1.0).max() < 2e-3
+        np.testing.assert_array_equal(qstate.positive_definite(inversions - 1e-6 * np.eye(4)),
+                                      ~clamp)
+        starts, reference = tomo._start_states(n, dur, TS36), eigh_clamped_starts(n, dur, TS36)
+        np.testing.assert_array_equal(starts[clamp], reference[clamp])
+        assert np.abs(starts - reference).max() <= 1e-14
 
 
 class TestNewton:
