@@ -40,6 +40,15 @@ EXIT_NONCONVERGENCE = 2
 PROV_MEASURED = "measured-reference"
 PROV_DERIVED = "model-derived"
 
+# The tag of each report path, which covers the subtree below it.  The input
+# track's visibility and mean_visibility carry none.  Each report gets a copy.
+PROVENANCE = {
+    **dict.fromkeys(["analytic.mode_capacity", "analytic.eit_fwhm_hz", "analytic.eit_group_delay_s",
+                     "analytic.input.chsh_s", "analytic.input.fidelity_vs_bell",
+                     "analytic.visibility_threshold_time_s", "analytic.storage"], PROV_MEASURED),
+    **dict.fromkeys(["analytic.max_register_crosstalk_expected", "statistical"], PROV_DERIVED),
+}
+
 
 class ConfigError(ValueError):
     """Configuration validation failure, with the offending field path."""
@@ -247,48 +256,40 @@ def run_simulate(sc: Scenario) -> dict:
                      for i, a in enumerate(q) for b in q[i + 1:]), default=0.0)
 
     rho_out, coinc_probs, fracs = channel.store_retrieve(rho_in, sc.storage_times_s, sc.channel)
-    # Tracks in report order: the input, then one per storage time.
+    # The track stack: the input, then one track per storage time.
     labels = ["input"] + [f"t={t!r}" for t in sc.storage_times_s]
-    true_states = np.concatenate([rho_in[None], rho_out])
-    vs_bell = qstate.fidelity(bell, true_states).tolist()
-    process = qstate.fidelity(rho_in, rho_out).tolist()
-    chsh = measure.chsh_s(true_states).tolist()
-    mean_vis = measure.mean_visibility(true_states)
+    rho_true = np.concatenate([rho_in[None], rho_out])
+    mean_vis = measure.mean_visibility(rho_true)
     v0 = float(mean_vis[0])
-
     analytic = {
         "mode_capacity": registers.mode_capacity(sc.geometry),
         "max_register_crosstalk_expected": max_xtalk,
         "eit_fwhm_hz": eit_fwhm,
         "eit_group_delay_s": eit_delay,
-        "input": {
-            "chsh_s": chsh[0],
-            "fidelity_vs_bell": vs_bell[0],
-            "visibility": {b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")},
-            "mean_visibility": v0,
-        },
         "visibility_threshold_time_s": channel.visibility_threshold_time(sc.channel, v0),
-        "storage": [{
-            "t_s": t,
-            "efficiency": channel.efficiency(sc.channel, t),
-            "coinc_prob": coinc_prob,
-            "signal_fraction": frac,
-            "chsh_s": s,
-            "fidelity_vs_bell": f_bell,
-            "process_fidelity": f_process,
-            "mean_visibility": vis,
-            "visibility_model": channel.visibility_decay(sc.channel, v0, t),
-        } for t, coinc_prob, frac, s, f_bell, f_process, vis in zip(
-            sc.storage_times_s, coinc_probs.tolist(), fracs.tolist(), chsh[1:], vs_bell[1:],
-            process, np.where(fracs > 0, mean_vis[1:], 0.0).tolist())],
+        **_tracks({
+            "chsh_s": measure.chsh_s(rho_true),
+            "fidelity_vs_bell": qstate.fidelity(bell, rho_true),
+            # A storage track without signal reads no visibility.
+            "mean_visibility": np.where(np.r_[True, fracs > 0], mean_vis, 0.0),
+        }, {
+            "t_s": sc.storage_times_s,
+            "efficiency": [channel.efficiency(sc.channel, t) for t in sc.storage_times_s],
+            "coinc_prob": coinc_probs,
+            "signal_fraction": fracs,
+            "process_fidelity": qstate.fidelity(rho_in, rho_out),
+            "visibility_model": [channel.visibility_decay(sc.channel, v0, t)
+                                 for t in sc.storage_times_s],
+        }),
     }
+    analytic["input"]["visibility"] = {b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")}
     count_seeds = [measure.child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
     mc_seeds = [measure.child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
     seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}
     if sc.n_mc_sets:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
     scales = [sc.input_coinc_prob, *coinc_probs.tolist()]
-    n = measure.sample_count_arrays(true_states, ts.projectors, sc.n_trials, scales, count_seeds)
+    n = measure.sample_count_arrays(rho_true, ts.projectors, sc.n_trials, scales, count_seeds)
     totals = n.sum(axis=1)
     if not totals.all():
         raise ConfigError("n_trials", f"track counts/{labels[np.argmin(totals)]} drew no counts "
@@ -299,42 +300,28 @@ def run_simulate(sc: Scenario) -> dict:
     except tomo.EmptyResampleError as exc:
         raise ConfigError("n_trials", f"track mc/{labels[exc.set_index]} drew no counts in "
                                       f"resample {exc.resample}") from None
-    mcs = _mc_blocks(bell, stack, failed) if sc.n_mc_sets else []
     if not points.converged.all():
         raise NonConvergenceError(
             f"tomography failed to converge for {labels[np.argmin(points.converged)]}")
-    stat_tracks = [{
-        "mle_fidelity_vs_bell": f_bell,
-        "mle_fidelity_vs_true": f_true,
-        "mle_iterations": iterations,
-        "total_counts": total,
-        **({"mc": mcs[i]} if mcs else {}),
-    } for i, (total, iterations, f_bell, f_true) in enumerate(zip(
-        totals.tolist(), points.iterations.tolist(),
-        qstate.fidelity(bell, points.rho_hat).tolist(),
-        qstate.fidelity(points.rho_hat, true_states).tolist()))]
-    statistical = {"input": stat_tracks[0],
-                   "storage": [{"t_s": t, **track}
-                               for t, track in zip(sc.storage_times_s, stat_tracks[1:])]}
+    statistical = _tracks({
+        "mle_fidelity_vs_bell": qstate.fidelity(bell, points.rho_hat),
+        "mle_fidelity_vs_true": qstate.fidelity(points.rho_hat, rho_true),
+        "mle_iterations": points.iterations,
+        "total_counts": totals,
+        **({"mc": _mc_blocks(bell, stack, failed)} if sc.n_mc_sets else {}),
+    }, {"t_s": sc.storage_times_s})
+    return {"version": __version__, "config": scenario_to_config(sc), "analytic": analytic,
+            "statistical": statistical, "seeds": seeds, "provenance": dict(PROVENANCE)}
 
-    return {
-        "version": __version__,
-        "config": scenario_to_config(sc),
-        "analytic": analytic,
-        "statistical": statistical,
-        "seeds": seeds,
-        "provenance": {
-            "analytic.mode_capacity": PROV_MEASURED,
-            "analytic.eit_fwhm_hz": PROV_MEASURED,
-            "analytic.eit_group_delay_s": PROV_MEASURED,
-            "analytic.input.chsh_s": PROV_MEASURED,
-            "analytic.input.fidelity_vs_bell": PROV_MEASURED,
-            "analytic.visibility_threshold_time_s": PROV_MEASURED,
-            "analytic.storage": PROV_MEASURED,
-            "analytic.max_register_crosstalk_expected": PROV_DERIVED,
-            "statistical": PROV_DERIVED,
-        },
-    }
+
+def _tracks(every: dict, storage: dict) -> dict:
+    """The input row and storage rows of a report block from named columns:
+    `every` over the track stack, `storage` over the storage times only."""
+    def rows(columns: dict) -> list[dict]:
+        lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+        return [dict(zip(columns, row)) for row in zip(*lists, strict=True)]
+    first, *rest = rows(every)
+    return {"input": first, "storage": [s | r for s, r in zip(rows(storage), rest, strict=True)]}
 
 
 def _mc_blocks(target: np.ndarray, stack: np.ndarray, failed: np.ndarray) -> list[dict]:
@@ -481,15 +468,9 @@ def _read_fit_csv(path: str | None):
 
 
 def _fit_result_json(res: fitkit.FitResult) -> str:
-    payload = {
-        "params": res.params,
-        "uncertainties": res.uncertainties,
-        "residual_norm": res.residual_norm,
-        "converged": res.converged,
-    }
-    if res.t_star_s is not None:
-        payload["t_star_s"] = res.t_star_s
-    return _json_text(payload)
+    """The `fit` output: these FitResult fields, t_star_s only where set."""
+    keys = ("params", "uncertainties", "residual_norm", "converged", "t_star_s")
+    return _json_text({key: getattr(res, key) for key in keys if getattr(res, key) is not None})
 
 
 def _cmd_fit(args) -> int:

@@ -522,6 +522,88 @@ class TestStackedPaths:
         assert 0 < two["fidelity"] == ten["fidelity"]
 
 
+# The keys of each report track row.  Analytic rows share three keys; the input
+# row adds its per-basis visibilities, and storage rows their channel values.
+ANALYTIC_KEYS = {"chsh_s", "fidelity_vs_bell", "mean_visibility"}
+ANALYTIC_INPUT_KEYS = ANALYTIC_KEYS | {"visibility"}
+ANALYTIC_STORAGE_KEYS = ANALYTIC_KEYS | {"t_s", "efficiency", "coinc_prob", "signal_fraction",
+                                         "process_fidelity", "visibility_model"}
+STATISTICAL_KEYS = {"mle_fidelity_vs_bell", "mle_fidelity_vs_true", "mle_iterations",
+                    "total_counts"}
+
+
+class TestTrackKeys:
+    @pytest.mark.parametrize("n_mc_sets", [0, 2])
+    def test_each_track_row_has_its_keys(self, n_mc_sets):
+        cfg = {**small_config(), "n_mc_sets": n_mc_sets}
+        report = cli.run_simulate(cli.load_scenario(cfg))
+        analytic, statistical = report["analytic"], report["statistical"]
+        stat_keys = STATISTICAL_KEYS | ({"mc"} if n_mc_sets else set())
+        assert set(analytic["input"]) == ANALYTIC_INPUT_KEYS
+        assert set(statistical["input"]) == stat_keys
+        assert len(analytic["storage"]) == len(statistical["storage"]) == 2
+        for a, s in zip(analytic["storage"], statistical["storage"]):
+            assert set(a) == ANALYTIC_STORAGE_KEYS
+            assert set(s) == stat_keys | {"t_s"}
+            assert s["t_s"] == a["t_s"]
+        assert [a["t_s"] for a in analytic["storage"]] == cfg["storage_times_s"]
+
+
+# Report paths that deliberately carry no provenance tag.
+UNTAGGED = {"analytic.input.visibility", "analytic.input.mean_visibility"}
+
+
+def leaf_paths(tree, path: str):
+    """The dotted path of every leaf of a report tree; list items get [i]."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from leaf_paths(value, f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from leaf_paths(value, f"{path}[{i}]")
+    else:
+        yield path
+
+
+def covers(path: str, leaf: str) -> bool:
+    return leaf == path or leaf.startswith((f"{path}.", f"{path}["))
+
+
+class TestProvenance:
+    @pytest.fixture(scope="class")
+    def default_report(self):
+        return cli.run_simulate(cli.load_scenario(cli.default_config()))
+
+    def test_report_carries_the_table(self, default_report):
+        assert default_report["provenance"] == cli.PROVENANCE
+        assert set(cli.PROVENANCE.values()) == {cli.PROV_MEASURED, cli.PROV_DERIVED}
+
+    def test_every_tagged_path_is_a_report_key(self, default_report):
+        for path in [*cli.PROVENANCE, *UNTAGGED]:
+            node = default_report
+            for key in path.split("."):
+                assert isinstance(node, dict) and key in node, path
+                node = node[key]
+
+    def test_every_leaf_is_tagged_or_named_untagged(self, default_report):
+        leaves = [leaf for block in ("analytic", "statistical")
+                  for leaf in leaf_paths(default_report[block], block)]
+        for leaf in leaves:
+            tagged = [path for path in cli.PROVENANCE if covers(path, leaf)]
+            untagged = [path for path in UNTAGGED if covers(path, leaf)]
+            assert len(tagged) + len(untagged) == 1, (leaf, tagged, untagged)
+        for path in UNTAGGED:
+            assert any(covers(path, leaf) for leaf in leaves), path
+
+    def test_editing_a_report_provenance_leaves_the_next_report(self):
+        sc = cli.load_scenario({**small_config(), "n_mc_sets": 0})
+        first = cli.run_simulate(sc)
+        kept = dict(first["provenance"])
+        first["provenance"]["statistical"] = "edited"
+        first["provenance"]["edited"] = cli.PROV_MEASURED
+        assert cli.run_simulate(sc)["provenance"] == kept
+
+
 class TestCommands:
     def test_capacity(self, capsys):
         assert cli.main(["capacity"]) == cli.EXIT_OK
