@@ -40,8 +40,7 @@ EXIT_NONCONVERGENCE = 2
 PROV_MEASURED = "measured-reference"
 PROV_DERIVED = "model-derived"
 
-# The tag of each report path, which covers the subtree below it.  The input
-# track's visibility and mean_visibility carry none.  Each report gets a copy.
+# The tag of each report path and its subtree; the input's visibilities carry none.
 PROVENANCE = {
     **dict.fromkeys(["analytic.mode_capacity", "analytic.eit_fwhm_hz", "analytic.eit_group_delay_s",
                      "analytic.input.chsh_s", "analytic.input.fidelity_vs_bell",
@@ -289,17 +288,19 @@ def run_simulate(sc: Scenario) -> dict:
     if sc.n_mc_sets:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
     scales = [sc.input_coinc_prob, *coinc_probs.tolist()]
-    n = measure.sample_count_arrays(rho_true, ts.projectors, sc.n_trials, scales, count_seeds)
-    totals = n.sum(axis=1)
-    if not totals.all():
-        raise ConfigError("n_trials", f"track counts/{labels[np.argmin(totals)]} drew no counts "
-                                      "to reconstruct")
     try:
+        n = measure.sample_count_arrays(rho_true, ts.projectors, sc.n_trials, scales, count_seeds)
+        if not (totals := n.sum(axis=1)).all():
+            raise ConfigError("n_trials", f"track counts/{labels[np.argmin(totals)]} drew no "
+                                          "counts to reconstruct")
         points, stack, failed = tomo.reconstruct_with_mc(n, np.ones(n.shape), ts, sc.n_mc_sets,
                                                          mc_seeds)
     except tomo.EmptyResampleError as exc:
         raise ConfigError("n_trials", f"track mc/{labels[exc.set_index]} drew no counts in "
                                       f"resample {exc.resample}") from None
+    except measure.PoissonLimitError as exc:
+        raise ConfigError("n_trials", f"track counts/{labels[exc.row]} has a mean or count above "
+                                      f"numpy's Poisson limit {exc.LIMIT:.6g}") from None
     if not points.converged.all():
         raise NonConvergenceError(
             f"tomography failed to converge for {labels[np.argmin(points.converged)]}")
@@ -505,7 +506,10 @@ def _cmd_tomo(args) -> int:
         if target.shape != (4, 4):
             raise qstate.StateError(f"malformed JSON density matrix: dim {len(target)} is not 4")
     seed = args.seed if args.seed is not None else 0
-    points, stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
+    try:
+        points, stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
+    except measure.PoissonLimitError as exc:
+        raise ConfigError("--counts", f"counts above {exc.LIMIT:.6g} cannot be resampled") from None
     result = points[0]
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),

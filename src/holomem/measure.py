@@ -43,6 +43,16 @@ class MeasureError(ValueError):
     """Invalid measurement setting or count CSV."""
 
 
+class PoissonLimitError(MeasureError):
+    """Row `row` of a Poisson draw has a mean above LIMIT, numpy's largest."""
+
+    LIMIT = 9.223372006484771e18  # int64 max - 10 sqrt(int64 max)
+
+    def __init__(self, row: int):
+        super().__init__(f"row {row} has a Poisson mean above numpy's limit {self.LIMIT:.6g}")
+        self.row = row
+
+
 @dataclass(frozen=True)
 class AnalyzerSetting:
     """A pair of single-qubit projection kets with a human-readable label."""
@@ -168,6 +178,8 @@ def sample_count_arrays(rho: np.ndarray, projectors: np.ndarray, n_trials: int,
     if not np.all((0.0 < scale) & (scale <= 1.0)):
         raise MeasureError(f"coinc_prob_scale must lie in (0, 1], got {coinc_prob_scale}")
     mu = (n_trials * scale)[:, None] * born_probabilities(rho, projectors)
+    if (over := mu.max(axis=1) > PoissonLimitError.LIMIT).any():
+        raise PoissonLimitError(int(np.argmax(over)))
     rows = [np.random.default_rng(seed).poisson(m) for seed, m in zip(seeds, mu, strict=True)]
     return np.array(rows, dtype=np.int64).reshape(mu.shape)
 

@@ -77,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .measure import (AnalyzerSetting, child_seed, count_rule_breach, joint_projectors,
-                      setting_from_labels)
+from .measure import (AnalyzerSetting, PoissonLimitError, child_seed, count_rule_breach,
+                      joint_projectors, setting_from_labels)
 
 SINGLE_QUBIT_LABELS_36 = ("H", "V", "+", "-", "R", "L")
 SINGLE_QUBIT_LABELS_16 = ("H", "V", "+", "R")
@@ -477,13 +477,16 @@ def reconstruct_with_mc(n: np.ndarray, dur: np.ndarray, ts: TomographySettings, 
     The resamples of set j are one (n_sets, K) draw counts_k ~ Poisson(n_k)
     from a generator seeded with child seed 0 of seeds[j] (one seed per set),
     so they do not depend on the other sets; resample i of set j is [j, i].
-    n_sets is 0 (an empty stack) or at least 2.  A resample that draws no
+    n_sets is 0 (an empty stack) or at least 2.  A count above the sampler's
+    limit raises PoissonLimitError before the draw.  A resample that draws no
     counts raises EmptyResampleError before the solve, unless its own set has
     no counts, which the solve rejects by name.
     """
     if n_sets < 0 or n_sets == 1:
         raise TomographyError(f"n_sets must be 0 or >= 2, got {n_sets}")
     n, dur = _count_sets(n, dur, ts)
+    if n_sets and (over := n.max(axis=1) > PoissonLimitError.LIMIT).any():
+        raise PoissonLimitError(int(np.argmax(over)))
     resampled = np.array(
         [np.random.default_rng(child_seed(seed, "mc-tomo", 0)).poisson(row, (n_sets, len(row)))
          for row, seed in zip(n, seeds, strict=True) if n_sets], dtype=float).reshape(-1, n.shape[1])

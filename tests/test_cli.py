@@ -182,7 +182,9 @@ def valid_configs(draw):
     cfg.update(
         master_seed=draw(st.integers(0, 2 ** 63)),
         tomo_scheme=draw(st.sampled_from([16, 36, "16", 36.0])),
-        n_trials=draw(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 6).map(float)),
+        # Up to 1e24 log-uniformly, past numpy's Poisson limit of about 9.2e18.
+        n_trials=draw(st.integers(1, 10 ** 6) | st.integers(1, 10 ** 6).map(float)
+                      | st.floats(6.0, 24.0).map(lambda e: int(10 ** e))),
         n_mc_sets=draw(st.sampled_from([0, 2]) | st.integers(2, 500)),
         input_coinc_prob=draw(pos(1e-6, 1.0)),
         storage_times_s=draw(st.lists(pos(0.0, 1e-5), min_size=1, max_size=4,
@@ -487,6 +489,17 @@ class TestSimulateReport:
         path.write_text(yaml.safe_dump(cfg))
         assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: eit: {message}\n"
+
+    @pytest.mark.parametrize("n_trials,input_coinc_prob", [(10 ** 21, 0.04), (10 ** 20, 1.0)])
+    def test_poisson_mean_above_numpy_limit_names_n_trials(self, n_trials, input_coinc_prob,
+                                                            tmp_path, capsys):
+        # numpy's Generator.poisson once ended these runs with "lam value too large".
+        cfg = {**cli.default_config(), "n_trials": n_trials, "input_coinc_prob": input_coinc_prob}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: n_trials: track counts/input has a mean or "
+                                           "count above numpy's Poisson limit 9.22337e+18\n")
 
     def test_empty_resample_names_its_track(self, tmp_path, capsys):
         # The 1 us track holds 5 counts, so each of its 100 resamples is empty
@@ -876,6 +889,15 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: Monte Carlo resample 4 of count set 0 drew no counts\n"
+
+    def test_tomo_names_counts_above_the_poisson_limit(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_csv(np.r_[np.full(24, 1e30), np.zeros(12)]))
+        assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["tomo", "--counts", str(path), "--mc-sets", "5"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: --counts: counts above 9.22337e+18 cannot be "
+                                           "resampled\n")
 
     def test_tomo_target_from_json(self, tmp_path, capsys):
         target = qstate.werner(0.8)

@@ -194,6 +194,25 @@ class TestSampleCounts:
         with pytest.raises(measure.MeasureError):
             measure.sample_counts(qstate.werner(0.5), settings, 100, 0.0, seed=0)
 
+    def test_poisson_limit_is_numpys(self):
+        limit = measure.PoissonLimitError.LIMIT
+        big = np.iinfo(np.int64).max
+        assert limit == big - 10 * math.sqrt(big)
+        rng = np.random.default_rng(0)
+        rng.poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(limit, math.inf))
+
+    def test_mean_above_the_poisson_limit_names_its_row(self):
+        ts = tomo.make_settings(36)
+        rho = np.stack([qstate.werner(0.5), qstate.bell_phi_plus()])
+        # The largest Bell probability is 1/2 and the largest Werner one 3/8.
+        n_trials = 2.1 * measure.PoissonLimitError.LIMIT
+        with pytest.raises(measure.PoissonLimitError) as err:
+            measure.sample_count_arrays(rho, ts.projectors, n_trials, [1.0, 1.0], [0, 1])
+        assert err.value.row == 1
+        assert str(err.value) == "row 1 has a Poisson mean above numpy's limit 9.22337e+18"
+
 
 class TestAgainstKronReference:
     """The vectorised Born rule against the per-setting kron path it replaced."""

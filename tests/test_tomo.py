@@ -677,6 +677,15 @@ class TestReconstructWithMc:
         assert str(err.value) == (f"Monte Carlo resample {first_empty} of count set 1 "
                                   "drew no counts")
 
+    def test_count_above_the_poisson_limit_names_its_set(self):
+        n = np.stack([np.full(36, 50.0), np.r_[np.full(24, 1e30), np.zeros(12)]])
+        with pytest.raises(measure.PoissonLimitError) as err:
+            tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, 5, [7, 8])
+        assert err.value.row == 1
+        # Without resamples there is no draw, and the counts solve.
+        points, _, _ = tomo.reconstruct_with_mc(n, np.ones(n.shape), TS36, 0, [7, 8])
+        assert points.converged.all()
+
     def test_set_without_counts_keeps_its_own_message(self):
         n = np.stack([np.full(36, 50.0), np.zeros(36)])
         with pytest.raises(tomo.TomographyError, match="^total counts must be positive$"):
