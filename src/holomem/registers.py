@@ -4,7 +4,8 @@ and mode capacity.
 Conventions: the control beam propagates along +z; signal beams lie in the
 x-z plane at angles theta_i relative to the control.  A spin wave stores a
 phase pattern exp(i q.x) with q = k_signal - k_control (rad/m).  The registers
-share the same atoms, so one sampled cloud per call serves every overlap.
+share the same atoms, so one sampled cloud per call serves every overlap, as the
+real Gram matrix of contiguous rows of cos and sin of each register's phases.
 """
 
 from __future__ import annotations
@@ -67,49 +68,55 @@ def spin_wave_vectors(g: MemoryGeometry) -> np.ndarray:
                      for theta in map(math.radians, g.signal_angles_deg)]).reshape(-1, 3)
 
 
-def _phasors(half_phase: np.ndarray) -> np.ndarray:
-    """exp(i phi) for phi = 2 * half_phase, as a new complex array.
+def _cos_sin_rows(half_phase: np.ndarray, out: np.ndarray) -> None:
+    """Write cos(phi) into out[:M] and sin(phi) into out[M:], phi = 2 * half_phase of shape (M, b).
 
     With t = tan(phi / 2) and r = 2 / (1 + t^2), the half-angle identity gives
-    exp(i phi) = (r - 1) + i t r.  On AVX-512 hosts numpy's float64 tan is
-    SIMD-vectorised where sin, cos and complex exp run element by element, so
-    this one tan call costs a fraction of np.exp(1j * phi).  It is finite for
-    every finite phi: at phi = pi, t is about 1.6e16 and t^2 about 2.6e32.
+    cos(phi) = r - 1 and sin(phi) = t r.  On AVX-512 hosts numpy's float64 tan
+    is SIMD-vectorised where sin, cos and complex exp run element by element,
+    so this one tan call costs a fraction of np.exp(1j * phi).  It is finite
+    for every finite phi: at phi = pi, t is about 1.6e16 and t^2 about 2.6e32.
     half_phase is overwritten.
     """
-    out = np.empty(half_phase.shape, dtype=complex)
+    cos, sin = out[:len(half_phase)], out[len(half_phase):]
     t = np.tan(half_phase, out=half_phase)
-    r = np.multiply(t, t, out=out.imag)
+    r = np.multiply(t, t, out=sin)
     r += 1.0
     np.divide(2.0, r, out=r)
-    np.subtract(r, 1.0, out=out.real)
-    np.multiply(t, r, out=out.imag)
-    return out
+    np.subtract(r, 1.0, out=cos)
+    np.multiply(t, r, out=sin)
 
 
 def crosstalk_matrix(q: np.ndarray, g: MemoryGeometry, seed: int) -> np.ndarray:
     """Monte Carlo overlaps C[a, b] = (1/n) sum_j exp(i (q_b - q_a).x_j) of all pairs
     of the (M, 3) wave vectors q over one cloud of n = min(atom_count, MAX_SAMPLE_ATOMS)
-    atoms, summed as W^H W over blocks of _BLOCK_ATOMS with W = exp(i x.(q_b - q_0)).
-    _phasors builds W in place from one tan of the half phases x.(q_b - q_0)/2
-    (halving is exact in binary), because numpy's complex exp is not vectorised.
+    atoms, as C = (cc + ss) + i (cs - cs^T) from the real Gram matrix X X^T summed over
+    blocks of _BLOCK_ATOMS.  _cos_sin_rows writes X, cos then sin of x.(q_b - q_0) in 2M
+    contiguous rows, from one tan of the half phases (halving is exact in binary),
+    because numpy's complex exp is not vectorised.
     The normal stream is sequential, so the positions do not depend on the
     block size.  C is Hermitian, identical vectors give exactly 1, and each other
     entry is unbiased with standard error at most crosstalk_stderr(g).
     """
     q = np.asarray(q, dtype=float).reshape(-1, 3)
-    half_dq = 0.5 * (q - q[:1]).T
+    m = len(q)
+    half_dq = 0.5 * (q - q[:1])
     n = min(g.atom_count, MAX_SAMPLE_ATOMS)
     rng = np.random.default_rng(seed)
-    gram = np.zeros((len(q), len(q)), dtype=complex)
+    sigma = np.tile(g.cloud_sigma_m, (min(_BLOCK_ATOMS, n), 1))
+    rows = np.empty((2 * m, len(sigma)))
+    gram = np.zeros((2 * m, 2 * m))
     for start in range(0, n, _BLOCK_ATOMS):
-        positions = rng.standard_normal((min(_BLOCK_ATOMS, n - start), 3)) * g.cloud_sigma_m
-        w = _phasors(positions @ half_dq)
-        gram += w.conj().T @ w
-    gram = np.triu(gram, 1) / n
-    gram += gram.conj().T
-    gram[(q[:, None] == q[None, :]).all(axis=-1)] = 1.0
-    return gram
+        positions = rng.standard_normal((min(_BLOCK_ATOMS, n - start), 3))
+        positions *= sigma[:len(positions)]
+        x = rows[:, :len(positions)]
+        _cos_sin_rows(half_dq @ positions.T, x)
+        gram += x @ x.T
+    cs = gram[:m, m:]
+    c = np.triu(gram[:m, :m] + gram[m:, m:] + 1j * (cs - cs.T), 1) / n
+    c += c.conj().T
+    c[(q[:, None] == q[None, :]).all(axis=-1)] = 1.0
+    return c
 
 
 def crosstalk(q1: np.ndarray, q2: np.ndarray, g: MemoryGeometry, seed: int) -> complex:

@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomem import registers
 from conftest import BUNDLED
@@ -112,11 +114,12 @@ class TestPhasors:
         phi = np.array([0.0, math.pi / 2, 1e5] + odd + uniform)
         phi = np.concatenate([phi, -phi])
         assert phi[3] == math.pi
-        w = registers._phasors(0.5 * phi)
-        assert np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))
+        cos, sin = rows = np.empty((2, len(phi)))
+        registers._cos_sin_rows(0.5 * phi[None, :], rows)
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
         expected = np.exp(1j * phi)
-        assert np.max(np.abs(w.real - expected.real)) <= 4.5e-16
-        assert np.max(np.abs(w.imag - expected.imag)) <= 4.5e-16
+        assert np.max(np.abs(cos - expected.real)) <= 4.5e-16
+        assert np.max(np.abs(sin - expected.imag)) <= 4.5e-16
 
 
 def pair_overlap(m1, m2, g, seed) -> complex:
@@ -124,6 +127,59 @@ def pair_overlap(m1, m2, g, seed) -> complex:
     n = min(g.atom_count, registers.MAX_SAMPLE_ATOMS)
     positions = np.random.default_rng(seed).standard_normal((n, 3)) * np.array(g.cloud_sigma_m)
     return complex(np.exp(1j * (positions @ (m2 - m1))).mean())
+
+
+def reference_crosstalk_matrix(q, g, seed) -> np.ndarray:
+    """Reference: the complex-phasor kernel that the real cos/sin rows replaced.
+    Per block, W = exp(i x.(q_b - q_0)) is a complex (b, M) array whose real and
+    imaginary parts take the tan half-angle passes in place; the blocks sum W^H W."""
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    half_dq = 0.5 * (q - q[:1]).T
+    n = min(g.atom_count, registers.MAX_SAMPLE_ATOMS)
+    rng = np.random.default_rng(seed)
+    gram = np.zeros((len(q), len(q)), dtype=complex)
+    for start in range(0, n, registers._BLOCK_ATOMS):
+        positions = rng.standard_normal((min(registers._BLOCK_ATOMS, n - start), 3))
+        half_phase = (positions * g.cloud_sigma_m) @ half_dq
+        w = np.empty(half_phase.shape, dtype=complex)
+        t = np.tan(half_phase, out=half_phase)
+        r = np.multiply(t, t, out=w.imag)
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        np.subtract(r, 1.0, out=w.real)
+        np.multiply(t, r, out=w.imag)
+        gram += w.conj().T @ w
+    gram = np.triu(gram, 1) / n
+    gram += gram.conj().T
+    gram[(q[:, None] == q[None, :]).all(axis=-1)] = 1.0
+    return gram
+
+
+@st.composite
+def crosstalk_cases(draw):
+    """1 to 5 modes of one geometry, at most one of them a repeat of another,
+    with from one atom to one past three full blocks, and a seed."""
+    angles = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5, unique=True))
+    g = geometry(wavelength_m=draw(st.floats(400e-9, 1600e-9)),
+                 cloud_sigma_m=draw(st.tuples(*[st.floats(1e-5, 2e-3)] * 3)),
+                 atom_count=draw(st.integers(1, 3 * registers._BLOCK_ATOMS + 1)),
+                 signal_angles_deg=tuple(angles))
+    modes = registers.spin_wave_vectors(g)
+    if len(modes) < 5 and draw(st.booleans()):
+        repeat = modes[draw(st.integers(0, len(modes) - 1))]
+        modes = np.insert(modes, draw(st.integers(0, len(modes))), repeat, axis=0)
+    return modes, g, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(crosstalk_cases())
+def test_crosstalk_matrix_matches_complex_phasor_reference(case):
+    modes, g, seed = case
+    c = registers.crosstalk_matrix(modes, g, seed)
+    assert np.max(np.abs(c - reference_crosstalk_matrix(modes, g, seed))) <= 1e-14
+    assert np.array_equal(c, c.conj().T)
+    same = (modes[:, None] == modes[None, :]).all(axis=-1)  # the diagonal and each repeat
+    assert np.all(c[same] == 1.0)
 
 
 class TestCrosstalkMatrix:
