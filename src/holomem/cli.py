@@ -497,7 +497,10 @@ def _cmd_tomo(args) -> int:
     _check(MC_SETS_RULE, args.mc_sets, "--mc-sets")
     ts = tomo.make_settings(args.scheme)
     with open(args.counts) as fh:
-        n, dur = measure.counts_from_csv(fh.read(), ts.settings)
+        try:
+            n, dur = measure.counts_from_csv(fh.read(), ts.settings)
+        except measure.MeasureError as exc:
+            raise ConfigError("--counts", str(exc)) from None
     if args.target == "bell":
         target = qstate.bell_phi_plus()
     else:
@@ -510,6 +513,8 @@ def _cmd_tomo(args) -> int:
         points, stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])
     except measure.PoissonLimitError as exc:
         raise ConfigError("--counts", f"counts above {exc.LIMIT:.6g} cannot be resampled") from None
+    except tomo.TomographyError as exc:  # an empty resample, or no counts at all
+        raise ConfigError("--counts", str(exc)) from None
     result = points[0]
     payload = {
         "rho_hat": qstate.density_to_json(result.rho_hat),

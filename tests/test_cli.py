@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holomem import channel, cli, measure, qstate, registers, tomo
@@ -246,6 +246,8 @@ CONFIG_PATHS = {row.key for row in cli.SCHEMA} | {
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(valid_configs())
+# Past numpy's Poisson limit, which few random draws reach before another named fault.
+@example({**cli.default_config(), "n_trials": 10**21})
 def test_every_valid_config_simulates_or_names_its_field(cfg):
     # At most 20 Monte Carlo sets per track, for time; the draws still reach
     # tracks of a few counts, empty resamples and lines without a window.
@@ -888,7 +890,14 @@ class TestCommands:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: Monte Carlo resample 4 of count set 0 drew no counts\n"
+        assert err == "error: --counts: Monte Carlo resample 4 of count set 0 drew no counts\n"
+
+    @pytest.mark.parametrize("mc_sets", ["0", "5"])
+    def test_tomo_names_an_all_zero_csv(self, mc_sets, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_csv(np.zeros(36)))
+        assert cli.main(["tomo", "--counts", str(path), "--mc-sets", mc_sets]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: --counts: total counts must be positive\n")
 
     def test_tomo_names_counts_above_the_poisson_limit(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
@@ -955,7 +964,7 @@ class TestCommands:
         path = tmp_path / "counts.csv"
         path.write_text("".join(row + "\n" for row in edit(counts_csv(counts).splitlines())))
         assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: --counts: {message}\n")
 
     def test_tomo_rejects_infinite_duration(self, tmp_path, capsys):
         counts = measure.sample_counts(qstate.werner(0.9), list(TS36.settings), 5000, 0.5, 3)
