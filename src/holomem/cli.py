@@ -334,20 +334,50 @@ def _mc_blocks(target: np.ndarray, stack: np.ndarray, failed: np.ndarray) -> lis
              "nonconverged": int(k)} for f, k in zip(fid, failed)]
 
 
-def _finite(obj):
-    """Copy of a JSON payload with each non-finite float replaced by its
-    string form ("inf", "-inf" or "nan"), so the output is strict JSON."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=2)` and a newline, in one pass,
+    with each non-finite float written as the string "inf", "-inf" or "nan" so
+    that the output is strict JSON.  Scalars take json's own spellings (its
+    indented encoder is pure Python).  Keys are strings; tuples write as lists."""
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    return "".join(parts) + "\n"
+
+
+def _write_json(obj, pad: str, put) -> None:
+    """Pass the JSON text of `obj`, indented past `pad`, piece by piece to `put`.
+    A module function, not a closure: a recursive closure is a reference cycle,
+    which would keep each output's pieces alive until a full garbage collection."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        put(text if math.isfinite(obj) else f'"{text}"')
+    elif isinstance(obj, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(obj):
+            put(f"{sep}{inner}{_quote(key)}: ")
+            _write_json(obj[key], inner, put)
+            sep = ","
+        put(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in obj:
+            put(sep + inner)
+            _write_json(item, inner, put)
+            sep = ","
+        put(pad + "]" if obj else "[]")
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True or obj is False:
+        put("true" if obj else "false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
 
 
 def report_to_json(report: dict) -> str:
@@ -358,10 +388,18 @@ def report_to_json(report: dict) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _open(path: str, flag: str, mode: str = "r"):
+    """open(path, mode); a file that cannot be opened raises ConfigError naming `flag`."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(flag, str(exc)) from None
+
+
 def _read_config(path: str | None) -> dict:
     if path is None:
         return default_config()
-    with open(path) as fh:
+    with _open(path, "--config") as fh:
         try:
             return yaml.load(fh, Loader=_YamlLoader)
         except yaml.YAMLError as exc:
@@ -372,7 +410,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with _open(out, "--out", "w") as fh:
             fh.write(text)
 
 
@@ -448,7 +486,7 @@ def _read_fit_csv(path: str | None):
     if path is None:
         text = resources.files("holomem.data").joinpath("synthetic_decay.csv").read_text()
     else:
-        with open(path) as fh:
+        with _open(path, "--data") as fh:
             text = fh.read()
     rows = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -496,7 +534,7 @@ def _cmd_fit(args) -> int:
 def _cmd_tomo(args) -> int:
     _check(MC_SETS_RULE, args.mc_sets, "--mc-sets")
     ts = tomo.make_settings(args.scheme)
-    with open(args.counts) as fh:
+    with _open(args.counts, "--counts") as fh:
         try:
             n, dur = measure.counts_from_csv(fh.read(), ts.settings)
         except measure.MeasureError as exc:
@@ -504,10 +542,14 @@ def _cmd_tomo(args) -> int:
     if args.target == "bell":
         target = qstate.bell_phi_plus()
     else:
-        with open(args.target) as fh:
-            target = qstate.density_from_json(json.load(fh))
+        with _open(args.target, "--target") as fh:
+            try:  # not JSON, or not a density matrix
+                target = qstate.density_from_json(json.load(fh))
+            except ValueError as exc:
+                raise ConfigError("--target", str(exc)) from None
         if target.shape != (4, 4):
-            raise qstate.StateError(f"malformed JSON density matrix: dim {len(target)} is not 4")
+            raise ConfigError("--target", f"malformed JSON density matrix: dim {len(target)} is "
+                                          "not 4")
     seed = args.seed if args.seed is not None else 0
     try:
         points, stack, failed = tomo.reconstruct_with_mc([n], [dur], ts, args.mc_sets, [seed])

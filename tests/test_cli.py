@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -514,6 +515,50 @@ class TestSimulateReport:
                                            "resample 28\n")
 
 
+def reference_finite(obj):
+    """Copy of a JSON payload with each non-finite float replaced by its string
+    form, tuples as lists: what json.dumps must see to write strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: reference_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_finite(v) for v in obj]
+    return obj
+
+
+JSON_FLOATS = st.one_of(st.floats(), st.floats().map(np.float64),
+                        st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, math.inf, -math.inf,
+                                         math.nan, np.float64(-math.inf), np.float64(math.nan)]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS, st.text())
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(JSON_PAYLOADS)
+@example({"é\"\\\n\x00 \U0001f600": {"": [], "b": (), "a": {}}, "z": [True, False, None, -0.0,
+                                                                          5e-324, math.nan, -1]})
+def test_json_writer_matches_json_dumps(payload):
+    expected = json.dumps(reference_finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    assert cli._json_text(payload) == expected + "\n"
+
+
+def test_json_writer_leaves_no_reference_cycle():
+    # A cycle would keep each output's pieces until a full collection: peak
+    # memory then grows with the number of reports written.
+    gc.collect()
+    gc.disable()
+    try:
+        cli.report_to_json({"a": [1.0, {"b": None, "c": math.inf}], "d": "e"})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestStackedPaths:
     def test_simulate_calls_no_scalar_born_rule_and_stacked_fidelities(self, monkeypatch):
         calls = Counter()
@@ -946,8 +991,22 @@ class TestCommands:
         argv = ["tomo", "--counts", str(path), "--target", str(target_path)]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: malformed JSON density matrix: ")
+        assert captured.err.startswith("error: --target: malformed JSON density matrix: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("text,message", [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        (None, "[Errno 2] No such file or directory: {path!r}")], ids=["not-json", "missing"])
+    def test_tomo_names_target_file_faults(self, text, message, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text(counts_csv(np.full(36, 100)))
+        target_path = tmp_path / "target.json"
+        if text is not None:
+            target_path.write_text(text)
+        argv = ["tomo", "--counts", str(path), "--target", str(target_path)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        message = message.format(path=str(target_path))
+        assert capsys.readouterr() == ("", f"error: --target: {message}\n")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda rows: [rows[0], "HH,-1,1.0", *rows[2:]],
@@ -1017,6 +1076,33 @@ class TestCommands:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["capacity", "--config", "/nonexistent.yaml"]) == cli.EXIT_VALIDATION
+
+    @staticmethod
+    def no_such_file(flag: str, path) -> tuple[str, str]:
+        return "", f"error: {flag}: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["capacity"], ["crosstalk"],
+                                         ["chsh", "--state", "input"]])
+    def test_missing_config_names_the_flag(self, command, tmp_path, capsys):
+        path = tmp_path / "absent.yaml"
+        assert cli.main([*command, "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == self.no_such_file("--config", path)
+
+    def test_missing_counts_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert cli.main(["tomo", "--counts", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == self.no_such_file("--counts", path)
+
+    def test_missing_data_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert cli.main(["fit", "--data", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == self.no_such_file("--data", path)
+
+    @pytest.mark.parametrize("command", [["capacity"], ["fit"], ["chsh", "--state", "bell"]])
+    def test_unwritable_out_names_the_flag(self, command, tmp_path, capsys):
+        path = tmp_path / "absent-dir" / "out.txt"
+        assert cli.main([*command, "--out", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == self.no_such_file("--out", path)
 
     # Keys that no output read, with the values they held.
     RETIRED_KEYS = {"geometry.temperature_k": 140e-6, "source.pair_rate_hz": 33.0}
