@@ -258,7 +258,8 @@ def run_simulate(sc: Scenario) -> dict:
     # The track stack: the input, then one track per storage time.
     labels = ["input"] + [f"t={t!r}" for t in sc.storage_times_s]
     rho_true = np.concatenate([rho_in[None], rho_out])
-    mean_vis = measure.mean_visibility(rho_true)
+    vis = measure.visibilities(rho_true)
+    mean_vis = vis.mean(axis=1)
     v0 = float(mean_vis[0])
     analytic = {
         "mode_capacity": registers.mode_capacity(sc.geometry),
@@ -281,7 +282,7 @@ def run_simulate(sc: Scenario) -> dict:
                                  for t in sc.storage_times_s],
         }),
     }
-    analytic["input"]["visibility"] = {b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")}
+    analytic["input"]["visibility"] = dict(zip(measure.BASIS_PAIRS, vis[0].tolist()))
     count_seeds = [measure.child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
     mc_seeds = [measure.child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
     seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}

@@ -155,9 +155,14 @@ def visibility(rho: np.ndarray, basis: str) -> float | np.ndarray:
     return _visibilities(rho, (basis,))[..., 0][()]
 
 
+def visibilities(rho: np.ndarray) -> np.ndarray:
+    """Visibilities in the bases of BASIS_PAIRS (HV, PM, RL), in that order (last axis)."""
+    return _visibilities(rho, tuple(BASIS_PAIRS))
+
+
 def mean_visibility(rho: np.ndarray) -> float | np.ndarray:
     """Average visibility over the HV, PM, and RL bases."""
-    return (_visibilities(rho, ("HV", "PM", "RL")).sum(axis=-1) / 3.0)[()]
+    return visibilities(rho).mean(axis=-1)[()]
 
 
 def child_seed(master_seed: int, task_label: str, index: int) -> int:

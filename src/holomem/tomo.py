@@ -61,11 +61,12 @@ them to a fidelity mean and spread.
 Stopping rule, checked after every step of both phases (_MAX_ITER caps
 both together): f is invariant under rescaling of rho, so Tr(rho G) = 0 for
 the gradient G = grad f / n_tot at any state, and rho is optimal exactly
-when G is positive semidefinite.  A set stops once the smallest eigenvalue
-of G is at least -_GTOL, computed by eigvalsh only where a vectorised LDL^H
-test finds G + 2 _GTOL I positive definite.  By convexity of the unprofiled
-likelihood, (f - f_min) / n_tot is then at most _GTOL * C / C_opt with
-C = sum_k c_k, a ratio near 1 (exactly 1 for the 36-setting scheme at
+when G is positive semidefinite.  A set stops once G + _GTOL I passes the
+vectorised LDL^H test (qstate.positive_definite), that is once the smallest
+eigenvalue of G is at least -_GTOL, up to rounding in the pivots of a G at
+that threshold; no eigendecomposition is taken.  By convexity of the
+unprofiled likelihood, (f - f_min) / n_tot is then at most _GTOL * C / C_opt
+with C = sum_k c_k, a ratio near 1 (exactly 1 for the 36-setting scheme at
 equal durations).
 """
 
@@ -217,12 +218,8 @@ def _from_eig(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _certified(g: np.ndarray) -> np.ndarray:
-    """The stopping rule, eigvalsh(G)[0] >= -_GTOL, run only where G + 2 _GTOL I is positive
-    definite: a necessary condition, with a margin far beyond the LDL^H rounding."""
-    ok = qstate.positive_definite(g + 2.0 * _GTOL * np.eye(4))
-    if ok.any():
-        ok[ok] = np.linalg.eigvalsh(g[ok])[:, 0] >= -_GTOL
-    return ok
+    """The stopping rule: G + _GTOL I passes the LDL^H test (see the module docstring)."""
+    return qstate.positive_definite(g + _GTOL * np.eye(4))
 
 
 def _start_states(n: np.ndarray, dur: np.ndarray, ts: TomographySettings) -> np.ndarray:

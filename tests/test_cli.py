@@ -581,6 +581,28 @@ class TestStackedPaths:
             assert got["coincidence_prob"] == 0 and got["correlation"] == 0
         assert 0 < two["fidelity"] == ten["fidelity"]
 
+    def test_bundled_run_certifies_without_eigvalsh(self, monkeypatch):
+        callers, eigvalsh = Counter(), np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        cli.run_simulate(cli.load_scenario(cli.default_config()))
+        assert callers["check_density_matrix"] > 0 and callers["_certified"] == 0
+
+    def test_visibilities_are_one_evaluation(self, monkeypatch):
+        calls, visibilities = [], measure._visibilities
+        monkeypatch.setattr(measure, "_visibilities",
+                            lambda rho, bases: calls.append(bases) or visibilities(rho, bases))
+        sc = cli.load_scenario(cli.default_config())
+        report = cli.run_simulate(sc)
+        assert calls == [("HV", "PM", "RL")]
+        rho_in = channel.input_state(sc.source)
+        assert report["analytic"]["input"]["visibility"] == {
+            b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")}
+
 
 # The keys of each report track row.  Analytic rows share three keys; the input
 # row adds its per-basis visibilities, and storage rows their channel values.
