@@ -248,7 +248,7 @@ def run_simulate(sc: Scenario) -> dict:
     except eitline.EitError as exc:
         raise ConfigError(EIT.key, str(exc)) from None
     rho_in = channel.input_state(sc.source)
-    bell = qstate.bell_phi_plus()
+    bell = qstate.PHI_PLUS  # a ket: its fidelities are <phi+|rho|phi+>
     ts = tomo.make_settings(sc.tomo_scheme)
     q = registers.spin_wave_vectors(sc.geometry)
     max_xtalk = max((registers.expected_crosstalk(a, b, sc.geometry)
@@ -328,8 +328,8 @@ def _tracks(every: dict, storage: dict) -> dict:
 
 def _mc_blocks(target: np.ndarray, stack: np.ndarray, failed: np.ndarray) -> list[dict]:
     """The "mc" block of each report track or of `tomo` output: the fidelity
-    mean and spread of a (B, n_sets, 4, 4) resample stack versus `target`,
-    with n_sets >= 2, and the count of non-converged resamples."""
+    mean and spread of a (B, n_sets, 4, 4) resample stack versus `target` (a
+    state or a ket), with n_sets >= 2, and the count of non-converged resamples."""
     fid = qstate.fidelity(target, stack.reshape(-1, 4, 4)).reshape(stack.shape[:2])
     return [{"mean": float(f.mean()), "std": float(f.std(ddof=1)), "n_sets": len(f),
              "nonconverged": int(k)} for f, k in zip(fid, failed)]
@@ -541,7 +541,7 @@ def _cmd_tomo(args) -> int:
         except measure.MeasureError as exc:
             raise ConfigError("--counts", str(exc)) from None
     if args.target == "bell":
-        target = qstate.bell_phi_plus()
+        target = qstate.PHI_PLUS
     else:
         with _open(args.target, "--target") as fh:
             try:  # not JSON, or not a density matrix

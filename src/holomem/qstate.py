@@ -89,9 +89,14 @@ def check_density_matrix(rho: np.ndarray, atol: float = CONSTRUCTION_ATOL) -> np
     return rho
 
 
+# The ket (|HH> + |VV>)/sqrt(2), read-only: fidelity(PHI_PLUS, rho) is the Bell-state fidelity.
+PHI_PLUS = (np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)).astype(complex)
+PHI_PLUS.flags.writeable = False
+
+
 def bell_phi_plus() -> np.ndarray:
     """Density matrix of (|HH> + |VV>)/sqrt(2)."""
-    return projector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    return projector(PHI_PLUS)
 
 
 def bell_psi_plus() -> np.ndarray:
@@ -129,9 +134,18 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity  (Tr sqrt(sqrt(a) b sqrt(a)))^2.
 
     This is the squared-overlap convention: for pure a = |psi><psi| it
-    equals <psi|b|psi>.  Result is clipped to [0, 1] against roundoff.
+    equals <psi|b|psi>.  Passing the ket psi itself, shape (n,), as `a`
+    returns <psi|b|psi> directly, with no square root or eigendecomposition;
+    that form does not validate b, so its callers pass states that have
+    passed check_density_matrix (as channel.input_state, store_retrieve and
+    the MLE output have).  Result is clipped to [0, 1] against roundoff.
     For (..., n, n) stacks, broadcast together, it returns the per-matrix values.
     """
+    if np.ndim(a) == 1:
+        ket = np.asarray(a, dtype=complex)
+        out = np.clip(np.einsum("i,...ij,j->...", ket.conj(), np.asarray(b, dtype=complex),
+                                ket).real, 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
     sa = sqrtm_psd(a)
     inner = sa @ np.asarray(b, dtype=complex) @ sa
     vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)

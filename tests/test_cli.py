@@ -592,6 +592,34 @@ class TestStackedPaths:
         cli.run_simulate(cli.load_scenario(cli.default_config()))
         assert callers["check_density_matrix"] > 0 and callers["_certified"] == 0
 
+    def test_bell_columns_take_no_eigendecomposition(self, monkeypatch):
+        bell, fidelity = qstate.bell_phi_plus(), qstate.fidelity
+        inside, seen = [], Counter()
+
+        def spy_fidelity(a, b):
+            target = qstate.projector(a) if np.ndim(a) == 1 else a
+            inside.append(np.shape(target) == (4, 4) and np.allclose(target, bell))
+            seen["bell" if inside[-1] else "other"] += 1
+            try:
+                return fidelity(a, b)
+            finally:
+                inside.pop()
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                seen[name] += bool(inside and inside[-1])
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(qstate, "fidelity", spy_fidelity)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        cli.run_simulate(cli.load_scenario(cli.default_config()))
+        # fidelity_vs_bell, mle_fidelity_vs_bell and the mc blocks; then
+        # process_fidelity and mle_fidelity_vs_true.
+        assert (seen["bell"], seen["other"]) == (3, 2)
+        assert seen["eigh"] == seen["eigvalsh"] == 0
+
     def test_visibilities_are_one_evaluation(self, monkeypatch):
         calls, visibilities = [], measure._visibilities
         monkeypatch.setattr(measure, "_visibilities",
@@ -935,7 +963,7 @@ class TestCommands:
                                     atol=qstate.CHANNEL_ATOL)
         _, (stack,), (failed,) = tomo.reconstruct_with_mc(counts[None], np.ones((1, 36)), ts,
                                                           4, [0])
-        mc = qstate.fidelity(qstate.bell_phi_plus(), stack)
+        mc = qstate.fidelity(qstate.PHI_PLUS, stack)
         assert payload["mc"] == {"mean": float(mc.mean()), "std": float(mc.std(ddof=1)),
                                  "n_sets": 4, "nonconverged": int(failed)}
 

@@ -167,6 +167,26 @@ class TestStacks:
         assert qstate.fidelity(a, bell).tolist() == [qstate.fidelity(x, bell) for x in a]
         assert isinstance(qstate.fidelity(a[0], bell), float)
 
+    def test_ket_fidelity_matches_uhlmann(self, rng):
+        kets = [qstate.PHI_PLUS] + [psi / np.linalg.norm(psi) for psi in
+                                    rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))]
+        pure = [qstate.projector(psi) for psi in kets]
+        stack = np.array([random_density_matrix(rng) for _ in range(200)] + pure)
+        for psi in kets:
+            ket = qstate.fidelity(psi, stack)
+            assert ket.shape == (len(stack),)
+            assert np.abs(ket - qstate.fidelity(qstate.projector(psi), stack)).max() < 1e-14
+            assert ket.tolist() == [qstate.fidelity(psi, rho) for rho in stack]
+            assert np.array_equal(qstate.fidelity(psi, stack.reshape(2, -1, 4, 4)).reshape(-1), ket)
+            assert isinstance(qstate.fidelity(psi, stack[0]), float)
+
+    def test_phi_plus_is_the_ket_of_the_bell_state(self):
+        assert np.array_equal(qstate.projector(qstate.PHI_PLUS), qstate.bell_phi_plus())
+        fid = qstate.fidelity(qstate.PHI_PLUS, qstate.bell_phi_plus())
+        assert fid == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            qstate.PHI_PLUS[0] = 0.0
+
     def test_check_accepts_a_physical_stack(self, rng):
         stack = np.array([random_density_matrix(rng) for _ in range(20)])
         assert qstate.check_density_matrix(stack).shape == (20, 4, 4)
