@@ -278,8 +278,6 @@ def run_simulate(sc: Scenario) -> dict:
             "coinc_prob": coinc_probs,
             "signal_fraction": fracs,
             "process_fidelity": qstate.fidelity(rho_in, rho_out),
-            "visibility_model": [channel.visibility_decay(sc.channel, v0, t)
-                                 for t in sc.storage_times_s],
         }),
     }
     analytic["input"]["visibility"] = dict(zip(measure.BASIS_PAIRS, vis[0].tolist()))

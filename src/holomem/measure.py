@@ -2,11 +2,12 @@
 correlation functions, CHSH S, fringe visibilities, and Poissonian count
 sampling.
 
-Born-rule probabilities Tr(rho Pi_k) over a (K, 4, 4) projector stack (such as
-`TomographySettings.projectors`), clamped to [0, 1], are one evaluation for a
-state or a (B, 4, 4) stack, as are `chsh_s` and the visibilities.  Analyzers at
-(phi1, phi2) correlate as E = Tr(rho sigma(phi1) x sigma(phi2)), with
-sigma(phi) = cos 2phi Z + sin 2phi X.  Counts travel as (B, K) integer arrays;
+Each observable is Re Tr(rho W) over a (K, 4, 4) operator stack, one einsum for
+a state or a (B, 4, 4) stack; Born-rule probabilities clamp it to [0, 1].  Two
+tables are built once at import: CHSH_OPERATORS, the CHSH operator W of each
+convention (S = |Tr(rho W)|, from sigma(phi) = cos 2phi Z + sin 2phi X at each
+analyzer), and BASIS_PROJECTORS, the joint projectors of each basis pair, whose
+probabilities give the visibilities.  Counts travel as (B, K) integer arrays;
 only the count CSV functions know the file format.  `child_seed` hashes a
 master seed and a task label into the seed of each Monte Carlo stream.
 
@@ -15,13 +16,12 @@ Sign convention: with the textbook correlation E = cos 2(phi1 - phi2) for
 evaluates to 0.  The experimental analyzers therefore implement the
 mirrored convention (photon 2's angle negated, E = cos 2(phi1 + phi2)),
 consistent with a wave-plate reflection between the two beam splitters.
-Mirrored is the default everywhere; the textbook flag is kept for tests.
+Mirrored is the default everywhere.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -72,7 +72,6 @@ class AnalyzerSetting:
         return joint_projectors([self])[0]
 
 
-@functools.cache
 def setting_from_labels(l1: str, l2: str) -> AnalyzerSetting:
     """Analyzer setting from basis labels in {H, V, +, -, R, L}."""
     try:
@@ -89,10 +88,14 @@ def joint_projectors(settings) -> np.ndarray:
     return k[:, :, None] * k.conj()[:, None, :]
 
 
+def _traces(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Re Tr(rho W_k) over a (K, 4, 4) operator stack: (K,) for a state, (B, K) for a stack."""
+    return np.einsum("kij,...ji->...k", operators, np.asarray(rho, dtype=complex)).real
+
+
 def born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Tr(rho Pi_k), clamped to [0, 1]: (K,) for a state, (B, K) for a stack."""
-    p = np.einsum("kij,...ji->...k", projectors, np.asarray(rho, dtype=complex)).real
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(_traces(rho, projectors), 0.0, 1.0)
 
 
 def coincidence_prob(rho: np.ndarray, s: AnalyzerSetting) -> float:
@@ -100,47 +103,47 @@ def coincidence_prob(rho: np.ndarray, s: AnalyzerSetting) -> float:
     return float(born_probabilities(rho, joint_projectors([s]))[0])
 
 
-def _correlations(rho: np.ndarray, phi1_rad, phi2_rad, convention: Convention) -> np.ndarray:
-    """Tr(rho sigma(phi1) x sigma(phi2)) per angle pair (last axis); mirrored negates phi2."""
+def _correlators(phi1_rad, phi2_rad, convention: Convention) -> np.ndarray:
+    """(N, 4, 4) operators sigma(phi1) x sigma(phi2), one per angle pair; mirrored negates phi2."""
     if convention not in ("mirrored", "textbook"):
         raise MeasureError(f"unknown convention {convention!r}")
     two_phi = 2.0 * np.array([phi1_rad, phi2_rad], dtype=float)
     two_phi[1] *= -1.0 if convention == "mirrored" else 1.0
     c, s = np.cos(two_phi), np.sin(two_phi)
     a, b = np.stack([c, s, s, -c], axis=-1).reshape(2, -1, 2, 2)
-    r = np.asarray(rho, dtype=complex).reshape(*np.shape(rho)[:-2], 2, 2, 2, 2)
-    return np.einsum("...ikjl,nji,nlk->...n", r, a, b).real
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(-1, 4, 4)
 
 
 def correlation(rho: np.ndarray, phi1_rad: float, phi2_rad: float,
                 convention: Convention = "mirrored") -> float:
     """Polarization correlation E = P(++) + P(--) - P(+-) - P(-+) over linear
     analyzers at (phi1, phi2); the mirrored convention negates phi2."""
-    return float(_correlations(rho, [phi1_rad], [phi2_rad], convention)[0])
+    return float(_traces(rho, _correlators([phi1_rad], [phi2_rad], convention))[0])
+
+
+# The CHSH operator W = -E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2') at
+# CHSH_ANGLES_RAD: -sqrt2 (XX + ZZ) mirrored, sqrt2 (XX - ZZ) textbook.
+_P1, _P1P, _P2, _P2P = CHSH_ANGLES_RAD
+CHSH_OPERATORS = {c: np.einsum("n,nij->ij", [-1.0, 1.0, 1.0, 1.0], _correlators(
+    [_P1, _P1, _P1P, _P1P], [_P2, _P2P, _P2, _P2P], c)) for c in ("mirrored", "textbook")}
 
 
 def chsh_s(rho: np.ndarray, convention: Convention = "mirrored") -> float | np.ndarray:
-    """CHSH combination |-E(p1,p2) + E(p1,p2') + E(p1',p2) + E(p1',p2')| at
-    CHSH_ANGLES_RAD."""
-    p1, p1p, p2, p2p = CHSH_ANGLES_RAD
-    e = _correlations(rho, [p1, p1, p1p, p1p], [p2, p2p, p2, p2p], convention)
-    return np.abs(-e[..., 0] + e[..., 1] + e[..., 2] + e[..., 3])[()]
+    """CHSH S = |Tr(rho W)| with W = CHSH_OPERATORS[convention]."""
+    if convention not in CHSH_OPERATORS:
+        raise MeasureError(f"unknown convention {convention!r}")
+    return np.abs(_traces(rho, CHSH_OPERATORS[convention][None])[..., 0])[()]
 
 
 BASIS_PAIRS = {"HV": ("H", "V"), "PM": ("+", "-"), "RL": ("R", "L")}
-
-
-def basis_settings(basis: str) -> list[AnalyzerSetting]:
-    """The four joint settings of a basis pair, e.g. HH, HV, VH, VV."""
-    if basis not in BASIS_PAIRS:
-        raise MeasureError(f"basis must be one of {sorted(BASIS_PAIRS)}, got {basis!r}")
-    b1, b2 = BASIS_PAIRS[basis]
-    return [setting_from_labels(x, y) for x in (b1, b2) for y in (b1, b2)]
+# (3, 4, 4, 4): the joint projectors of each basis pair, e.g. HH, HV, VH, VV.
+BASIS_PROJECTORS = joint_projectors([setting_from_labels(x, y) for b1, b2 in BASIS_PAIRS.values()
+                                     for x in (b1, b2) for y in (b1, b2)]).reshape(3, 4, 4, 4)
 
 
 def _visibilities(rho: np.ndarray, bases: tuple[str, ...]) -> np.ndarray:
     """Fringe visibilities (C_max - C_min)/(C_max + C_min), one per basis (last axis)."""
-    pis = joint_projectors([s for b in bases for s in basis_settings(b)])
+    pis = BASIS_PROJECTORS[[list(BASIS_PAIRS).index(b) for b in bases]].reshape(-1, 4, 4)
     probs = born_probabilities(rho, pis).reshape(*np.shape(rho)[:-2], len(bases), 4)
     c_max, c_min = probs.max(axis=-1), probs.min(axis=-1)
     total = c_max + c_min
@@ -152,17 +155,14 @@ def _visibilities(rho: np.ndarray, bases: tuple[str, ...]) -> np.ndarray:
 
 def visibility(rho: np.ndarray, basis: str) -> float | np.ndarray:
     """Fringe visibility (C_max - C_min)/(C_max + C_min) in the given basis."""
+    if basis not in BASIS_PAIRS:
+        raise MeasureError(f"basis must be one of {sorted(BASIS_PAIRS)}, got {basis!r}")
     return _visibilities(rho, (basis,))[..., 0][()]
 
 
 def visibilities(rho: np.ndarray) -> np.ndarray:
     """Visibilities in the bases of BASIS_PAIRS (HV, PM, RL), in that order (last axis)."""
     return _visibilities(rho, tuple(BASIS_PAIRS))
-
-
-def mean_visibility(rho: np.ndarray) -> float | np.ndarray:
-    """Average visibility over the HV, PM, and RL bases."""
-    return visibilities(rho).mean(axis=-1)[()]
 
 
 def child_seed(master_seed: int, task_label: str, index: int) -> int:

@@ -34,7 +34,7 @@ def test_criterion_1_chsh_conventions():
 def test_criterion_2_werner_thresholds():
     p = 1.0 / math.sqrt(2.0)
     f = qstate.fidelity(qstate.bell_phi_plus(), qstate.werner(p))
-    v = measure.mean_visibility(qstate.werner(p))
+    v = measure.visibilities(qstate.werner(p)).mean(axis=-1)
     assert abs(f - (1.0 + 3.0 * p) / 4.0) < 1e-9
     assert abs(f - 0.780330086) < 1e-9
     assert abs(v - p) < 1e-9
@@ -81,7 +81,7 @@ def test_criterion_6_storage_behavior():
     f = qstate.fidelity(qstate.bell_phi_plus(), rho_out)
     f_proc = qstate.fidelity(rho_in, rho_out)
     s = measure.chsh_s(rho_out)
-    t_star = channel.visibility_threshold_time(p, measure.mean_visibility(rho_in))
+    t_star = channel.visibility_threshold_time(p, measure.visibilities(rho_in).mean(axis=-1))
     assert 0.79 <= f <= 0.83
     assert 0.96 <= f_proc <= 1.0
     assert abs(s - 2.25) < 0.15
@@ -130,7 +130,7 @@ def test_criterion_8_fit_recovery():
 
     p = BUNDLED.channel
     rho_in = channel.input_state(BUNDLED.source)
-    v0 = measure.mean_visibility(rho_in)
+    v0 = measure.visibilities(rho_in).mean(axis=-1)
     a_true, b_true = channel.visibility_decay_coeffs(p, v0)
     pts = [(t, channel.visibility_decay(p, v0, t), 0.01)
            for t in np.linspace(0, 3e-6, 15)]

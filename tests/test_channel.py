@@ -156,11 +156,21 @@ class TestVisibilityDecay:
     def test_threshold_crossing_time(self):
         p = BUNDLED.channel
         rho_in = channel.input_state(BUNDLED.source)
-        v0 = measure.mean_visibility(rho_in)
+        v0 = measure.visibilities(rho_in).mean(axis=-1)
         t_star = channel.visibility_threshold_time(p, v0)
         assert 1.4e-6 <= t_star <= 1.8e-6
         # Consistency: V at the crossing equals the threshold.
         assert channel.visibility_decay(p, v0, t_star) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_model_is_the_mean_visibility_of_the_stored_states(self):
+        # V_out = f V_in for this source family, so the report states the decayed
+        # visibility once, as the stored states' mean_visibility.
+        p, times = BUNDLED.channel, [i * 0.2e-6 for i in range(41)]
+        rho_in = channel.input_state(BUNDLED.source)
+        v0 = measure.visibilities(rho_in).mean(axis=-1)
+        rho_out = channel.store_retrieve(rho_in, times, p)[0]
+        for t, v in zip(times, measure.visibilities(rho_out).mean(axis=-1), strict=True):
+            assert channel.visibility_decay(p, v0, t) == pytest.approx(v, rel=1e-14, abs=0.0)
 
     def test_never_crossing_sentinel(self):
         p = channel.ChannelParams(eta0=0.15, tau_s=2.8e-6, bg_coinc=0.0)

@@ -631,13 +631,26 @@ class TestStackedPaths:
         assert report["analytic"]["input"]["visibility"] == {
             b: measure.visibility(rho_in, b) for b in ("HV", "PM", "RL")}
 
+    def test_report_builds_no_projectors(self, monkeypatch):
+        sc = cli.load_scenario(cli.default_config())
+        cli.run_simulate(sc)  # warm-up: tomo.make_settings builds its scheme once
+        calls = Counter()
+        for module in (measure, tomo):
+            for name in ("joint_projectors", "setting_from_labels"):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        cli.run_simulate(sc)
+        assert calls == Counter()
+
 
 # The keys of each report track row.  Analytic rows share three keys; the input
 # row adds its per-basis visibilities, and storage rows their channel values.
 ANALYTIC_KEYS = {"chsh_s", "fidelity_vs_bell", "mean_visibility"}
 ANALYTIC_INPUT_KEYS = ANALYTIC_KEYS | {"visibility"}
 ANALYTIC_STORAGE_KEYS = ANALYTIC_KEYS | {"t_s", "efficiency", "coinc_prob", "signal_fraction",
-                                         "process_fidelity", "visibility_model"}
+                                         "process_fidelity"}
 STATISTICAL_KEYS = {"mle_fidelity_vs_bell", "mle_fidelity_vs_true", "mle_iterations",
                     "total_counts"}
 

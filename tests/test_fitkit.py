@@ -146,7 +146,7 @@ class TestVisibilityFit:
         # Generate V(t) from the channel closed form and recover (a, b).
         p = BUNDLED.channel
         rho_in = channel.input_state(BUNDLED.source)
-        v0 = measure.mean_visibility(rho_in)
+        v0 = measure.visibilities(rho_in).mean(axis=-1)
         a_true, b_true = channel.visibility_decay_coeffs(p, v0)
         times = np.linspace(0, 3e-6, 15)
         pts = [(t, channel.visibility_decay(p, v0, t), 0.01) for t in times]
@@ -161,7 +161,7 @@ class TestVisibilityFit:
     def test_float_tau_variant(self):
         p = BUNDLED.channel
         rho_in = channel.input_state(BUNDLED.source)
-        v0 = measure.mean_visibility(rho_in)
+        v0 = measure.visibilities(rho_in).mean(axis=-1)
         times = np.linspace(0, 3e-6, 15)
         pts = [(t, channel.visibility_decay(p, v0, t), 0.01) for t in times]
         res = fitkit.fit_visibility(pts, tau_s=2.0e-6, float_tau=True)

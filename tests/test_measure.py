@@ -48,8 +48,14 @@ def reference_chsh(rho, angles, convention):
     return abs(-e(p1, p2) + e(p1, p2p) + e(p1p, p2) + e(p1p, p2p))
 
 
+def basis_settings(basis):
+    """The four joint settings of a basis pair, e.g. HH, HV, VH, VV."""
+    b1, b2 = measure.BASIS_PAIRS[basis]
+    return [measure.setting_from_labels(x, y) for x in (b1, b2) for y in (b1, b2)]
+
+
 def reference_visibility(rho, basis):
-    probs = [kron_prob(rho, s) for s in measure.basis_settings(basis)]
+    probs = [kron_prob(rho, s) for s in basis_settings(basis)]
     return (max(probs) - min(probs)) / (max(probs) + min(probs))
 
 
@@ -79,7 +85,7 @@ class TestCoincidenceProb:
         for basis in ("HV", "PM", "RL"):
             rho = random_density_matrix(rng)
             total = sum(measure.coincidence_prob(rho, s)
-                        for s in measure.basis_settings(basis))
+                        for s in basis_settings(basis))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_unknown_label_rejected(self):
@@ -138,19 +144,41 @@ class TestChsh:
         rho = channel.input_state(BUNDLED.source)
         assert measure.chsh_s(rho) == pytest.approx(2.54, abs=0.10)
 
+    def test_operators_are_the_pauli_forms(self):
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        xx, zz = np.kron(x, x), np.kron(z, z)
+        expected = {"mirrored": -math.sqrt(2) * (xx + zz), "textbook": math.sqrt(2) * (xx - zz)}
+        assert set(measure.CHSH_OPERATORS) == set(expected)
+        for name, w in measure.CHSH_OPERATORS.items():
+            assert w.shape == (4, 4) and np.abs(w - expected[name]).max() <= 1e-15
+            assert np.array_equal(w, w.conj().T)
+
+    def test_bad_convention(self):
+        with pytest.raises(measure.MeasureError, match="unknown convention 'other'"):
+            measure.chsh_s(qstate.bell_phi_plus(), convention="other")
+
 
 class TestVisibility:
     def test_werner_visibility_equals_weight(self):
         for p in (0.2, 1 / math.sqrt(2), 0.95):
             for basis in ("HV", "PM", "RL"):
                 assert measure.visibility(qstate.werner(p), basis) == pytest.approx(p, abs=1e-12)
-            assert measure.mean_visibility(qstate.werner(p)) == pytest.approx(p, abs=1e-12)
+            mean = measure.visibilities(qstate.werner(p)).mean(axis=-1)
+            assert mean == pytest.approx(p, abs=1e-12)
 
     def test_input_state_basis_visibilities(self):
         # Oracle: V = (r - 1)/(r + 1) from the source count ratios.
         rho = channel.input_state(BUNDLED.source)
         assert measure.visibility(rho, "HV") == pytest.approx(13.3 / 15.3, abs=1e-9)
         assert measure.visibility(rho, "PM") == pytest.approx(22.1 / 24.1, abs=1e-9)
+
+    def test_basis_table_rows_are_scheme_projectors(self):
+        ts = tomo.make_settings(36)
+        labels = [s.label for s in ts.settings]
+        assert measure.BASIS_PROJECTORS.shape == (3, 4, 4, 4)
+        for (b1, b2), rows in zip(measure.BASIS_PAIRS.values(), measure.BASIS_PROJECTORS):
+            keys = [x + y for x in (b1, b2) for y in (b1, b2)]
+            assert np.array_equal(rows, ts.projectors[[labels.index(k) for k in keys]])
 
     def test_bad_basis(self):
         with pytest.raises(measure.MeasureError):
@@ -160,7 +188,7 @@ class TestVisibility:
 class TestSampleCounts:
     def test_deterministic_for_fixed_seed(self):
         rho = qstate.werner(0.8)
-        settings = measure.basis_settings("HV")
+        settings = basis_settings("HV")
         a = measure.sample_counts(rho, settings, 10000, 0.5, seed=42)
         b = measure.sample_counts(rho, settings, 10000, 0.5, seed=42)
         assert a.dtype == np.int64 and a.shape == (4,)
@@ -168,14 +196,14 @@ class TestSampleCounts:
 
     def test_seed_changes_counts(self):
         rho = qstate.werner(0.8)
-        settings = measure.basis_settings("HV")
+        settings = basis_settings("HV")
         a = measure.sample_counts(rho, settings, 10000, 0.5, seed=1)
         b = measure.sample_counts(rho, settings, 10000, 0.5, seed=2)
         assert a.tolist() != b.tolist()
 
     def test_poisson_mean_matches_born_rule(self):
         rho = qstate.werner(0.7)
-        settings = measure.basis_settings("HV")
+        settings = basis_settings("HV")
         n, scale = 5000, 0.8
         sums = np.zeros(len(settings))
         n_rep = 200
@@ -188,7 +216,7 @@ class TestSampleCounts:
             assert abs(m - mu) < 3.0 * math.sqrt(mu / n_rep) + 1e-9
 
     def test_validation(self):
-        settings = measure.basis_settings("HV")
+        settings = basis_settings("HV")
         with pytest.raises(measure.MeasureError):
             measure.sample_counts(qstate.werner(0.5), settings, 0, 0.5, seed=0)
         with pytest.raises(measure.MeasureError):
@@ -217,7 +245,7 @@ class TestSampleCounts:
 class TestAgainstKronReference:
     """The vectorised Born rule against the per-setting kron path it replaced."""
 
-    SETTING_SETS = {"HV": measure.basis_settings("HV"),
+    SETTING_SETS = {"HV": basis_settings("HV"),
                     "scheme16": list(tomo.make_settings(16).settings),
                     "scheme36": list(tomo.make_settings(36).settings)}
 
@@ -275,14 +303,14 @@ class TestAgainstKronReference:
             refs = [reference_visibility(rho, b) for b in ("HV", "PM", "RL")]
             for basis, ref in zip(("HV", "PM", "RL"), refs):
                 assert abs(measure.visibility(rho, basis) - ref) <= 1e-14
-            assert abs(measure.mean_visibility(rho) - sum(refs) / 3.0) <= 1e-14
+            assert abs(measure.visibilities(rho).mean(axis=-1) - sum(refs) / 3.0) <= 1e-14
 
     def test_vanishing_basis_named(self):
         rho = np.zeros((4, 4), dtype=complex)
         with pytest.raises(measure.MeasureError, match="vanish in basis PM"):
             measure.visibility(rho, "PM")
         with pytest.raises(measure.MeasureError, match="vanish in basis HV"):
-            measure.mean_visibility(rho)
+            measure.visibilities(rho).mean(axis=-1)
 
 
 # The settings HH, HV and VV, the rows of the CSV cases below.

@@ -56,13 +56,13 @@ def test_stacked_measures_match_per_state_calls(rng, size):
     states = np.stack([random_state(rng, int(rng.integers(1, 5))) for _ in range(size)])
     settings = list(tomo.make_settings(36).settings)
     probs = measure.born_probabilities(states, tomo.make_settings(36).projectors)
-    chsh, mean_vis = measure.chsh_s(states), measure.mean_visibility(states)
+    chsh, mean_vis = measure.chsh_s(states), measure.visibilities(states).mean(axis=-1)
     assert probs.shape == (size, 36) and chsh.shape == mean_vis.shape == (size,)
     for b, rho in enumerate(states):
         single = [measure.coincidence_prob(rho, s) for s in settings]
         assert np.abs(probs[b] - single).max() <= 1e-12
         assert abs(chsh[b] - measure.chsh_s(rho)) <= 1e-12
-        assert abs(mean_vis[b] - measure.mean_visibility(rho)) <= 1e-12
+        assert abs(mean_vis[b] - measure.visibilities(rho).mean(axis=-1)) <= 1e-12
         for basis in ("HV", "PM", "RL"):
             stacked = measure.visibility(states, basis)[b]
             assert abs(stacked - measure.visibility(rho, basis)) <= 1e-12
