@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -405,6 +406,14 @@ def _read_config(path: str | None) -> dict:
             raise ConfigError(path, str(exc)) from None
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work as _write_out would: appending changes no file; remove one made here."""
+    existed = os.path.lexists(path)
+    _open(path, "--out", "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -652,6 +661,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.out is not None:  # every command takes --out
+            _check_out(args.out)
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1167,6 +1167,25 @@ class TestCommands:
         assert cli.main([*command, "--out", str(path)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr() == self.no_such_file("--out", path)
 
+    def test_unwritable_out_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solve ran before --out was checked")
+        monkeypatch.setattr(tomo, "reconstruct_with_mc", solve)
+        path = tmp_path / "absent-dir" / "r.json"
+        assert cli.main(["simulate", "--out", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == self.no_such_file("--out", path)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_later_failure_leaves_out_as_it_was(self, existing, tmp_path, capsys):
+        path, out = tmp_path / "scenario.yaml", tmp_path / "r.json"
+        path.write_text(yaml.safe_dump({**cli.default_config(), "n_trials": 10**21}))
+        if existing:
+            out.write_bytes(b"kept\n")
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: n_trials: ")
+        assert out.read_bytes() == b"kept\n" if existing else not out.exists()
+
     # Keys that no output read, with the values they held.
     RETIRED_KEYS = {"geometry.temperature_k": 140e-6, "source.pair_rate_hz": 33.0}
 
