@@ -10,6 +10,14 @@ top-level keys config, analytic, statistical, seeds, version, provenance.
 The report embeds the validated tree, read back from the model objects, so
 regenerating a report from its own embedded config is byte-identical.
 
+A process that runs many commands pays once for what a scenario fixes.
+`simulate`, `capacity`, `chsh` and `crosstalk` get their Scenario through
+_scenario, which parses and validates each config text once: the bundled
+text, or the last --config text, whose file is still read on every call.
+run_simulate takes the analytic block and the true-state stack from _model,
+kept for the last model inputs, and draws only counts and solves anew.  Each
+cache keeps one entry; a one-shot process sees no change.
+
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 
@@ -24,6 +32,7 @@ import json
 import math
 import os
 import sys
+import types
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -240,54 +249,85 @@ def scenario_to_config(sc: Scenario) -> dict:
 # End-to-end runner
 # ---------------------------------------------------------------------------
 
-def run_simulate(sc: Scenario) -> dict:
-    """Reproduce the full experiment: input state, storage channel, and both
-    analytic and count-statistics (tomography) tracks per storage time."""
+class _Model(NamedTuple):
+    """The half of a report that the model inputs alone fix (see _model)."""
+
+    scalars: types.MappingProxyType  # the analytic block's scalar keys
+    every: types.MappingProxyType    # analytic columns over the track stack
+    storage: types.MappingProxyType  # analytic columns over the storage times
+    input_visibility: np.ndarray     # the input's visibility per measure.BASIS_PAIRS
+    rho_true: np.ndarray             # the track stack: the input, then each stored state
+
+
+@functools.lru_cache(maxsize=1)
+def _model(key: str, times: tuple, geometry, eit, source, chan) -> _Model:
+    """The analytic values and true states of a scenario's storage times,
+    geometry, eit, source and channel, whose repr is `key`.  No master seed,
+    scheme or count setting changes them, so the last inputs' half is kept, its
+    arrays read-only; inputs that fail fail again on every call.  The key tells
+    -0.0 from 0.0, which compare equal but can print apart (a zero eta0's
+    efficiency column)."""
     # A line with no transparency window is a config fault: name it before any work.
     try:
-        eit_fwhm, eit_delay = eitline.transparency_fwhm(sc.eit), eitline.group_delay(sc.eit)
+        eit_fwhm, eit_delay = eitline.transparency_fwhm(eit), eitline.group_delay(eit)
     except eitline.EitError as exc:
         raise ConfigError(EIT.key, str(exc)) from None
-    rho_in = channel.input_state(sc.source)
-    bell = qstate.PHI_PLUS  # a ket: its fidelities are <phi+|rho|phi+>
-    ts = tomo.make_settings(sc.tomo_scheme)
-    q = registers.spin_wave_vectors(sc.geometry)
-    max_xtalk = max((registers.expected_crosstalk(a, b, sc.geometry)
+    rho_in = channel.input_state(source)
+    q = registers.spin_wave_vectors(geometry)
+    max_xtalk = max((registers.expected_crosstalk(a, b, geometry)
                      for i, a in enumerate(q) for b in q[i + 1:]), default=0.0)
 
-    rho_out, coinc_probs, fracs = channel.store_retrieve(rho_in, sc.storage_times_s, sc.channel)
-    # The track stack: the input, then one track per storage time.
-    labels = ["input"] + [f"t={t!r}" for t in sc.storage_times_s]
+    rho_out, coinc_probs, fracs = channel.store_retrieve(rho_in, times, chan)
     rho_true = np.concatenate([rho_in[None], rho_out])
     vis = measure.visibilities(rho_true)
     mean_vis = vis.mean(axis=1)
-    v0 = float(mean_vis[0])
-    analytic = {
-        "mode_capacity": registers.mode_capacity(sc.geometry),
+    scalars = {
+        "mode_capacity": registers.mode_capacity(geometry),
         "max_register_crosstalk_expected": max_xtalk,
         "eit_fwhm_hz": eit_fwhm,
         "eit_group_delay_s": eit_delay,
-        "visibility_threshold_time_s": channel.visibility_threshold_time(sc.channel, v0),
-        **_tracks({
-            "chsh_s": measure.chsh_s(rho_true),
-            "fidelity_vs_bell": qstate.fidelity(bell, rho_true),
-            # A storage track without signal reads no visibility.
-            "mean_visibility": np.where(np.r_[True, fracs > 0], mean_vis, 0.0),
-        }, {
-            "t_s": sc.storage_times_s,
-            "efficiency": [channel.efficiency(sc.channel, t) for t in sc.storage_times_s],
-            "coinc_prob": coinc_probs,
-            "signal_fraction": fracs,
-            "process_fidelity": qstate.fidelity(rho_in, rho_out),
-        }),
+        "visibility_threshold_time_s": channel.visibility_threshold_time(chan,
+                                                                         float(mean_vis[0])),
     }
-    analytic["input"]["visibility"] = dict(zip(measure.BASIS_PAIRS, vis[0].tolist()))
+    every = {
+        "chsh_s": measure.chsh_s(rho_true),
+        "fidelity_vs_bell": qstate.fidelity(qstate.PHI_PLUS, rho_true),
+        # A storage track without signal reads no visibility.
+        "mean_visibility": np.where(np.r_[True, fracs > 0], mean_vis, 0.0),
+    }
+    storage = {
+        "efficiency": np.array([channel.efficiency(chan, t) for t in times]),
+        "coinc_prob": coinc_probs,
+        "signal_fraction": fracs,
+        "process_fidelity": qstate.fidelity(rho_in, rho_out),
+    }
+    for column in (vis, rho_true, *every.values(), *storage.values()):
+        column.flags.writeable = False
+    return _Model(types.MappingProxyType(scalars), types.MappingProxyType(every),
+                  types.MappingProxyType(storage), vis[0], rho_true)
+
+
+def run_simulate(sc: Scenario) -> dict:
+    """Reproduce the full experiment: input state, storage channel, and both
+    analytic and count-statistics (tomography) tracks per storage time.  The
+    model half comes from _model; the counts, solves and seeds are drawn anew."""
+    inputs = (sc.storage_times_s, sc.geometry, sc.eit, sc.source, sc.channel)
+    model = _model(repr(inputs), *inputs)
+    analytic = {**model.scalars,
+                **_tracks(model.every, {"t_s": sc.storage_times_s, **model.storage})}
+    analytic["input"]["visibility"] = dict(zip(measure.BASIS_PAIRS,
+                                               model.input_visibility.tolist()))
+    bell = qstate.PHI_PLUS  # a ket: its fidelities are <phi+|rho|phi+>
+    ts = tomo.make_settings(sc.tomo_scheme)
+    rho_true = model.rho_true
+    # The track stack: the input, then one track per storage time.
+    labels = ["input"] + [f"t={t!r}" for t in sc.storage_times_s]
     count_seeds = [measure.child_seed(sc.master_seed, f"counts/{label}", 0) for label in labels]
     mc_seeds = [measure.child_seed(sc.master_seed, f"mc/{label}", 0) for label in labels]
     seeds = {f"counts/{label}": seed for label, seed in zip(labels, count_seeds)}
     if sc.n_mc_sets:
         seeds.update((f"mc/{label}", seed) for label, seed in zip(labels, mc_seeds))
-    scales = [sc.input_coinc_prob, *coinc_probs.tolist()]
+    scales = [sc.input_coinc_prob, *model.storage["coinc_prob"].tolist()]
     try:
         n = measure.sample_count_arrays(rho_true, ts.projectors, sc.n_trials, scales, count_seeds)
         if not (totals := n.sum(axis=1)).all():
@@ -396,14 +436,47 @@ def _open(path: str, flag: str, mode: str = "r"):
         raise ConfigError(flag, str(exc)) from None
 
 
-def _read_config(path: str | None) -> dict:
+class _Config:
+    """The parse of one config text, and the Scenario validated from it on first
+    use.  Neither leaves cli: a command gets the Scenario, and a seed-merged
+    tree is a new mapping over the parse."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    @functools.cached_property
+    def scenario(self) -> Scenario:
+        return load_scenario(self.tree)
+
+
+@functools.lru_cache(maxsize=1)
+def _config(text: str | None, path: str | None) -> _Config:
+    """The config of `text`, read from `path`, or of the bundled scenario for
+    None.  Only the last text's is kept; one that fails to parse or validate
+    fails again on every call."""
+    if text is None:
+        return _Config(_bundled_config())
+    stream = io.StringIO(text)
+    stream.name = path  # as a file would, this names the path in PyYAML's error marks
+    try:
+        return _Config(yaml.load(stream, Loader=_YamlLoader))
+    except yaml.YAMLError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _scenario(path: str | None, seed: int | None = None) -> Scenario:
+    """The Scenario of the --config file `path`, or of the bundled scenario for
+    None, with `seed` as its master_seed if given.  The file is read on every
+    call, so an edited file is never served stale, and a seed-merged config is
+    validated on every call."""
     if path is None:
-        return default_config()
-    with _open(path, "--config") as fh:
-        try:
-            return yaml.load(fh, Loader=_YamlLoader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(path, str(exc)) from None
+        cfg = _config(None, None)
+    else:
+        with _open(path, "--config") as fh:
+            cfg = _config(fh.read(), path)
+    if seed is not None and isinstance(cfg.tree, dict):
+        return load_scenario({**cfg.tree, SEED.key: seed})
+    return cfg.scenario
 
 
 def _check_out(path: str) -> None:
@@ -423,16 +496,13 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _read_config(args.config)
-    if args.seed is not None and isinstance(cfg, dict):
-        cfg = {**cfg, SEED.key: args.seed}
-    _write_out(report_to_json(run_simulate(load_scenario(cfg))), args.out)
+    _write_out(report_to_json(run_simulate(_scenario(args.config, args.seed))), args.out)
     return EXIT_OK
 
 
 def _cmd_capacity(args) -> int:
-    sc = load_scenario(_read_config(args.config))
-    _write_out(f"{registers.mode_capacity(sc.geometry):.1f}\n", args.out)
+    g = _scenario(args.config).geometry
+    _write_out(f"{registers.mode_capacity(g):.1f}\n", args.out)
     return EXIT_OK
 
 
@@ -460,7 +530,7 @@ def _cmd_chsh(args) -> int:
     if args.state == "bell":
         rho = qstate.bell_phi_plus()
     elif args.state == "input":
-        rho = channel.input_state(load_scenario(_read_config(args.config)).source)
+        rho = channel.input_state(_scenario(args.config).source)
     elif args.state.startswith("werner:"):
         try:
             rho = qstate.werner(float(args.state.split(":", 1)[1]))
@@ -474,7 +544,7 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_crosstalk(args) -> int:
-    g = load_scenario(_read_config(args.config)).geometry
+    g = _scenario(args.config).geometry
     seed = args.seed if args.seed is not None else 0
     q = registers.spin_wave_vectors(g)
     overlaps = registers.crosstalk_matrix(q, g, seed=measure.child_seed(seed, "crosstalk", 0))
@@ -532,6 +602,9 @@ def _cmd_fit(args) -> int:
             raise ConfigError("--tau-s", "required for the visibility fit")
         _check((lambda tau: 0.0 < tau < math.inf, "must be finite and positive"), args.tau_s,
                "--tau-s")
+        if args.data is None:
+            raise ConfigError("--data", "required for the visibility fit: the bundled CSV holds "
+                                        "efficiencies, not visibilities")
         res = fitkit.fit_visibility(data, tau_s=args.tau_s, float_tau=args.float_tau)
     if not res.converged:
         raise NonConvergenceError("fit did not converge")
@@ -634,7 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["exp", "vis"], default="exp",
                    help="exp: efficiency eta0 exp(-t/tau); "
                         "vis: visibility 1/(a + b exp(2t/tau)) (default exp)")
-    p.add_argument("--data", default=None, help="CSV t_s,y,sigma (default: bundled)")
+    p.add_argument("--data", default=None,
+                   help="CSV t_s,y,sigma (default for --kind exp: the bundled efficiency decay; "
+                        "required for --kind vis)")
     p.add_argument("--tau-s", type=float, default=None,
                    help="tau in s for --kind vis, held fixed unless --float-tau")
     p.add_argument("--float-tau", action="store_true",

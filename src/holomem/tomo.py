@@ -103,8 +103,12 @@ class TomographySettings:
     """A measurement scheme: its name and ordered analyzer settings.
 
     `make_settings` also fills in, read-only, the (K, 4, 4) joint projector
-    stack and the linear-inversion map: the state is
-    inversion_offset + sum_k q_k inversion[k] for normalized probabilities q.
+    stack, the linear-inversion map (the state is
+    inversion_offset + sum_k q_k inversion[k] for normalized probabilities q),
+    the indices of the H/V group's four settings, and the tables of the MLE
+    objective (see _Problem): pis_h, the (16, K) conjugate transpose of the
+    flattened projectors, coords, a_km = Tr(E_m Pi_k), and outer, the (K, 225)
+    flattened outer products a_k a_k^T.
     """
 
     scheme: str
@@ -112,6 +116,10 @@ class TomographySettings:
     projectors: np.ndarray = field(compare=False, repr=False)
     inversion: np.ndarray = field(compare=False, repr=False)
     inversion_offset: np.ndarray = field(compare=False, repr=False)
+    hv_group: np.ndarray = field(compare=False, repr=False)
+    pis_h: np.ndarray = field(compare=False, repr=False)
+    coords: np.ndarray = field(compare=False, repr=False)
+    outer: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -160,10 +168,19 @@ def make_settings(scheme: int | str) -> TomographySettings:
     pinv = np.linalg.pinv(design[:, 1:])
     inversion = np.einsum("mk,mij->kij", pinv, _PAULI_BASIS[1:])
     offset = 0.25 * (_PAULI_BASIS[0] - np.einsum("k,kij->ij", design[:, 0], inversion))
-    for a in (pis, inversion, offset):
+    hv_group = np.array([i for i, s in enumerate(settings) if s.label in _HV_GROUP])
+    k = len(settings)
+    flat = pis.reshape(k, 16)
+    # c_k = d_k Re sum_ij rho_ij conj(Pi_k)_ij for Hermitian rho, Pi_k.
+    pis_h = flat.conj().T
+    # a_km = Tr(E_m Pi_k) and the flattened outer products a_k a_k^T.
+    coords = np.real(flat.conj() @ _COORDS.T)
+    outer = np.einsum("km,kn->kmn", coords, coords).reshape(k, -1)
+    for a in (pis, inversion, offset, hv_group, pis_h, coords, outer):
         a.flags.writeable = False
     return TomographySettings(scheme=key, settings=settings, projectors=pis, inversion=inversion,
-                              inversion_offset=offset)
+                              inversion_offset=offset, hv_group=hv_group, pis_h=pis_h,
+                              coords=coords, outer=outer)
 
 
 def _count_sets(n, dur, ts: TomographySettings) -> tuple[np.ndarray, np.ndarray]:
@@ -187,12 +204,8 @@ def _linear_inversion_many(n: np.ndarray, dur: np.ndarray,
     # are averaged.  A set with no H/V counts takes the rate at which I/4
     # would give its total (every projector has unit trace); the MLE start
     # needs only a positive scale.
-    hv = [i for i, s in enumerate(ts.settings) if s.label in _HV_GROUP]
-    if len(hv) != 4:
-        raise TomographyError(
-            f"scheme {ts.scheme} lacks the full H/V group needed for exposure estimation")
-    hv_total = n[:, hv].sum(axis=1)
-    rate = np.where(hv_total > 0, hv_total / dur[:, hv].mean(axis=1),
+    hv_total = n[:, ts.hv_group].sum(axis=1)
+    rate = np.where(hv_total > 0, hv_total / dur[:, ts.hv_group].mean(axis=1),
                     4.0 * n.sum(axis=1) / dur.sum(axis=1))
     probs = n / (rate[:, None] * dur)
     return ts.inversion_offset + (probs @ ts.inversion.reshape(-1, 16)).reshape(-1, 4, 4)
@@ -242,11 +255,7 @@ class _Problem:
         self.observed = n > 0
         self.d = dur / dur.mean(axis=1, keepdims=True)
         self.pis = ts.projectors.reshape(k, 16)
-        # c_k = d_k Re sum_ij rho_ij conj(Pi_k)_ij for Hermitian rho, Pi_k.
-        self.pis_h = self.pis.conj().T
-        # a_km = Tr(E_m Pi_k) and the flattened outer products a_k a_k^T.
-        self.coords = np.real(self.pis.conj() @ _COORDS.T)
-        self.outer = np.einsum("km,kn->kmn", self.coords, self.coords).reshape(k, -1)
+        self.pis_h, self.coords, self.outer = ts.pis_h, ts.coords, ts.outer
 
     def rates(self, rho: np.ndarray, rows) -> np.ndarray:
         """c_k for the given rows (linear in rho, so also used for steps)."""

@@ -29,6 +29,14 @@ def exact_counts(rho: np.ndarray, ts: tomo.TomographySettings, exposure: float) 
     return np.round(exposure * measure.born_probabilities(rho, ts.projectors))
 
 
+@pytest.fixture(autouse=True)
+def cold_scenario_caches():
+    """Each test starts with no config or model half kept from an earlier one, so
+    that what it counts or patches is what its own calls do."""
+    cli._config.cache_clear()
+    cli._model.cache_clear()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20120501)

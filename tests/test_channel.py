@@ -62,7 +62,7 @@ class TestInputState:
         channel.input_state.cache_clear()
         cold = report()
         assert report() == cold
-        assert channel.input_state.cache_info().hits > 0  # the second run reused the state
+        assert cli._model.cache_info().hits > 0  # the second run reused the model half
 
 
 class TestStoreRetrieve:

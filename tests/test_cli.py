@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
@@ -23,6 +24,9 @@ from holomem.measure import child_seed
 from conftest import BUNDLED, SPARSE_PAIR
 
 TS36 = tomo.make_settings(36)
+# The bundled efficiency-decay CSV, which `fit --kind exp` reads by default; the
+# visibility-fit cases below fit it on purpose, for its large exp(2t/tau) terms.
+DECAY_CSV = str(Path(cli.__file__).parent / "data" / "synthetic_decay.csv")
 
 
 def counts_csv(counts) -> str:
@@ -644,6 +648,128 @@ class TestStackedPaths:
         cli.run_simulate(sc)
         assert calls == Counter()
 
+    def test_a_new_master_seed_reuses_the_model_half(self, monkeypatch):
+        sc = cli.load_scenario(cli.default_config())
+        warm = cli.run_simulate(sc)
+        calls = Counter()
+        for module, name in ((channel, "store_retrieve"), (registers, "expected_crosstalk"),
+                             (measure, "visibilities")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        again = cli.run_simulate(dataclasses.replace(sc, master_seed=sc.master_seed + 1))
+        assert calls == Counter()
+        assert again["analytic"] == warm["analytic"]
+        assert again["seeds"] != warm["seeds"]
+        cli.run_simulate(dataclasses.replace(
+            sc, channel=dataclasses.replace(sc.channel, tau_s=2.0 * sc.channel.tau_s)))
+        # One evaluation of each: expected_crosstalk is called once per register pair.
+        assert calls == {"store_retrieve": 1, "visibilities": 1, "expected_crosstalk": 6}
+
+    def test_two_capacity_commands_validate_once(self, monkeypatch, capsys):
+        calls, load = [], cli.load_scenario
+        monkeypatch.setattr(cli, "load_scenario", lambda cfg: calls.append(cfg) or load(cfg))
+        assert cli.main(["capacity"]) == cli.main(["capacity"]) == cli.EXIT_OK
+        assert len(calls) == 1
+        assert capsys.readouterr().out == "240.6\n240.6\n"
+
+
+def scan_config(times) -> dict:
+    return {**small_config(), "n_mc_sets": 0, "storage_times_s": times}
+
+
+def model_half(sc):
+    """The cached model half of a Scenario, as run_simulate asks for it."""
+    inputs = (sc.storage_times_s, sc.geometry, sc.eit, sc.source, sc.channel)
+    return cli._model(repr(inputs), *inputs)
+
+
+class TestScenarioCaches:
+    def test_a_rewritten_config_file_is_read_anew(self, tmp_path, capsys):
+        path, cfg = tmp_path / "scenario.yaml", cli.default_config()
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["capacity", "--config", str(path)]) == cli.EXIT_OK
+        cfg["geometry"]["signal_waist_m"] *= 2.0
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli.main(["capacity", "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "240.6\n481.1\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("geometry: [unclosed\n", "while parsing a flow sequence"),
+        ("master_seed: 1\n", "tomo_scheme: missing required field"),
+    ], ids=["yaml", "schema"])
+    def test_a_bad_config_file_fails_on_every_call(self, text, message, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        errors = []
+        for command in ("capacity", "chsh", "capacity"):
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_VALIDATION
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+            errors.append(err)
+        assert errors[0] == errors[1] == errors[2]
+        path.write_text(yaml.safe_dump(cli.default_config()))
+        assert cli.main(["capacity", "--config", str(path)]) == cli.EXIT_OK
+
+    def test_a_seed_fills_a_missing_master_seed_on_every_call(self, tmp_path, capsys):
+        cfg = scan_config([0.0])
+        del cfg["master_seed"]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        for _ in range(2):
+            assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err == "error: master_seed: missing required field\n"
+            assert cli.main(["simulate", "--config", str(path), "--seed", "3"]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 3
+
+    def test_edits_to_a_report_reach_no_later_report(self):
+        sc = cli.load_scenario(scan_config([0.0, 1e-6]))
+        first = cli.run_simulate(sc)
+        clean = cli.report_to_json(first)
+        first["analytic"]["storage"][0]["efficiency"] = -1.0
+        first["analytic"]["storage"][0]["t_s"] = 5.0
+        first["analytic"]["input"]["visibility"]["HV"] = 2.0
+        first["analytic"]["input"]["visibility"].clear()
+        assert cli.report_to_json(cli.run_simulate(sc)) == clean
+        assert cli._model.cache_info().hits == 1
+
+    def test_the_model_half_is_read_only(self):
+        sc = cli.load_scenario(scan_config([0.0, 1e-6]))
+        cli.run_simulate(sc)
+        model = model_half(sc)
+        assert cli._model.cache_info().hits == 1
+        for array in (model.rho_true, model.input_visibility, *model.every.values(),
+                      *model.storage.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+        for columns in (model.scalars, model.every, model.storage):
+            with pytest.raises(TypeError):
+                columns["mode_capacity"] = 0.0
+
+    def test_alternating_scan_configs_keep_one_entry_each(self, tmp_path, capsys):
+        paths = []
+        for i, times in enumerate(([0.0, 1e-6], [0.0, 2e-6])):
+            paths.append(tmp_path / f"scan{i}.yaml")
+            paths[-1].write_text(yaml.safe_dump(scan_config(times)))
+        outputs = []
+        for _ in range(2):
+            for path in paths:
+                assert cli.main(["simulate", "--config", str(path), "--seed", "5"]) == cli.EXIT_OK
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:] and outputs[0] != outputs[1]
+        assert cli._config.cache_info().currsize == cli._model.cache_info().currsize == 1
+
+    def test_a_negative_zero_eta0_gets_its_own_model_half(self):
+        efficiencies = []
+        for eta0 in (0.0, -0.0):
+            cfg = scan_config([0.0, 1e-6])
+            cfg["channel"]["eta0"] = eta0
+            report = cli.run_simulate(cli.load_scenario(cfg))
+            efficiencies.append([math.copysign(1.0, s["efficiency"])
+                                 for s in report["analytic"]["storage"]])
+        assert efficiencies == [[1.0, 1.0], [-1.0, -1.0]]
+
 
 # The keys of each report track row.  Analytic rows share three keys; the input
 # row adds its per-basis visibilities, and storage rows their channel values.
@@ -803,10 +929,10 @@ class TestCommands:
     @pytest.mark.parametrize("argv,message", [
         (["eit", "--span-hz", "1e200", "--points", "3"],
          "--span-hz: must be positive with a finite square, got 1e+200"),
-        (["fit", "--kind", "vis", "--tau-s", "3e-8"],
+        (["fit", "--kind", "vis", "--tau-s", "3e-8", "--data", DECAY_CSV],
          "the model or J^T J of its Jacobian is not finite at the start "
          "a=7.05564, b=2.76526e-230, tau=3e-08"),
-        (["fit", "--kind", "vis", "--tau-s", "3e-8", "--float-tau"],
+        (["fit", "--kind", "vis", "--tau-s", "3e-8", "--float-tau", "--data", DECAY_CSV],
          "the model or J^T J of its Jacobian is not finite at the start "
          "a=7.05564, b=2.76526e-230, tau=3e-08"),
         (["eit", "--span-hz", "1e150", "--gamma-gs-hz", "1e200", "--points", "3"],
@@ -892,11 +1018,21 @@ class TestCommands:
     def test_fit_float_tau_huge_start_is_quiet(self, tau, capsys):
         # The start was evaluated outside the solver's errstate, so tau ** 2
         # overflowed with a RuntimeWarning (an error under the test filters).
-        assert cli.main(["fit", "--kind", "vis", "--float-tau", "--tau-s", tau]) == cli.EXIT_OK
+        assert cli.main(["fit", "--kind", "vis", "--float-tau", "--tau-s", tau,
+                         "--data", DECAY_CSV]) == cli.EXIT_OK
         assert capsys.readouterr().err == ""
 
     def test_fit_visibility_requires_tau(self, capsys):
         assert cli.main(["fit", "--kind", "vis"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("float_tau", [[], ["--float-tau"]], ids=["fixed", "float"])
+    def test_fit_visibility_requires_data(self, float_tau, capsys):
+        # The bundled CSV holds efficiencies: fitting V = 1/(a + b exp(2t/tau)) to
+        # them printed a = 10.88, b = 0.668 and t_star_s "inf", and exited 0.
+        assert cli.main(["fit", "--kind", "vis", "--tau-s", "2.8e-6", *float_tau]) \
+            == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --data: ")
 
     @pytest.mark.parametrize("float_tau", [[], ["--float-tau"]], ids=["fixed", "float"])
     @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
@@ -918,7 +1054,8 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [[], ["--float-tau"]])
     def test_fit_visibility_names_a_non_finite_start(self, argv, capsys):
         # exp(2t/tau) overflows over the bundled data's 8 us at tau = 10 ns.
-        assert cli.main(["fit", "--kind", "vis", "--tau-s", "1e-8", *argv]) == cli.EXIT_VALIDATION
+        assert cli.main(["fit", "--kind", "vis", "--tau-s", "1e-8", "--data", DECAY_CSV, *argv]) \
+            == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == "" and err == ("error: the model or J^T J of its Jacobian is not finite "
                                      "at the start a=7.05564, b=0, tau=1e-08\n")

@@ -2,7 +2,9 @@
 committed copy.
 
 Text between numbers must match exactly; numbers go through the report
-comparator at REL_ANALYTIC.  Regenerate after an intended change with
+comparator at REL_ANALYTIC.  The `fit --kind vis` commands read the
+visibility CSV that `write_visibility_csv` writes.  Regenerate after an
+intended change with
     PYTHONPATH=src python tests/test_golden_commands.py
 and state the changed outputs and their largest deviations with the change.
 """
@@ -10,11 +12,13 @@ import contextlib
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from holomem import cli
+from holomem import channel, cli, measure
 from test_golden import REL_ANALYTIC, _compare
 
 GOLDEN = Path(__file__).parent / "golden" / "commands.json"
@@ -48,19 +52,43 @@ def _tokens(text: str) -> list:
     return tokens + [text[at:]]
 
 
-def _stdout(command: str) -> str:
+def write_visibility_csv(directory: Path) -> str:
+    """The bundled channel's visibility decay V(t) from the bundled input state's
+    mean visibility, at 12 times over 8 us with 5 % Gaussian noise (numpy
+    default_rng seed 773) and sigma = 0.05 V(t): the recipe of the bundled
+    efficiency CSV."""
+    sc = cli.load_scenario(cli.default_config())
+    v0 = float(measure.visibilities(channel.input_state(sc.source)).mean())
+    t = np.linspace(0.0, 8e-6, 12)
+    y_true = np.array([channel.visibility_decay(sc.channel, v0, x) for x in t.tolist()])
+    y = y_true * (1.0 + 0.05 * np.random.default_rng(773).standard_normal(len(t)))
+    path = directory / "visibility_decay.csv"
+    np.savetxt(path, np.column_stack([t, y, 0.05 * y_true]), fmt="%.6e", delimiter=",",
+               header="t_s,y,sigma", comments="")
+    return str(path)
+
+
+def _stdout(command: str, vis_csv: str) -> str:
+    argv = command.split() + (["--data", vis_csv] if "--kind vis" in command else [])
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.main(command.split()) == cli.EXIT_OK
+        assert cli.main(argv) == cli.EXIT_OK
     return out.getvalue()
 
 
+@pytest.fixture(scope="module")
+def vis_csv(tmp_path_factory) -> str:
+    return write_visibility_csv(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_command_output_matches_golden(command):
+def test_command_output_matches_golden(command, vis_csv):
     golden = json.loads(GOLDEN.read_text())[command]
     problems = []
-    _compare(_tokens(golden), _tokens(_stdout(command)), "", REL_ANALYTIC, problems)
+    _compare(_tokens(golden), _tokens(_stdout(command, vis_csv)), "", REL_ANALYTIC, problems)
     assert not problems, "\n".join(problems)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: _stdout(c) for c in COMMANDS}, indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        vis = write_visibility_csv(Path(tmp))
+        GOLDEN.write_text(json.dumps({c: _stdout(c, vis) for c in COMMANDS}, indent=2) + "\n")
